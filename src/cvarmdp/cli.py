@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: check, evaluate, simulate, mec, generate, gadget-sat.
-Exit codes: 0 SAT, 1 UNSAT, 2 UNKNOWN, 64 usage error, 65 invalid input.
+Exit codes: 0 SAT, 1 UNSAT, 2 UNKNOWN, 64 usage error, 65 invalid input,
+70 internal error (including a SAT witness that fails re-verification).
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import List, Optional, Sequence
 
 from . import serialize
 from .graphs import mec_decomposition
-from .model import ModelError, Query, Rational, UnsupportedQueryError, rat
+from .model import ModelError, Query, Rational, UnsupportedQueryError, strategy_problems
 from .risk import cvar, expectation, var
 from .simulate import SimConfig, empirical_measures, sample_payoffs, write_samples_csv
 from .solver import SolverConfig, decide
@@ -24,6 +25,7 @@ EXIT_UNSAT = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_INVALID = 65
+EXIT_INTERNAL = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,7 +58,6 @@ def _build_parser() -> _Parser:
     p.add_argument("query")
     p.add_argument("--objective", choices=["reach", "mean"], help="override query objective")
     p.add_argument("--grid", type=int, default=16, help="guess-grid refinement")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="prefix for witness/certificate JSON (default: query path stem)")
 
     p = sub.add_parser("evaluate", help="exact E/VaR/CVaR of a strategy")
@@ -121,13 +122,13 @@ def _cmd_check(args) -> int:
     query = serialize.query_from_json(_read(args.query))
     if args.objective:
         query = Query(objective=args.objective, constraints=query.constraints)
-    config = SolverConfig(grid=args.grid, threads=args.threads)
-    verdict = decide(mdp, query, config)
+    verdict = decide(mdp, query, SolverConfig(grid=args.grid))
     if verdict.sat:
         # independent re-verification before reporting SAT
         ok, law, details = check_strategy(mdp, verdict.witness, query)
         if not ok:
-            raise ModelError(f"witness failed re-verification: {details}")
+            print(f"internal error: witness failed re-verification: {details}", file=sys.stderr)
+            return EXIT_INTERNAL
     print(verdict.status)
     prefix = args.out or str(Path(args.query).with_suffix(""))
     Path(prefix + ".certificate.json").write_text(serialize.verdict_to_json(verdict))
@@ -148,9 +149,17 @@ def _measure_rows(law, p: Rational, q: Rational) -> List[List[str]]:
     return rows
 
 
+def _read_strategy(path: str, mdp):
+    strategy = serialize.strategy_from_json(_read(path))
+    problems = strategy_problems(mdp, strategy)
+    if problems:
+        raise ModelError("; ".join(problems))
+    return strategy
+
+
 def _cmd_evaluate(args) -> int:
     mdp = serialize.model_from_json(_read(args.model))
-    strategy = serialize.strategy_from_json(_read(args.strategy))
+    strategy = _read_strategy(args.strategy, mdp)
     law = evaluate(mdp, strategy, args.objective)
     _print_table(_measure_rows(law, args.p, args.q))
     return EXIT_SAT
@@ -158,7 +167,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     mdp = serialize.model_from_json(_read(args.model))
-    strategy = serialize.strategy_from_json(_read(args.strategy))
+    strategy = _read_strategy(args.strategy, mdp)
     law = evaluate(mdp, strategy, args.objective)
     cfg = SimConfig(runs=args.runs, horizon=args.horizon, seed=args.seed, burn_in=args.burn_in)
     rows = [["dim", "E", f"VaR@{args.q}", f"CVaR@{args.p}", "E~", "VaR~", "CVaR~"]]
@@ -251,6 +260,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ModelError, UnsupportedQueryError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:  # any other failure is a defect, not bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

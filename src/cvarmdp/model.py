@@ -124,9 +124,6 @@ class Constraint:
     cvar: Optional[Tuple[Fraction, Fraction]] = None  # (p, c)
     var: Optional[Tuple[Fraction, Fraction]] = None  # (q, v)
 
-    def is_trivial(self) -> bool:
-        return self.expectation is None and self.cvar is None and self.var is None
-
 
 @dataclass(frozen=True)
 class Query:
@@ -136,12 +133,6 @@ class Query:
     @property
     def dim(self) -> int:
         return 1 + max((c.dim for c in self.constraints), default=0)
-
-    def constraint_for(self, j: int) -> Constraint:
-        for c in self.constraints:
-            if c.dim == j:
-                return c
-        return Constraint(dim=j)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,15 @@ def query_to_json(query: Query) -> str:
     return _dumps({"objective": query.objective, "constraints": constraints})
 
 
+def _parse_pair(obj: Any, where: str, keys: Tuple[str, str]) -> Tuple[Fraction, Fraction]:
+    if not isinstance(obj, dict):
+        raise ModelError(f"{where}: expected an object with fields {keys}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ModelError(f"{where}: missing field {missing[0]!r}")
+    return tuple(_parse_rat(obj[k], f"{where}.{k}") for k in keys)
+
+
 def query_from_json(text: str) -> Query:
     try:
         doc = json.loads(text, parse_float=_reject_float)
@@ -179,21 +188,23 @@ def query_from_json(text: str) -> Query:
         raise ModelError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "objective" not in doc:
         raise ModelError("query document must be an object with 'objective'")
+    constraint_docs = doc.get("constraints", [])
+    if not isinstance(constraint_docs, list):
+        raise ModelError("'constraints' must be a list")
     constraints = []
-    for cd in doc.get("constraints", ()):
-        kwargs: Dict[str, Any] = {"dim": int(cd.get("dim", 0))}
+    for cd in constraint_docs:
+        if not isinstance(cd, dict):
+            raise ModelError(f"constraint must be an object, got {cd!r}")
+        dim = cd.get("dim", 0)
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ModelError(f"dim: expected an integer, got {dim!r}")
+        kwargs: Dict[str, Any] = {"dim": dim}
         if "e" in cd:
             kwargs["expectation"] = _parse_rat(cd["e"], "e")
         if "cvar" in cd:
-            kwargs["cvar"] = (
-                _parse_rat(cd["cvar"]["p"], "cvar.p"),
-                _parse_rat(cd["cvar"]["c"], "cvar.c"),
-            )
+            kwargs["cvar"] = _parse_pair(cd["cvar"], "cvar", ("p", "c"))
         if "var" in cd:
-            kwargs["var"] = (
-                _parse_rat(cd["var"]["q"], "var.q"),
-                _parse_rat(cd["var"]["v"], "var.v"),
-            )
+            kwargs["var"] = _parse_pair(cd["var"], "var", ("q", "v"))
         constraints.append(Constraint(**kwargs))
     query = Query(objective=doc["objective"], constraints=tuple(constraints))
     report = validate_query(query, query.dim)

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .graphs import QuotientMap, check_attraction, cleanup, mec_decomposition, mec_quotient
+from .graphs import check_attraction, cleanup, mec_decomposition, mec_quotient
 from .lp import LinearProgram, solve_feasibility, solve_optimize
 from .model import (
     Mdp,
@@ -24,11 +24,12 @@ from .model import (
     State,
     UnsupportedQueryError,
     Verdict,
+    validate_query,
 )
 from .synthesis import (
     FlowSolution,
     check_strategy,
-    evaluate,
+    flow_rows,
     mec_constant_strategy,
     realize_quotient_flow,
     strategy_from_reach_flow,
@@ -48,13 +49,11 @@ class SolverConfig:
     this are verified on the quotient/abstraction instead of the full
     product chain.  mec_lp_limit: MECs larger than this are realized with
     the pending-exit memory construction instead of a transshipment LP.
-    threads is accepted for CLI symmetry; solving is sequential.
     """
 
     grid: int = 16
     verify_limit: int = 400
     mec_lp_limit: int = 64
-    threads: int = 1
 
 
 def _y(a: str) -> str:
@@ -92,24 +91,13 @@ def _reach_lp(
             uvars += [_u(c.dim, s) for s in eqs]
     prog = LinearProgram(variables=[_y(a) for a in acts] + [_x(s) for s in targets] + uvars)
 
-    # Transient flow: inflow equals outflow at every non-target state.
-    for s in nontarget:
-        coeffs: Dict[str, Fraction] = {}
-        for a in m.available[s]:
-            coeffs[_y(a)] = coeffs.get(_y(a), ZERO) + ONE
-        for a in acts:
-            p = m.delta[a].get(s, ZERO)
-            if p != 0:
-                coeffs[_y(a)] = coeffs.get(_y(a), ZERO) - p
+    # Transient flow: inflow equals outflow at every non-target state, and
+    # the recurrent mass of each target is its inflow.
+    rows = nontarget + targets
+    for s, coeffs in zip(rows, flow_rows(m, rows, acts, _y)):
+        if s in m.targets:
+            coeffs[_x(s)] = ONE
         prog.add(coeffs, "==", ONE if s == m.initial else ZERO)
-    # Recurrent mass of each target is its inflow.
-    for t in targets:
-        coeffs = {_x(t): ONE}
-        for a in acts:
-            p = m.delta[a].get(t, ZERO)
-            if p != 0:
-                coeffs[_y(a)] = coeffs.get(_y(a), ZERO) - p
-        prog.add(coeffs, "==", ONE if t == m.initial else ZERO)
     # Switching to recurrent behaviour.
     prog.add({_x(t): ONE for t in targets}, "==", ONE)
 
@@ -139,27 +127,6 @@ def _reach_lp(
         if c.expectation is not None:
             prog.add({_x(s): m.rewards[s][j] for s in targets}, ">=", c.expectation)
     return prog
-
-
-def build_reach_lp(mdp_clean: Mdp, query: Query, t_c, t_v) -> LinearProgram:
-    """Single-dimension reachability LP for one (t_c, t_v) guess pair."""
-    if mdp_clean.dim != 1:
-        raise UnsupportedQueryError("single-dimension LP on multi-dimensional input")
-    c = query.constraints[0]
-    tc = {c.dim: t_c} if (c.cvar is not None and t_c is not None) else {}
-    tv = {c.dim: t_v} if (c.var is not None and t_v is not None) else {}
-    drop: Set[int] = set()
-    if c.cvar is not None and c.var is not None and c.cvar[0] == c.var[0] and t_c is not None and t_v is not None and t_c >= t_v:
-        drop.add(c.dim)  # the split block subsumes the VaR row when p = q
-    return _reach_lp(mdp_clean, query, tc, tv, drop)
-
-
-def build_reach_lp_multi(mdp_clean: Mdp, query: Query, guess: Mapping[int, Fraction]) -> LinearProgram:
-    """Multi-dimension reachability LP for a per-dimension CVaR-threshold guess."""
-    ok, tc_lists, tv, drop = _guess_plan(mdp_clean, query)
-    if not ok:
-        raise ModelError("no admissible VaR threshold exists for some dimension")
-    return _reach_lp(mdp_clean, query, dict(guess), tv, drop)
 
 
 def _guess_plan(m: Mdp, query: Query):
@@ -300,13 +267,7 @@ def _mec_gain_flow(mdp: Mdp, mec, j: int, minimize: bool = False):
     members, actions = mec
     acts = sorted(actions)
     prog = LinearProgram(variables=[f"f::{a}" for a in acts])
-    for s in sorted(members, key=repr):
-        avail = set(mdp.available[s])
-        coeffs: Dict[str, Fraction] = {}
-        for a in acts:
-            c = (ONE if a in avail else ZERO) - mdp.delta[a].get(s, ZERO)
-            if c != 0:
-                coeffs[f"f::{a}"] = c
+    for coeffs in flow_rows(mdp, sorted(members, key=repr), acts, lambda a: f"f::{a}"):
         prog.add(coeffs, "==", ZERO)
     prog.add({f"f::{a}": ONE for a in acts}, "==", ONE)
     owner = {a: s for s in members for a in mdp.available[s] if a in actions}
@@ -433,14 +394,7 @@ def build_mean_lp_multi(
                 into[f"xa::{a}"] = into.get(f"xa::{a}", ZERO) + factor
 
     # Transient flow (with per-state switching mass for MEC states).
-    for s in mdp.states:
-        coeffs: Dict[str, Fraction] = {}
-        for a in mdp.available[s]:
-            coeffs[_y(a)] = coeffs.get(_y(a), ZERO) + ONE
-        for a in acts:
-            p = mdp.delta[a].get(s, ZERO)
-            if p != 0:
-                coeffs[_y(a)] = coeffs.get(_y(a), ZERO) - p
+    for s, coeffs in zip(mdp.states, flow_rows(mdp, mdp.states, acts, _y)):
         if dec.mec_of(s) is not None:
             coeffs[f"w::{s!r}"] = ONE
         prog.add(coeffs, "==", ONE if s == mdp.initial else ZERO)
@@ -452,13 +406,7 @@ def build_mean_lp_multi(
         prog.add(coeffs, "==", ZERO)
     # Recurrent flow inside each MEC.
     for members, aa in dec.mecs:
-        for s in sorted(members, key=repr):
-            avail = set(mdp.available[s])
-            coeffs = {}
-            for a in sorted(aa):
-                c = (ONE if a in avail else ZERO) - mdp.delta[a].get(s, ZERO)
-                if c != 0:
-                    coeffs[f"xa::{a}"] = c
+        for coeffs in flow_rows(mdp, sorted(members, key=repr), sorted(aa), lambda a: f"xa::{a}"):
             prog.add(coeffs, "==", ZERO)
     prog.add({f"w::{s!r}": ONE for s in mec_states}, "==", ONE)
 
@@ -595,6 +543,9 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
 
 def decide(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
     """Dispatch a query to the matching decision procedure."""
+    report = validate_query(query, mdp.dim)
+    if not report.ok:
+        raise ModelError("; ".join(report.problems))
     config = config or SolverConfig()
     single = mdp.dim == 1
     if query.objective == "reach":

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import lp as lpmod
 from .chain import PayoffLaw, check_constraints, payoff_law_mean, payoff_law_reach
@@ -32,12 +32,11 @@ REMAIN = "remain"
 
 @dataclass
 class FlowSolution:
-    """LP flow values: transient action masses, recurrent/switch state masses,
-    and (for mean payoff) recurrent action frequencies."""
+    """LP flow values: transient action masses and recurrent/switch state
+    masses."""
 
     y: Dict[str, Fraction] = field(default_factory=dict)
     x: Dict[State, Fraction] = field(default_factory=dict)
-    x_a: Dict[str, Fraction] = field(default_factory=dict)
 
 
 def _least_action(mdp: Mdp, s: State) -> str:
@@ -51,18 +50,18 @@ def _proportional(masses: Mapping[str, Fraction]) -> Optional[Dict[str, Fraction
     return {a: m / total for a, m in masses.items() if m != 0}
 
 
+def _flow_move(mdp: Mdp, y: Mapping[str, Fraction], s: State) -> Dict[str, Fraction]:
+    dist = _proportional({a: y.get(a, ZERO) for a in mdp.available[s]})
+    return dist if dist is not None else {_least_action(mdp, s): ONE}
+
+
 def strategy_from_reach_flow(mdp_clean: Mdp, flow: FlowSolution) -> StrategySpec:
     """Memoryless strategy playing each action proportionally to its flow.
 
     States with zero total flow are unreachable under the strategy and get a
     fixed deterministic choice for reproducibility.
     """
-    choices: Dict[State, Dict[str, Fraction]] = {}
-    for s in mdp_clean.states:
-        masses = {a: flow.y.get(a, ZERO) for a in mdp_clean.available[s]}
-        dist = _proportional(masses)
-        choices[s] = dist if dist is not None else {_least_action(mdp_clean, s): ONE}
-    return memoryless(choices)
+    return memoryless({s: _flow_move(mdp_clean, flow.y, s) for s in mdp_clean.states})
 
 
 def _mec_graph(mdp: Mdp, members: frozenset, actions: frozenset) -> Dict[State, List[Tuple[str, State]]]:
@@ -141,57 +140,110 @@ def check_strategy(mdp: Mdp, strategy: StrategySpec, query: Query):
     return ok, law, details
 
 
-def two_memory_strategy(mdp: Mdp, flow: FlowSolution, inner: Mapping[State, Mapping[str, Fraction]]) -> StrategySpec:
-    """Search/remain strategy: in ``search`` play the transient flow and on
-    arrival at s switch to ``remain`` with probability x_s / inflow(s); in
-    ``remain`` play the per-state inner (recurrent) moves."""
+def flow_rows(
+    mdp: Mdp,
+    states: Sequence[State],
+    actions: Sequence[str],
+    name: Callable[[str], str],
+) -> List[Dict[str, Fraction]]:
+    """Flow-balance coefficients, outflow minus inflow, one row per state.
+
+    Row ``s`` maps ``name(a)`` to ``[a available at s] - delta(a)(s)`` for
+    each given action ``a``; zero entries are dropped.  Rows follow the order
+    of ``states``.
+    """
+    rows: Dict[State, Dict[str, Fraction]] = {s: {} for s in states}
+    acts = set(actions)
+    for s, row in rows.items():
+        for a in mdp.available[s]:
+            if a in acts:
+                row[name(a)] = ONE
+    for a in actions:
+        v = name(a)
+        for t, p in mdp.delta[a].items():
+            row = rows.get(t)
+            if row is not None:
+                row[v] = row.get(v, ZERO) - p
+    return [{v: c for v, c in row.items() if c != 0} for row in rows.values()]
+
+
+def _inflow(mdp: Mdp, y: Mapping[str, Fraction]) -> Dict[State, Fraction]:
+    """Initial mass plus the mass the transient flow ``y`` moves into each state."""
     inflow: Dict[State, Fraction] = {s: ZERO for s in mdp.states}
     inflow[mdp.initial] += ONE
-    for a, mass in flow.y.items():
+    for a, mass in y.items():
         if mass != 0:
             for t, p in mdp.delta[a].items():
                 inflow[t] += mass * p
-    beta: Dict[State, Fraction] = {}
-    for s, mass in flow.x.items():
-        if mass == 0:
-            continue
-        if inflow[s] < mass:
-            raise ModelError(f"switch mass {mass} exceeds inflow {inflow[s]} at {s!r}")
-        beta[s] = mass / inflow[s]
+    return inflow
 
-    next_move: Dict[Tuple[State, str], Dict[str, Fraction]] = {}
+
+def _search_remain(
+    mdp: Mdp,
+    y: Mapping[str, Fraction],
+    arrival: Mapping[State, Mapping],
+    inner: Mapping[State, Mapping[str, Fraction]],
+    tokens: Mapping[object, Mapping[State, Mapping[str, Fraction]]],
+) -> StrategySpec:
+    """Search/remain strategy over the completed transient flow ``y``.
+
+    In ``search`` play ``y`` proportionally; every arrival at a state listed
+    in ``arrival`` resamples the memory from that distribution.  In
+    ``remain`` play the per-state ``inner`` moves.  ``tokens`` maps each
+    pending-exit memory ``("exit", a)`` to its per-state moves; taking ``a``
+    resamples the memory on arrival as a search step does, while the routing
+    actions toward ``a`` keep the token.
+    """
+    next_move: Dict[Tuple[State, object], Dict[str, Fraction]] = {}
+    for tok, moves in tokens.items():
+        for s, move in moves.items():
+            next_move[(s, tok)] = dict(move)
     for s in mdp.states:
-        masses = {a: flow.y.get(a, ZERO) for a in mdp.available[s]}
-        dist = _proportional(masses)
-        next_move[(s, SEARCH)] = dist if dist is not None else {_least_action(mdp, s): ONE}
+        next_move[(s, SEARCH)] = _flow_move(mdp, y, s)
         move = inner.get(s)
         next_move[(s, REMAIN)] = dict(move) if move else {_least_action(mdp, s): ONE}
 
-    update: Dict[Tuple[str, State, str], Dict[str, Fraction]] = {}
+    update: Dict[Tuple[str, State, object], Dict] = {}
     for a in mdp.delta:
         for t, p in mdp.delta[a].items():
-            if p != 0 and t in beta:
-                update[(a, t, SEARCH)] = {REMAIN: beta[t], SEARCH: ONE - beta[t]}
-    b0 = beta.get(mdp.initial, ZERO)
-    initial_memory = normalized({REMAIN: b0, SEARCH: ONE - b0}) or {SEARCH: ONE}
+            if p == 0:
+                continue
+            arr = arrival.get(t)
+            if arr is not None:
+                update[(a, t, SEARCH)] = arr
+            tok = ("exit", a)
+            if tok in tokens:
+                update[(a, t, tok)] = arr if arr is not None else {SEARCH: ONE}
+
     return StrategySpec(
-        memory=(SEARCH, REMAIN),
-        initial_memory=initial_memory,
+        memory=(SEARCH, REMAIN) + tuple(tokens),
+        initial_memory=normalized(arrival.get(mdp.initial, {SEARCH: ONE})),
         next_move=next_move,
         memory_update=update,
     )
 
 
-def merge_inner(strategies: Iterable[StrategySpec]) -> Dict[State, Dict[str, Fraction]]:
-    """Flatten memoryless per-MEC strategies into one state → move table."""
-    merged: Dict[State, Dict[str, Fraction]] = {}
-    for strat in strategies:
-        if not strat.is_memoryless:
-            raise ModelError("inner strategies must be memoryless")
-        m = strat.memory[0]
-        for (s, _), dist in strat.next_move.items():
-            merged[s] = dict(dist)
-    return merged
+def _switch_arrival(
+    mdp: Mdp, y: Mapping[str, Fraction], x: Mapping[State, Fraction]
+) -> Dict[State, Dict[str, Fraction]]:
+    """On arrival at s, switch to ``remain`` with probability x_s / inflow(s)."""
+    inflow = _inflow(mdp, y)
+    arrival: Dict[State, Dict[str, Fraction]] = {}
+    for s, mass in x.items():
+        if mass == 0:
+            continue
+        if inflow[s] < mass:
+            raise ModelError(f"switch mass {mass} exceeds inflow {inflow[s]} at {s!r}")
+        beta = mass / inflow[s]
+        arrival[s] = {REMAIN: beta, SEARCH: ONE - beta}
+    return arrival
+
+
+def two_memory_strategy(mdp: Mdp, flow: FlowSolution, inner: Mapping[State, Mapping[str, Fraction]]) -> StrategySpec:
+    """Search/remain strategy: in ``search`` play the transient flow and on
+    arrival at s switch to ``remain`` with probability x_s / inflow(s); in
+    ``remain`` play the per-state inner (recurrent) moves."""
+    return _search_remain(mdp, flow.y, _switch_arrival(mdp, flow.y, flow.x), inner, {})
 
 
 def realize_quotient_flow(
@@ -214,21 +266,13 @@ def realize_quotient_flow(
     """
     dec = qm.decomposition
     used = {a: m for a, m in y.items() if m != 0 and a in mdp.delta}
+    entry = _inflow(mdp, used)
 
-    entry: Dict[State, Fraction] = {s: ZERO for s in mdp.states}
-    entry[mdp.initial] += ONE
-
-    # arrival memory distribution per state, filled in per MEC below
+    # arrival memory distribution per state of a large MEC, filled in below
     arrival: Dict[State, Dict] = {}
-    next_move: Dict[Tuple[State, object], Dict[str, Fraction]] = {}
-    tokens: List[object] = []
+    tokens: Dict[object, Dict[State, Dict[str, Fraction]]] = {}
     full_y: Dict[str, Fraction] = dict(used)  # completed with internal flows
-
-    for s in mdp.states:
-        for a2, m in used.items():
-            p = mdp.delta[a2].get(s, ZERO)
-            if p != 0:
-                entry[s] += m * p
+    stay: Dict[State, Fraction] = {}  # switch masses inside small MECs
 
     for members, actions in dec.mecs:
         if members <= mdp.targets:
@@ -249,13 +293,7 @@ def realize_quotient_flow(
             for a, m in g.items():
                 if m != 0:
                     full_y[a] = full_y.get(a, ZERO) + m
-            for s in members:
-                inflow = entry[s] + sum(
-                    (g.get(a, ZERO) * mdp.delta[a].get(s, ZERO) for a in actions), ZERO
-                )
-                b = w.get(s, ZERO) / inflow if inflow != 0 else ZERO
-                if b != 0:
-                    arrival[s] = normalized({REMAIN: b, SEARCH: ONE - b})
+            stay.update(w)
         else:
             token_dist = {("exit", a): m / total_in for a, m in exits.items() if m != 0}
             if commit != 0:
@@ -267,44 +305,18 @@ def realize_quotient_flow(
                 if tok == REMAIN:
                     continue
                 _, a = tok
-                tokens.append(tok)
                 route = _routing(mdp, members, actions, {owner[a]})
-                for s in members:
-                    act = a if s == owner[a] else route[s]
-                    next_move[(s, tok)] = {act: ONE}
+                tokens[tok] = {
+                    s: {a if s == owner[a] else route[s]: ONE} for s in members
+                }
             for s in members:
                 arrival[s] = dict(token_dist)
 
-    # search-mode moves: proportional to the completed flow
-    for s in mdp.states:
-        masses = {a: full_y.get(a, ZERO) for a in mdp.available[s]}
-        dist = _proportional(masses)
-        next_move[(s, SEARCH)] = dist if dist is not None else {_least_action(mdp, s): ONE}
-        move = inner.get(s)
-        next_move[(s, REMAIN)] = dict(move) if move else {_least_action(mdp, s): ONE}
-
-    update: Dict[Tuple[str, State, object], Dict] = {}
-    for a in mdp.delta:
-        for t, p in mdp.delta[a].items():
-            if p == 0:
-                continue
-            arr = arrival.get(t)
-            if arr is not None:
-                update[(a, t, SEARCH)] = arr
-            # taking a pending exit re-triggers arrival sampling; internal
-            # routing actions keep their token (identity default)
-            for tok in tokens:
-                if tok[1] == a:
-                    update[(a, t, tok)] = arr if arr is not None else {SEARCH: ONE}
-
-    memory = tuple([SEARCH, REMAIN] + tokens)
-    init = arrival.get(mdp.initial, {SEARCH: ONE})
-    return StrategySpec(
-        memory=memory,
-        initial_memory=init,
-        next_move=next_move,
-        memory_update=update,
-    )
+    # internal actions never leave their MEC, so the completed flow's inflow
+    # at a small MEC's member is its entry plus that MEC's own internal flow
+    for s, dist in _switch_arrival(mdp, full_y, stay).items():
+        arrival[s] = normalized(dist)
+    return _search_remain(mdp, full_y, arrival, inner, tokens)
 
 
 def _transship(
@@ -318,19 +330,12 @@ def _transship(
     """Complete a quotient flow inside one MEC: find internal action masses g
     and per-state switch masses w balancing entries against exits."""
     gvars = sorted(actions)
-    wvars = sorted(members, key=repr) if commit != 0 else []
+    states = sorted(members, key=repr)
+    wvars = states if commit != 0 else []
     prog = lpmod.LinearProgram(
         variables=[f"g::{a}" for a in gvars] + [f"w::{s!r}" for s in wvars]
     )
-    for s in sorted(members, key=repr):
-        coeffs: Dict[str, Fraction] = {}
-        for a in gvars:
-            c = ZERO
-            if a in mdp.available[s]:
-                c += ONE
-            c -= mdp.delta[a].get(s, ZERO)
-            if c != 0:
-                coeffs[f"g::{a}"] = c
+    for s, coeffs in zip(states, flow_rows(mdp, states, gvars, lambda a: f"g::{a}")):
         if commit != 0:
             coeffs[f"w::{s!r}"] = ONE
         rhs = entry[s] - sum(

@@ -4,10 +4,19 @@ from fractions import Fraction as F
 
 import pytest
 
+import cvarmdp.cli as cli
 from cvarmdp import serialize as S
-from cvarmdp.cli import EXIT_INVALID, EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT, EXIT_USAGE, main
+from cvarmdp.cli import (
+    EXIT_INTERNAL,
+    EXIT_INVALID,
+    EXIT_SAT,
+    EXIT_UNKNOWN,
+    EXIT_UNSAT,
+    EXIT_USAGE,
+    main,
+)
 from cvarmdp.gadgets import example
-from cvarmdp.model import memoryless
+from cvarmdp.model import Verdict, memoryless
 
 
 @pytest.fixture
@@ -51,6 +60,46 @@ class TestCheck:
         assert main(["check"]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            '{"dim": 3, "e": "1"}',  # beyond the 1-dimensional model
+            '{"dim": 0, "cvar": {"p": "1/2"}}',  # CVaR bound missing
+            '{"dim": "x", "e": "1"}',  # dimension is not an integer
+        ],
+    )
+    def test_malformed_query_is_invalid_input(self, choice_files, tmp_path, capsys, constraint):
+        model, _, tmp = choice_files
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"objective": "reach", "constraints": [%s]}' % constraint)
+        code = main(["check", str(model), str(bad), "--out", str(tmp / "b")])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("invalid input:")
+
+    def test_solver_crash_is_internal_error(self, choice_files, monkeypatch, capsys):
+        model, query, tmp = choice_files
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("simulated defect")
+
+        monkeypatch.setattr(cli, "decide", boom)
+        code = main(["check", str(model), str(query), "--out", str(tmp / "x")])
+        assert code == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: simulated defect\n"
+
+    def test_unverifiable_witness_is_internal_error(self, choice_files, monkeypatch, capsys):
+        model, query, tmp = choice_files
+        # always keeping the sure 5 misses E >= 6
+        corrupted = Verdict("SAT", witness=memoryless({"s0": {"a": F(1)}}))
+        monkeypatch.setattr(cli, "decide", lambda *args, **kwargs: corrupted)
+        code = main(["check", str(model), str(query), "--out", str(tmp / "c")])
+        assert code == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert "SAT" not in captured.out
+        assert "witness failed re-verification" in captured.err
+        assert not (tmp / "c.witness.json").exists()
+
 
 class TestEvaluate:
     def test_table_with_exact_values(self, choice_files, capsys):
@@ -64,6 +113,28 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert code == EXIT_SAT
         assert "6" in out and "5/2" in out
+
+
+class TestStrategyInput:
+    @pytest.mark.parametrize(
+        "move, problem",
+        [
+            ({"a": F(1, 2)}, "sum to 1/2, not 1"),
+            ({"a": F(1), "b": F(1, 2)}, "sum to 3/2, not 1"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    def test_non_stochastic_strategy_is_invalid_input(
+        self, choice_files, capsys, command, move, problem
+    ):
+        model, _, tmp = choice_files
+        strat = tmp / "bad.json"
+        strat.write_text(S.strategy_to_json(memoryless({"s0": move})))
+        code = main([command, str(model), str(strat)])
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert problem in captured.err
 
 
 class TestSimulate:
