@@ -4,19 +4,61 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from . import risk
-from .graphs import bsccs, states_reaching
-from .model import MarkovChain, Mdp, Query, State, Verdict
+from .graphs import backward_reachable, bsccs, chain_graph, strongly_connected_components
+from .model import MarkovChain, Query, State, Verdict
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def solve_linear(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Solve A X = B exactly by Gaussian elimination (B holds columns as a
-    row-major right-hand-side matrix)."""
+    """Solve A X = B exactly (B holds columns as a row-major right-hand-side
+    matrix).
+
+    The unknowns are split into the strongly connected components of the
+    graph i -> j for A[i][j] != 0, i != j, and solved one block at a time,
+    sinks first, with the solved x_j folded into the right-hand side.  A
+    singleton block is one division; a larger one goes to Gauss-Jordan.  A
+    block-triangular determinant is the product of its blocks', so a
+    singular block means a singular system.
+    """
+    n = len(a)
+    m = len(b[0]) if n else 0
+    # most zero entries are the shared ZERO, which the identity test skips
+    # without a Fraction comparison
+    graph = {
+        i: [j for j, v in enumerate(row) if v is not ZERO and v and j != i]
+        for i, row in enumerate(a)
+    }
+    x: List[List[Fraction]] = [[]] * n
+    for comp in strongly_connected_components(graph):
+        rhs = {}
+        for i in comp:
+            r = list(b[i])
+            for j in graph[i]:
+                if j not in comp:
+                    aij, xj = a[i][j], x[j]
+                    r = [r[k] - aij * xj[k] for k in range(m)]
+            rhs[i] = r
+        if len(comp) == 1:
+            (i,) = comp
+            d = a[i][i]
+            if d == 0:
+                raise ValueError("singular linear system")
+            x[i] = rhs[i] if d == 1 else [v / d for v in rhs[i]]
+        else:
+            block = sorted(comp)
+            sub = _gauss_jordan([[a[i][j] for j in block] for i in block], [rhs[i] for i in block])
+            for i, row in zip(block, sub):
+                x[i] = row
+    return x
+
+
+def _gauss_jordan(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fraction]]:
+    """Dense Gauss-Jordan elimination for one block of ``solve_linear``."""
     n = len(a)
     m = len(b[0]) if n else 0
     aug = [list(a[i]) + list(b[i]) for i in range(n)]
@@ -54,16 +96,17 @@ def reach_probabilities(mc: MarkovChain) -> Dict[State, Fraction]:
     distribution.  States that cannot reach any target contribute nothing."""
     targets = list(mc.targets)
     target_set = set(targets)
-    mdp_like_can_reach = _states_reaching_chain(mc, target_set)
-    transient = [s for s in mc.states if s not in target_set and s in mdp_like_can_reach]
+    can_reach = backward_reachable(chain_graph(mc), target_set)
+    transient = [s for s in mc.states if s not in target_set and s in can_reach]
     index = {s: i for i, s in enumerate(transient)}
     tindex = {t: j for j, t in enumerate(targets)}
     n, m = len(transient), len(targets)
     if n:
-        a = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        a = [[ZERO] * n for _ in range(n)]
         b = [[ZERO] * m for _ in range(n)]
         for s in transient:
             i = index[s]
+            a[i][i] = ONE
             for t, p in mc.delta[s].items():
                 if p == 0:
                     continue
@@ -84,23 +127,6 @@ def reach_probabilities(mc: MarkovChain) -> Dict[State, Fraction]:
             for t in targets:
                 result[t] += mu * x[index[s]][tindex[t]]
     return result
-
-
-def _states_reaching_chain(mc: MarkovChain, goal: Set[State]) -> Set[State]:
-    preds: Dict[State, List[State]] = {s: [] for s in mc.states}
-    for s in mc.states:
-        for t, p in mc.delta[s].items():
-            if p != 0:
-                preds[t].append(s)
-    seen = set(goal)
-    frontier = list(goal)
-    while frontier:
-        s = frontier.pop()
-        for q in preds[s]:
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    return seen
 
 
 def payoff_law_reach(mc: MarkovChain) -> PayoffLaw:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Set, Tuple
 
 from .model import MarkovChain, Mdp, State
 
@@ -152,23 +152,29 @@ def reachable_states(mdp: Mdp, start: State) -> Set[State]:
     return seen
 
 
-def states_reaching(mdp: Mdp, goal: Set[State]) -> Set[State]:
-    """All states with a path into ``goal`` (goal included)."""
-    preds: Dict[State, Set[State]] = {s: set() for s in mdp.states}
-    for s in mdp.states:
-        for a in mdp.available.get(s, ()):
-            for t, p in mdp.delta[a].items():
-                if p != 0:
-                    preds[t].add(s)
+def backward_reachable(graph: Mapping[Hashable, Iterable[Hashable]], goal: Iterable[Hashable]) -> Set[Hashable]:
+    """All nodes of a successor map with a path into ``goal`` (goal included)."""
+    preds: Dict[Hashable, List[Hashable]] = {}
+    for s, succs in graph.items():
+        for t in succs:
+            preds.setdefault(t, []).append(s)
     seen = set(goal)
-    frontier = list(goal)
+    frontier = list(seen)
     while frontier:
-        s = frontier.pop()
-        for q in preds[s]:
+        for q in preds.get(frontier.pop(), ()):
             if q not in seen:
                 seen.add(q)
                 frontier.append(q)
     return seen
+
+
+def states_reaching(mdp: Mdp, goal: Set[State]) -> Set[State]:
+    """All states with a path into ``goal`` (goal included)."""
+    graph = {
+        s: [t for a in mdp.available.get(s, ()) for t, p in mdp.delta[a].items() if p != 0]
+        for s in mdp.states
+    }
+    return backward_reachable(graph, goal)
 
 
 def cleanup(mdp: Mdp) -> Mdp:

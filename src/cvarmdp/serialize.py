@@ -92,6 +92,29 @@ def model_to_json(mdp: Mdp) -> str:
     return _dumps(doc)
 
 
+def _entries(docs: Any, kind: str) -> List[dict]:
+    """The list of ``kind`` entries of a model document, each an object."""
+    if not isinstance(docs, list):
+        raise ModelError(f"{kind}s must be a list")
+    for d in docs:
+        if not isinstance(d, dict):
+            raise ModelError(f"{kind} entry must be an object, got {d!r}")
+    return docs
+
+
+_JSON_TYPE = {str: "string", list: "list", dict: "object"}
+
+
+def _field(doc: dict, key: str, kind: type, where: str, default: Any = None) -> Any:
+    """``doc[key]``, checked to be a ``kind``; required unless a default is given."""
+    if key not in doc and default is None:
+        raise ModelError(f"{where}: missing field {key!r}")
+    value = doc.get(key, default)
+    if not isinstance(value, kind):
+        raise ModelError(f"{where}: field {key!r} must be a {_JSON_TYPE[kind]}, got {value!r}")
+    return value
+
+
 def model_from_json(text: str) -> Mdp:
     try:
         doc = json.loads(text, parse_float=_reject_float)
@@ -109,25 +132,27 @@ def model_from_json(text: str) -> Mdp:
     states: List[str] = []
     rewards: Dict[str, Tuple[Fraction, ...]] = {}
     targets: List[str] = []
-    for sd in state_docs:
-        name = sd["name"]
+    for sd in _entries(state_docs, "state"):
+        name = _field(sd, "name", str, "state")
         states.append(name)
         rewards[name] = tuple(
-            _parse_rat(r, f"reward of {name!r}") for r in sd.get("rewards", ["0"])
+            _parse_rat(r, f"reward of {name!r}")
+            for r in _field(sd, "rewards", list, f"state {name!r}", ["0"])
         )
         if sd.get("target", False):
             targets.append(name)
 
     available: Dict[str, List[str]] = {s: [] for s in states}
     delta: Dict[str, Dict[str, Fraction]] = {}
-    for ad in action_docs:
-        name, src = ad["name"], ad["from"]
+    for ad in _entries(action_docs, "action"):
+        name = _field(ad, "name", str, "action")
+        src = _field(ad, "from", str, f"action {name!r}")
         if src not in available:
             raise ModelError(f"action {name!r} from unknown state {src!r}")
         available[src].append(name)
         delta[name] = {
             t: _parse_rat(p, f"transition {name!r}->{t!r}")
-            for t, p in ad["transitions"].items()
+            for t, p in _field(ad, "transitions", dict, f"action {name!r}").items()
         }
     # targets are absorbing by definition; give action-less ones a self-loop
     for t in targets:

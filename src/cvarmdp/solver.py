@@ -32,7 +32,6 @@ from .synthesis import (
     flow_rows,
     mec_constant_strategy,
     realize_quotient_flow,
-    strategy_from_reach_flow,
     two_memory_strategy,
 )
 
@@ -45,14 +44,12 @@ class SolverConfig:
     """Tuning knobs for the decision procedures.
 
     grid: subdivisions between consecutive candidate thresholds in the
-    multi-dimensional mean-payoff search.  verify_limit: models larger than
-    this are verified on the quotient/abstraction instead of the full
-    product chain.  mec_lp_limit: MECs larger than this are realized with
-    the pending-exit memory construction instead of a transshipment LP.
+    multi-dimensional mean-payoff search.  mec_lp_limit: MECs larger than
+    this are realized with the pending-exit memory construction instead of
+    a transshipment LP.
     """
 
     grid: int = 16
-    verify_limit: int = 400
     mec_lp_limit: int = 64
 
 
@@ -205,20 +202,13 @@ def _decide_reach(mdp: Mdp, query: Query, config: SolverConfig) -> Verdict:
     for tc, flow in _iter_feasible(m, query):
         strat = realize_quotient_flow(clean, qm, flow.y, {}, {}, config.mec_lp_limit)
         strat = _restrict_to_original(mdp, strat)
-        if len(mdp.states) <= config.verify_limit:
-            ok, law, details = check_strategy(mdp, strat, query)
-            scope = "full"
-        else:
-            qstrat = strategy_from_reach_flow(m, flow)
-            ok, law, details = check_strategy(m, qstrat, query)
-            scope = "quotient"
+        ok, law, details = check_strategy(mdp, strat, query)
         if ok:
             cert = {
                 "guess": {j: t for j, t in tc.items()},
                 "law": [d.atoms for d in law.marginals],
                 "constraints": details,
                 "flow": {"y": flow.y, "x": flow.x},
-                "verified_on": scope,
             }
             return Verdict("SAT", witness=strat, certificate=cert)
     return Verdict("UNSAT")
@@ -342,20 +332,13 @@ def decide_mean_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = 
                     inner[s] = dict(dist)
         strat = realize_quotient_flow(base, qm, y, switch, inner, config.mec_lp_limit)
         strat = _restrict_to_original(mdp, strat)
-        if len(mdp.states) <= config.verify_limit:
-            ok, law, details = check_strategy(mdp, strat, query)
-            scope = "full"
-        else:
-            astrat = strategy_from_reach_flow(m2, flow)
-            ok, law, details = check_strategy(m2, astrat, reach_query)
-            scope = "abstraction"
+        ok, law, details = check_strategy(mdp, strat, query)
         if ok:
             cert = {
                 "guess": {j: t for j, t in tc.items()},
                 "gains": {repr(reps[i]): gains[i] for i in range(len(reps))},
                 "law": [d.atoms for d in law.marginals],
                 "constraints": details,
-                "verified_on": scope,
             }
             return Verdict("SAT", witness=strat, certificate=cert)
     return Verdict("UNSAT")

@@ -12,6 +12,7 @@ from cvarmdp.chain import (
     reach_probabilities,
     solve_linear,
 )
+from cvarmdp.graphs import strongly_connected_components
 from cvarmdp.model import Constraint, MarkovChain, Query
 from cvarmdp.risk import cvar, expectation, var
 
@@ -48,6 +49,93 @@ class TestLinearSolver:
             assert all(
                 sum(a[i][j] * x[j][0] for j in range(n)) == b[i][0] for i in range(n)
             )
+
+
+def _block_system(rng, sizes, m):
+    """A sparse, strictly diagonally dominant (so regular) system whose
+    dependency graph has one strongly connected block per entry of
+    ``sizes``, with rows and columns shuffled by one permutation; returns
+    (A, X, B) with A X = B and ``m`` right-hand-side columns."""
+    n = sum(sizes)
+    a = [[F(0)] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        block = range(start, start + size)
+        for i in block:
+            if size > 1:  # a cycle through the block keeps it one component
+                a[i][start + (i - start + 1) % size] = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+            for j in rng.sample(range(start + size), min(2, start + size)):
+                if j != i and a[i][j] == 0 and rng.random() < 0.5:
+                    a[i][j] = F(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 3))
+            a[i][i] = sum(abs(v) for v in a[i]) + F(rng.randint(1, 3), rng.randint(1, 2))
+        start += size
+    perm = rng.sample(range(n), n)
+    a = [[a[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    x = [[F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(m)] for _ in range(n)]
+    b = [[sum(a[i][j] * x[j][k] for j in range(n)) for k in range(m)] for i in range(n)]
+    return a, x, b
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("shape", ["acyclic", "mixed", "one-block"])
+    def test_random_sparse_systems(self, shape):
+        rng = random.Random(f"kernel:{shape}")
+        for _ in range(30):
+            if shape == "acyclic":
+                sizes = [1] * rng.randint(1, 12)
+            elif shape == "mixed":
+                sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 6))]
+            else:
+                sizes = [rng.randint(2, 8)]
+            a, x_true, b = _block_system(rng, sizes, rng.randint(1, 3))
+            graph = {i: [j for j, v in enumerate(row) if v != 0 and j != i] for i, row in enumerate(a)}
+            assert sorted(map(len, strongly_connected_components(graph))) == sorted(sizes)
+            x = solve_linear(a, b)
+            n, m = len(a), len(b[0])
+            assert all(
+                sum(a[i][j] * x[j][k] for j in range(n)) == b[i][k]
+                for i in range(n)
+                for k in range(m)
+            )
+            assert x == x_true
+
+    def test_zero_diagonal_singleton_is_singular(self):
+        # x1 is determined, but row 0 has no term in x0: det = 0 * 1
+        a = [[F(0), F(1)], [F(0), F(1)]]
+        with pytest.raises(ValueError, match="singular linear system"):
+            solve_linear(a, [[F(1)], [F(1)]])
+
+    def test_singular_block_behind_regular_ones(self):
+        # x3 and x2 are regular singletons; block {0, 1} is [[1, 2], [1, 2]]
+        a = [
+            [F(1), F(2), F(1), F(0)],
+            [F(1), F(2), F(0), F(3)],
+            [F(0), F(0), F(2), F(1)],
+            [F(0), F(0), F(0), F(5)],
+        ]
+        b = [[F(1), F(0)], [F(2), F(0)], [F(3), F(1)], [F(4), F(1)]]
+        with pytest.raises(ValueError, match="singular linear system"):
+            solve_linear(a, b)
+        a[1][0] = F(2)  # block {0, 1} becomes [[1, 2], [2, 2]], det -2
+        x = solve_linear(a, b)
+        assert all(sum(a[i][j] * x[j][k] for j in range(4)) == b[i][k] for i in range(4) for k in range(2))
+
+    def test_long_acyclic_chain_closed_form(self):
+        # from s_i absorb at "hit" w.p. 1/(i+2), else move on; s_{n-1} ends
+        # at "end".  Surviving k steps has probability prod (i+1)/(i+2) = 1/(k+1).
+        n = 2000
+        states = [f"s{i}" for i in range(n)]
+        delta = {s: {"hit": F(1, i + 2), states[i + 1]: F(i + 1, i + 2)} for i, s in enumerate(states[:-1])}
+        delta[states[-1]] = {"end": F(1)}
+        delta["hit"], delta["end"] = {"hit": F(1)}, {"end": F(1)}
+        mc = MarkovChain(
+            states=tuple(states) + ("hit", "end"),
+            delta=delta,
+            initial_distribution={states[0]: F(1)},
+            rewards={s: (F(0),) for s in delta},
+            targets=frozenset({"hit", "end"}),
+        )
+        assert reach_probabilities(mc) == {"end": F(1, n), "hit": 1 - F(1, n)}
 
 
 class TestReachLaw:

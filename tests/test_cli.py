@@ -76,6 +76,37 @@ class TestCheck:
         assert code == EXIT_INVALID
         assert capsys.readouterr().err.startswith("invalid input:")
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["states"][0].pop("name"),
+            lambda doc: doc["actions"][0].pop("name"),
+            lambda doc: doc["actions"][0].pop("from"),
+            lambda doc: doc["actions"][0].pop("transitions"),
+            lambda doc: doc["states"].__setitem__(0, "s0"),
+            lambda doc: doc["actions"].__setitem__(0, ["a"]),
+            lambda doc: doc["actions"][0].__setitem__("transitions", [["s1", "1"]]),
+        ],
+        ids=[
+            "state-without-name",
+            "action-without-name",
+            "action-without-from",
+            "action-without-transitions",
+            "state-not-an-object",
+            "action-not-an-object",
+            "transitions-not-an-object",
+        ],
+    )
+    def test_malformed_model_is_invalid_input(self, tmp_path, capsys, edit):
+        model, query = tmp_path / "m.json", tmp_path / "q.json"
+        assert main(["generate", "--example", "choice", str(model), str(query)]) == EXIT_SAT
+        doc = json.loads(model.read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        code = main(["check", str(model), str(query), "--out", str(tmp_path / "b")])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("invalid input:")
+
     def test_solver_crash_is_internal_error(self, choice_files, monkeypatch, capsys):
         model, query, tmp = choice_files
 

@@ -1,4 +1,5 @@
 """Serialization tests: canonical round trips, exactness, DIMACS."""
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -32,6 +33,21 @@ class TestModelRoundTrip:
         text = S.model_to_json(mdp).replace('"9/10"', '"8/10"')  # row sums < 1
         with pytest.raises(ModelError):
             S.model_from_json(text)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["states"][0].__setitem__("rewards", "10"), "'rewards' must be a list"),
+            (lambda doc: doc.__setitem__("states", {"s0": {}}), "states must be a list"),
+            (lambda doc: doc["states"][0].__setitem__("name", 0), "'name' must be a string"),
+        ],
+    )
+    def test_ill_typed_fields_rejected(self, edit, message):
+        mdp, _ = example("choice")
+        doc = json.loads(S.model_to_json(mdp))
+        edit(doc)
+        with pytest.raises(ModelError, match=message):
+            S.model_from_json(json.dumps(doc))
 
     def test_actionless_target_gets_self_loop(self):
         text = """

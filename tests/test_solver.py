@@ -11,6 +11,7 @@ from cvarmdp.model import (
     Query,
     UnsupportedQueryError,
 )
+from cvarmdp import solver
 from cvarmdp.risk import FiniteDistribution, cvar, expectation, var
 from cvarmdp.solver import (
     SolverConfig,
@@ -294,3 +295,51 @@ class TestConsistency:
             assert verdict.status == "SAT"
             ok, _, details = check_strategy(mdp, verdict.witness, query)
             assert ok, details
+
+
+def _exit_ring(n: int) -> Mdp:
+    """An (n-2)-state end component with two exits to absorbing targets
+    worth 10 and 0; the exit at n/3 wins w.p. 7/10, the one at 2n/3 w.p. 9/10."""
+    ring = [f"c{i}" for i in range(n - 2)]
+    available, delta = {}, {}
+    for i, s in enumerate(ring):
+        delta[f"fwd{i}"] = {ring[(i + 1) % len(ring)]: F(1)}
+        available[s] = (f"fwd{i}",)
+    for i, p in ((n // 3, F(7, 10)), (2 * n // 3, F(9, 10))):
+        delta[f"exit{i}"] = {"hi": p, "lo": 1 - p}
+        available[ring[i]] += (f"exit{i}",)
+    for t in ("hi", "lo"):
+        available[t] = (f"stay_{t}",)
+        delta[f"stay_{t}"] = {t: F(1)}
+    rewards = {s: (F(0),) for s in ring}
+    rewards["hi"], rewards["lo"] = (F(10),), (F(0),)
+    return Mdp(
+        states=tuple(ring + ["hi", "lo"]),
+        available=available,
+        delta=delta,
+        initial=ring[0],
+        rewards=rewards,
+        targets=frozenset({"hi", "lo"}),
+    )
+
+
+class TestLargeModels:
+    def test_certificate_is_the_witness_law_on_the_full_model(self, monkeypatch):
+        # whatever the size, decide checks the witness it returns on the input model
+        mdp = _exit_ring(450)
+        query = reach_query(e=8, c=0)
+        checked = []
+
+        def spy(model, strategy, q):
+            checked.append((model, strategy))
+            return check_strategy(model, strategy, q)
+
+        monkeypatch.setattr(solver, "check_strategy", spy)
+        verdict = decide(mdp, query)
+        assert verdict.status == "SAT"
+        assert checked[-1] == (mdp, verdict.witness)
+        ok, law, _ = check_strategy(mdp, verdict.witness, query)
+        assert ok
+        assert verdict.certificate["law"] == [d.atoms for d in law.marginals]
+        assert expectation(law[0]) >= 8
+        assert decide(mdp, reach_query(e="91/10")).status == "UNSAT"
