@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .model import MarkovChain, Mdp, State
 
@@ -68,10 +68,6 @@ def chain_graph(mc: MarkovChain) -> Dict[State, List[State]]:
     return {s: [t for t, p in mc.delta[s].items() if p != 0] for s in mc.states}
 
 
-def sccs(mc: MarkovChain) -> List[Set[State]]:
-    return strongly_connected_components(chain_graph(mc))
-
-
 def bsccs(mc: MarkovChain) -> List[Set[State]]:
     """SCCs with no outgoing edge."""
     graph = chain_graph(mc)
@@ -125,16 +121,12 @@ def mec_decomposition(mdp: Mdp) -> MecDecomposition:
         if not changed:
             break
     mecs: List[Mec] = []
-    state_to_mec: Dict[State, int] = {}
     for comp in comps:
         states = frozenset(s for s in comp if live[s])
         if not states:
             continue
         actions = frozenset(a for s in states for a in live[s])
-        idx = len(mecs)
         mecs.append((states, actions))
-        for s in states:
-            state_to_mec[s] = idx
     mecs_sorted = sorted(mecs, key=lambda m: sorted(map(repr, m[0])))
     state_to_mec = {s: i for i, (states, _) in enumerate(mecs_sorted) for s in states}
     return MecDecomposition(mecs=mecs_sorted, state_to_mec=state_to_mec)
@@ -177,11 +169,15 @@ def states_reaching(mdp: Mdp, goal: Set[State]) -> Set[State]:
     return backward_reachable(graph, goal)
 
 
-def cleanup(mdp: Mdp) -> Mdp:
+def cleanup(mdp: Mdp, decomp: Optional[MecDecomposition] = None) -> Mdp:
     """Convert every MEC that cannot reach the targets into a zero-reward
-    absorbing target.  Afterwards targets are reachable from every state."""
+    absorbing target.  Afterwards targets are reachable from every state.
+
+    ``decomp`` is ``mdp``'s MEC decomposition when the caller has it;
+    ``None`` computes it.  The result is ``mdp`` itself when no MEC changes.
+    """
     can_reach = states_reaching(mdp, set(mdp.targets))
-    decomp = mec_decomposition(mdp)
+    decomp = decomp or mec_decomposition(mdp)
     doomed: Set[State] = set()
     for states, _ in decomp.mecs:
         if states & set(mdp.targets):
@@ -276,14 +272,15 @@ def mec_quotient(mdp: Mdp) -> QuotientMap:
     return QuotientMap(quotient=quotient, lift=lift, representatives=reps, decomposition=decomp)
 
 
-def check_attraction(mdp: Mdp) -> str:
+def check_attraction(mdp: Mdp, decomp: Optional[MecDecomposition] = None) -> str:
     """Classify a reachability instance: 'A1', 'A2', 'both', or 'neither'.
 
     A1: targets are reached almost surely under every strategy; with
     absorbing targets this holds iff every MEC contains a target.
     A2: every target reward is non-negative (in every dimension).
+    ``decomp`` is ``mdp``'s MEC decomposition, computed when ``None``.
     """
-    decomp = mec_decomposition(mdp)
+    decomp = decomp or mec_decomposition(mdp)
     a1 = all(states & set(mdp.targets) for states, _ in decomp.mecs)
     a2 = all(r >= 0 for t in mdp.targets for r in mdp.rewards[t])
     if a1 and a2:

@@ -96,9 +96,6 @@ class Mdp:
             out.update(self.delta[a].keys())
         return out
 
-    def reward(self, state: State, j: int) -> Fraction:
-        return self.rewards[state][j]
-
 
 @dataclass(frozen=True)
 class MarkovChain:

@@ -102,7 +102,7 @@ def _entries(docs: Any, kind: str) -> List[dict]:
     return docs
 
 
-_JSON_TYPE = {str: "string", list: "list", dict: "object"}
+_JSON_TYPE = {str: "string", list: "list", dict: "object", bool: "boolean"}
 
 
 def _field(doc: dict, key: str, kind: type, where: str, default: Any = None) -> Any:
@@ -125,9 +125,9 @@ def model_from_json(text: str) -> Mdp:
     try:
         state_docs = doc["states"]
         action_docs = doc["actions"]
-        initial = doc["initial"]
     except KeyError as exc:
         raise ModelError(f"model document missing key {exc}") from exc
+    initial = _field(doc, "initial", str, "model")
 
     states: List[str] = []
     rewards: Dict[str, Tuple[Fraction, ...]] = {}
@@ -139,7 +139,7 @@ def model_from_json(text: str) -> Mdp:
             _parse_rat(r, f"reward of {name!r}")
             for r in _field(sd, "rewards", list, f"state {name!r}", ["0"])
         )
-        if sd.get("target", False):
+        if _field(sd, "target", bool, f"state {name!r}", False):
             targets.append(name)
 
     available: Dict[str, List[str]] = {s: [] for s in states}
@@ -375,29 +375,43 @@ def verdict_to_json(verdict: Verdict) -> str:
 # DIMACS CNF
 
 
+def _dimacs_int(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ModelError(f"non-integer token {token!r} in DIMACS line {line!r}") from None
+
+
 def parse_dimacs(text: str):
-    """Parse DIMACS CNF into (num_vars, clauses)."""
+    """Parse DIMACS CNF into (num_vars, clauses).
+
+    A ``%`` line ends the formula (the SATLIB trailer).  An empty clause
+    makes the formula unsatisfiable outright; it is rejected, not dropped.
+    """
     num_vars: Optional[int] = None
     clauses: List[Tuple[int, ...]] = []
     current: List[int] = []
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith(("c", "%")):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ModelError(f"bad problem line: {line!r}")
-            num_vars = int(parts[2])
+            num_vars = _dimacs_int(parts[2], line)
             continue
         for token in line.split():
-            lit = int(token)
-            if lit == 0:
-                if current:
-                    clauses.append(tuple(current))
-                    current = []
-            else:
+            lit = _dimacs_int(token, line)
+            if lit != 0:
                 current.append(lit)
+            elif current:
+                clauses.append(tuple(current))
+                current = []
+            else:
+                raise ModelError(f"empty clause in DIMACS line {line!r}")
     if current:
         clauses.append(tuple(current))
     if num_vars is None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .graphs import check_attraction, cleanup, mec_decomposition, mec_quotient
+from .graphs import QuotientMap, check_attraction, cleanup, mec_decomposition, mec_quotient
 from .lp import LinearProgram, solve_feasibility, solve_optimize
 from .model import (
     Mdp,
@@ -41,16 +41,13 @@ ONE = Fraction(1)
 
 @dataclass
 class SolverConfig:
-    """Tuning knobs for the decision procedures.
+    """Settings of the decision procedures.
 
     grid: subdivisions between consecutive candidate thresholds in the
-    multi-dimensional mean-payoff search.  mec_lp_limit: MECs larger than
-    this are realized with the pending-exit memory construction instead of
-    a transshipment LP.
+    multi-dimensional mean-payoff search.
     """
 
     grid: int = 16
-    mec_lp_limit: int = 64
 
 
 def _y(a: str) -> str:
@@ -195,23 +192,26 @@ def _restrict_to_original(mdp: Mdp, strategy):
     return replace(strategy, next_move=next_move, memory_update=update)
 
 
-def _decide_reach(mdp: Mdp, query: Query, config: SolverConfig) -> Verdict:
-    clean = cleanup(mdp)
-    qm = mec_quotient(clean)
-    m = qm.quotient
-    for tc, flow in _iter_feasible(m, query):
-        strat = realize_quotient_flow(clean, qm, flow.y, {}, {}, config.mec_lp_limit)
-        strat = _restrict_to_original(mdp, strat)
-        ok, law, details = check_strategy(mdp, strat, query)
-        if ok:
-            cert = {
-                "guess": {j: t for j, t in tc.items()},
-                "law": [d.atoms for d in law.marginals],
-                "constraints": details,
-                "flow": {"y": flow.y, "x": flow.x},
-            }
-            return Verdict("SAT", witness=strat, certificate=cert)
-    return Verdict("UNSAT")
+def _cleaned_quotient(mdp: Mdp, qm: QuotientMap) -> Tuple[Mdp, QuotientMap]:
+    """``cleanup(mdp)`` and its MEC quotient, given ``mdp``'s quotient ``qm``.
+
+    Only a cleanup that traps some MEC changes the model, and only then is
+    the cleaned model decomposed again.
+    """
+    clean = cleanup(mdp, qm.decomposition)
+    return clean, (qm if clean is mdp else mec_quotient(clean))
+
+
+def _certified(mdp: Mdp, query: Query, strat, cert: Dict) -> Optional[Verdict]:
+    """SAT with ``strat`` as witness if exact evaluation on the full model
+    meets every constraint; the certificate gains the law and the per-
+    constraint details.  None when the candidate fails."""
+    ok, law, details = check_strategy(mdp, strat, query)
+    if not ok:
+        return None
+    cert["law"] = [d.atoms for d in law.marginals]
+    cert["constraints"] = details
+    return Verdict("SAT", witness=strat, certificate=cert)
 
 
 def _reach_to_mean(mdp: Mdp, query: Query) -> Tuple[Mdp, Query]:
@@ -222,31 +222,34 @@ def _reach_to_mean(mdp: Mdp, query: Query) -> Tuple[Mdp, Query]:
     return replace(mdp, rewards=rewards), replace(query, objective="mean")
 
 
-def decide_reach_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
-    """Decide a single-dimension weighted-reachability query exactly."""
-    config = config or SolverConfig()
+def _decide_reach(mdp: Mdp, query: Query, config: Optional[SolverConfig], decide_mean) -> Verdict:
+    """Reachability pipeline over one MEC decomposition of ``mdp``; without
+    attraction the query goes to ``decide_mean`` as mean payoff."""
     if query.objective != "reach":
         raise UnsupportedQueryError("reachability procedure got a non-reach query")
-    if check_attraction(mdp) == "neither":
+    qm = mec_quotient(mdp)
+    if check_attraction(mdp, qm.decomposition) == "neither":
         mmdp, mquery = _reach_to_mean(mdp, query)
-        return decide_mean_single(mmdp, mquery, config)
-    return _decide_reach(mdp, query, config)
+        return decide_mean(mmdp, mquery, config)
+    clean, qm = _cleaned_quotient(mdp, qm)
+    for tc, flow in _iter_feasible(qm.quotient, query):
+        strat = realize_quotient_flow(clean, qm, flow.y, {}, {})
+        strat = _restrict_to_original(mdp, strat)
+        cert = {"guess": dict(tc), "flow": {"y": flow.y, "x": flow.x}}
+        verdict = _certified(mdp, query, strat, cert)
+        if verdict is not None:
+            return verdict
+    return Verdict("UNSAT")
+
+
+def decide_reach_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
+    """Decide a single-dimension weighted-reachability query exactly."""
+    return _decide_reach(mdp, query, config, decide_mean_single)
 
 
 def decide_reach_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
     """Decide a multi-dimension weighted-reachability query."""
-    config = config or SolverConfig()
-    if query.objective != "reach":
-        raise UnsupportedQueryError("reachability procedure got a non-reach query")
-    if check_attraction(mdp) == "neither":
-        if any(c.var is not None for c in query.constraints):
-            raise UnsupportedQueryError(
-                "multi-dimensional reachability with VaR constraints needs the "
-                "attraction assumption (reduction target does not support VaR)"
-            )
-        mmdp, mquery = _reach_to_mean(mdp, query)
-        return decide_mean_multi(mmdp, mquery, config)
-    return _decide_reach(mdp, query, config)
+    return _decide_reach(mdp, query, config, decide_mean_multi)
 
 
 # ----------------------------------------------------------------- mean payoff
@@ -278,7 +281,6 @@ def mec_gain(mdp: Mdp, mec, j: int = 0) -> Fraction:
 def decide_mean_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
     """Single-dimension mean payoff: reduce to reachability over MEC gains,
     then turn the reachability flow into a search/remain two-memory witness."""
-    config = config or SolverConfig()
     if query.objective != "mean":
         raise UnsupportedQueryError("mean-payoff procedure got a non-mean query")
     if mdp.dim != 1:
@@ -317,9 +319,9 @@ def decide_mean_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = 
         targets=frozenset(fstates),
     )
     reach_query = replace(query, objective="reach")
-    m2 = mec_quotient(cleanup(abstraction)).quotient
+    _, qa = _cleaned_quotient(abstraction, mec_quotient(abstraction))
 
-    for tc, flow in _iter_feasible(m2, reach_query):
+    for tc, flow in _iter_feasible(qa.quotient, reach_query):
         y = {a: v for a, v in flow.y.items() if a in base.delta}
         switch = {
             reps[i]: flow.y.get(f"__commit[{i}]", ZERO) for i in range(len(reps))
@@ -330,17 +332,12 @@ def decide_mean_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = 
                 strat_i = mec_constant_strategy(base, mec, freqs[i])
                 for (s, _mm), dist in strat_i.next_move.items():
                     inner[s] = dict(dist)
-        strat = realize_quotient_flow(base, qm, y, switch, inner, config.mec_lp_limit)
+        strat = realize_quotient_flow(base, qm, y, switch, inner)
         strat = _restrict_to_original(mdp, strat)
-        ok, law, details = check_strategy(mdp, strat, query)
-        if ok:
-            cert = {
-                "guess": {j: t for j, t in tc.items()},
-                "gains": {repr(reps[i]): gains[i] for i in range(len(reps))},
-                "law": [d.atoms for d in law.marginals],
-                "constraints": details,
-            }
-            return Verdict("SAT", witness=strat, certificate=cert)
+        cert = {"guess": dict(tc), "gains": {repr(reps[i]): gains[i] for i in range(len(reps))}}
+        verdict = _certified(mdp, query, strat, cert)
+        if verdict is not None:
+            return verdict
     return Verdict("UNSAT")
 
 
@@ -507,15 +504,10 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
                     for (s, _mm), dist in strat_i.next_move.items():
                         inner[s] = dict(dist)
             strat = two_memory_strategy(base, FlowSolution(y=y, x=switch), inner)
-            ok, law, details = check_strategy(mdp, strat, query)
-            if ok:
-                cert = {
-                    "guess": guess,
-                    "classification": {j: list(cls[j]) for j in cvar_dims},
-                    "law": [d.atoms for d in law.marginals],
-                    "constraints": details,
-                }
-                return Verdict("SAT", witness=strat, certificate=cert)
+            cert = {"guess": guess, "classification": {j: list(cls[j]) for j in cvar_dims}}
+            verdict = _certified(mdp, query, strat, cert)
+            if verdict is not None:
+                return verdict
             unverified = True
     if exhaustive and not unverified:
         # expectation-only queries, and models whose MECs have point-valued
@@ -529,7 +521,6 @@ def decide(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Ver
     report = validate_query(query, mdp.dim)
     if not report.ok:
         raise ModelError("; ".join(report.problems))
-    config = config or SolverConfig()
     single = mdp.dim == 1
     if query.objective == "reach":
         return (decide_reach_single if single else decide_reach_multi)(mdp, query, config)

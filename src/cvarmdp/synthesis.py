@@ -29,6 +29,12 @@ ONE = Fraction(1)
 SEARCH = "search"
 REMAIN = "remain"
 
+# MECs up to this many states get a memoryless witness: one exact
+# transshipment LP completes the flow inside the MEC, so the witness needs no
+# pending-exit memory there.  The LP is dense, so larger MECs take the
+# pending-exit construction, which costs one routing search per exit.
+MEC_LP_LIMIT = 64
+
 
 @dataclass
 class FlowSolution:
@@ -252,17 +258,16 @@ def realize_quotient_flow(
     y: Mapping[str, Fraction],
     switch: Mapping[State, Fraction],
     inner: Mapping[State, Mapping[str, Fraction]],
-    mec_lp_limit: int = 64,
 ) -> StrategySpec:
     """Turn a quotient-level flow into a strategy on the un-quotiented MDP.
 
     ``y`` gives masses for the quotient's actions (each owned by an original
     state); ``switch`` gives per-MEC-representative masses that stop searching
     and stay in the MEC forever, where ``inner`` then prescribes the moves.
-    Small MECs are realized memorylessly by completing the flow with an exact
-    transshipment LP over their internal actions; large MECs fall back to a
-    finite-memory construction that samples the pending exit on entry and
-    routes to it deterministically.
+    MECs of at most ``MEC_LP_LIMIT`` states are realized memorylessly by
+    completing the flow with an exact transshipment LP over their internal
+    actions; larger MECs fall back to a finite-memory construction that
+    samples the pending exit on entry and routes to it deterministically.
     """
     dec = qm.decomposition
     used = {a: m for a, m in y.items() if m != 0 and a in mdp.delta}
@@ -288,7 +293,7 @@ def realize_quotient_flow(
         total_in = sum((entry[s] for s in members), ZERO)
         if total_in == 0:
             continue  # never entered; default moves suffice
-        if len(members) <= mec_lp_limit:
+        if len(members) <= MEC_LP_LIMIT:
             g, w = _transship(mdp, members, actions, entry, exits, commit)
             for a, m in g.items():
                 if m != 0:

@@ -86,6 +86,8 @@ class TestCheck:
             lambda doc: doc["states"].__setitem__(0, "s0"),
             lambda doc: doc["actions"].__setitem__(0, ["a"]),
             lambda doc: doc["actions"][0].__setitem__("transitions", [["s1", "1"]]),
+            lambda doc: doc["states"][1].__setitem__("target", "no"),
+            lambda doc: doc.__setitem__("initial", ["x"]),
         ],
         ids=[
             "state-without-name",
@@ -95,6 +97,8 @@ class TestCheck:
             "state-not-an-object",
             "action-not-an-object",
             "transitions-not-an-object",
+            "target-not-a-boolean",
+            "initial-not-a-string",
         ],
     )
     def test_malformed_model_is_invalid_input(self, tmp_path, capsys, edit):
@@ -236,3 +240,15 @@ class TestGadgetSat:
         assert main(["gadget-sat", str(cnf), str(model), str(query)]) == EXIT_SAT
         code = main(["check", str(model), str(query), "--out", str(tmp_path / "g")])
         assert code == EXIT_UNSAT
+
+    @pytest.mark.parametrize(
+        "text",
+        ["p cnf 1 2\n1 0\n0\n", "p cnf x 1\n1 0\n", "p cnf 1 1\n1 a 0\n"],
+        ids=["empty-clause", "non-integer-header", "non-integer-literal"],
+    )
+    def test_malformed_cnf_is_invalid_input(self, tmp_path, capsys, text):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(text)
+        code = main(["gadget-sat", str(cnf), str(tmp_path / "m.json"), str(tmp_path / "q.json")])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("invalid input:")

@@ -116,6 +116,19 @@ class TestCleanupAndQuotient:
             # all original target states survive as targets
             assert mdp.targets <= clean.targets
 
+    def test_given_decomposition_gives_the_same_results(self):
+        changed, classes = set(), set()
+        for seed in range(20):
+            # without targets every MEC is trapped, so cleanup changes the model
+            mdp = random_mdp(6, 2, F(1, 3), (-2, 5), 1, seed=seed, targets=2 * (seed % 2))
+            dec = mec_decomposition(mdp)
+            assert cleanup(mdp, dec) == cleanup(mdp), f"seed {seed}"
+            assert check_attraction(mdp, dec) == check_attraction(mdp), f"seed {seed}"
+            changed.add(cleanup(mdp) is not mdp)
+            classes.add(check_attraction(mdp))
+        assert changed == {True, False}
+        assert len(classes) > 1
+
     def test_quotient_collapses_mecs_to_representatives(self):
         mdp = random_mdp(8, 2, F(1, 3), (0, 5), 1, seed=5, targets=2)
         clean = cleanup(mdp)

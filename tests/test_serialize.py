@@ -118,6 +118,10 @@ class TestDimacs:
         assert nv == 3
         assert clauses == ((1, -2, 3), (-1,))
 
+    def test_satlib_trailer_ends_the_formula(self):
+        text = "c uf3\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n\n"
+        assert S.parse_dimacs(text) == (3, ((1, -2, 3), (-1, 2)))
+
     def test_roundtrip(self):
         nv, clauses = 2, ((1, -2), (2,))
         text = S.write_dimacs(nv, clauses)

@@ -11,7 +11,7 @@ from cvarmdp.model import (
     Query,
     UnsupportedQueryError,
 )
-from cvarmdp import solver
+from cvarmdp import graphs, solver
 from cvarmdp.risk import FiniteDistribution, cvar, expectation, var
 from cvarmdp.solver import (
     SolverConfig,
@@ -144,6 +144,15 @@ class TestReachMulti:
         assert verdict.status == "SAT"
         ok, _, details = check_strategy(mdp, verdict.witness, q)
         assert ok, details
+
+    def test_one_dim_var_without_attraction_matches_single(self):
+        # no attraction and a VaR constraint: both procedures answer through
+        # the single-dimension mean-payoff reduction
+        mdp, query = example("negative")
+        a = decide_reach_single(mdp, query)
+        b = decide_reach_multi(mdp, query)
+        assert a.status == b.status == "SAT"
+        assert b.certificate["law"] == a.certificate["law"]
 
     def test_multi_var_with_negative_rewards_rejected(self):
         # "neither" attraction case plus VaR in several dimensions is routed out
@@ -343,3 +352,63 @@ class TestLargeModels:
         assert verdict.certificate["law"] == [d.atoms for d in law.marginals]
         assert expectation(law[0]) >= 8
         assert decide(mdp, reach_query(e="91/10")).status == "UNSAT"
+
+
+def _trapped_mec() -> Mdp:
+    """Half the mass of ``go`` falls into a two-state MEC that never reaches
+    the target, so cleanup turns that MEC into zero-reward targets."""
+    return Mdp(
+        states=("s", "t", "m1", "m2"),
+        available={"s": ("go",), "t": ("stay",), "m1": ("a1",), "m2": ("a2",)},
+        delta={
+            "go": {"t": F(1, 2), "m1": F(1, 2)},
+            "stay": {"t": F(1)},
+            "a1": {"m2": F(1)},
+            "a2": {"m1": F(1)},
+        },
+        initial="s",
+        rewards={"s": (F(0),), "t": (F(2),), "m1": (F(0),), "m2": (F(0),)},
+        targets=frozenset({"t"}),
+    )
+
+
+def _two_mecs_expectations():
+    q = Query(
+        objective="mean",
+        constraints=(Constraint(dim=0, expectation=F(4)), Constraint(dim=1, expectation=F(4))),
+    )
+    return TestMeanMulti()._two_mecs(), q
+
+
+class TestOneDecompositionPerModel:
+    @pytest.fixture
+    def decompositions(self, monkeypatch):
+        calls = []
+
+        def counted(mdp):
+            calls.append(mdp)
+            return mec_decomposition(mdp)
+
+        monkeypatch.setattr(graphs, "mec_decomposition", counted)
+        monkeypatch.setattr(solver, "mec_decomposition", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "instance, expected",
+        [
+            (lambda: example("choice"), 1),
+            (lambda: (_exit_ring(12), reach_query(e=8, c=0)), 1),
+            (lambda: (_trapped_mec(), reach_query(e=1)), 2),
+            (lambda: example("loop"), 2),
+            # reachability without attraction: the input, then the mean
+            # procedure's model and its abstraction
+            (lambda: example("negative"), 3),
+            (_two_mecs_expectations, 1),
+        ],
+        ids=["reach", "ring", "reach-trapped-mec", "mean-1d", "reach-no-attraction", "mean-2d"],
+    )
+    def test_decompositions_per_decide(self, decompositions, instance, expected):
+        mdp, query = instance()
+        verdict = decide(mdp, query)
+        assert verdict.status == "SAT"
+        assert len(decompositions) == expected
