@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
-"""Decide every named benchmark instance and print laws, measures, witnesses."""
+"""Decide every named benchmark instance and print laws, measures, witnesses.
+
+Every named example is satisfiable: the script exits 1 if one is not
+answered SAT, or if its witness fails the exact check on the model.
+"""
 import argparse
+import sys
 import time
 from fractions import Fraction
 
@@ -17,7 +22,7 @@ def fmt(x):
     return f"{f} ({float(f):.4g})" if f.denominator != 1 else str(f.numerator)
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "names",
@@ -28,6 +33,7 @@ def main() -> None:
     args = parser.parse_args()
     config = SolverConfig(grid=args.grid)
 
+    failures = []
     for name in args.names:
         mdp, query = example(name)
         start = time.monotonic()
@@ -43,9 +49,12 @@ def main() -> None:
             if c.var is not None:
                 parts.append(f"VaR@{c.var[0]} >= {c.var[1]}")
             print(f"   query[{c.dim}]: " + ", ".join(parts))
-        if verdict.sat:
+        if not verdict.sat:
+            failures.append(f"{name}: {verdict.status}, not SAT")
+        else:
             ok, law, _ = check_strategy(mdp, verdict.witness, query)
-            assert ok
+            if not ok:
+                failures.append(f"{name}: the witness fails the exact check")
             dist = law[0]
             atoms = ", ".join(f"{fmt(v)}: {p}" for v, p in sorted(dist.atoms.items()))
             print(f"   law: {{{atoms}}}")
@@ -58,7 +67,10 @@ def main() -> None:
             )
             print(f"   witness memory: {len(verdict.witness.memory)} element(s)")
         print()
+    for failure in failures:
+        print(f"FAILED {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -64,6 +64,17 @@ def _dumps(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _load_json(text: str) -> Any:
+    """Parse an input document; malformed or too deeply nested JSON is a
+    ``ModelError``, and so is any float."""
+    try:
+        return json.loads(text, parse_float=_reject_float)
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"malformed JSON: {exc}") from exc
+    except RecursionError:
+        raise ModelError("malformed JSON: nested too deeply") from None
+
+
 # ---------------------------------------------------------------------------
 # models
 
@@ -116,10 +127,7 @@ def _field(doc: dict, key: str, kind: type, where: str, default: Any = None) -> 
 
 
 def model_from_json(text: str) -> Mdp:
-    try:
-        doc = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"malformed JSON: {exc}") from exc
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")
     try:
@@ -207,10 +215,7 @@ def _parse_pair(obj: Any, where: str, keys: Tuple[str, str]) -> Tuple[Fraction, 
 
 
 def query_from_json(text: str) -> Query:
-    try:
-        doc = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"malformed JSON: {exc}") from exc
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "objective" not in doc:
         raise ModelError("query document must be an object with 'objective'")
     constraint_docs = doc.get("constraints", [])
@@ -254,9 +259,18 @@ def _enc_term(x: Any) -> Any:
 
 
 def _dec_term(obj: Any) -> Any:
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and obj.keys() == {"t"} and isinstance(obj["t"], list):
         return tuple(_dec_term(e) for e in obj["t"])
-    return obj
+    if isinstance(obj, (str, int)) and not isinstance(obj, bool):
+        return obj
+    raise ModelError(f'term must be a string, an integer or {{"t": [...]}}, got {obj!r}')
+
+
+def _dec_dist(obj: Any, where: str) -> Dict[Any, Fraction]:
+    """A distribution over terms, written as a list of [term, probability] pairs."""
+    if not isinstance(obj, list) or not all(isinstance(e, list) and len(e) == 2 for e in obj):
+        raise ModelError(f"{where}: expected a list of [term, probability] pairs, got {obj!r}")
+    return {_dec_term(m): _parse_rat(p, where) for m, p in obj}
 
 
 def _term_key(x: Any) -> str:
@@ -300,29 +314,24 @@ def strategy_to_json(strategy: StrategySpec) -> str:
 
 
 def strategy_from_json(text: str) -> StrategySpec:
+    doc = _load_json(text)
+    if not isinstance(doc, dict):
+        raise ModelError("strategy document must be a JSON object")
     try:
-        doc = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"malformed JSON: {exc}") from exc
-    try:
-        memory = tuple(_dec_term(m) for m in doc["memory"])
-        initial_memory = {
-            _dec_term(m): _parse_rat(p, "initial_memory") for m, p in doc["initial_memory"]
-        }
-        next_move = {
-            (_dec_term(nd["state"]), _dec_term(nd["memory"])): {
-                a: _parse_rat(p, "next_move") for a, p in nd["move"].items()
-            }
-            for nd in doc["next_move"]
-        }
-        memory_update = {
-            (ud["action"], _dec_term(ud["state"]), _dec_term(ud["memory"])): {
-                _dec_term(m2): _parse_rat(p, "memory_update") for m2, p in ud["dist"]
-            }
-            for ud in doc.get("memory_update", ())
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelError(f"malformed strategy document: {exc}") from exc
+        memory = tuple(_dec_term(m) for m in _field(doc, "memory", list, "strategy"))
+        initial_memory = _dec_dist(doc["initial_memory"], "initial_memory")
+        next_move = {}
+        for nd in _entries(doc["next_move"], "next_move"):
+            move = _field(nd, "move", dict, "next_move")
+            key = (_dec_term(nd["state"]), _dec_term(nd["memory"]))
+            next_move[key] = {a: _parse_rat(p, "next_move") for a, p in move.items()}
+        memory_update = {}
+        for ud in _entries(doc.get("memory_update", []), "memory_update"):
+            action = _field(ud, "action", str, "memory_update")
+            key = (action, _dec_term(ud["state"]), _dec_term(ud["memory"]))
+            memory_update[key] = _dec_dist(ud["dist"], "memory_update")
+    except KeyError as exc:
+        raise ModelError(f"malformed strategy document: missing field {exc}") from exc
     return StrategySpec(
         memory=memory,
         initial_memory=initial_memory,

@@ -202,16 +202,26 @@ def _cleaned_quotient(mdp: Mdp, qm: QuotientMap) -> Tuple[Mdp, QuotientMap]:
     return clean, (qm if clean is mdp else mec_quotient(clean))
 
 
-def _certified(mdp: Mdp, query: Query, strat, cert: Dict) -> Optional[Verdict]:
-    """SAT with ``strat`` as witness if exact evaluation on the full model
-    meets every constraint; the certificate gains the law and the per-
-    constraint details.  None when the candidate fails."""
-    ok, law, details = check_strategy(mdp, strat, query)
-    if not ok:
-        return None
-    cert["law"] = [d.atoms for d in law.marginals]
-    cert["constraints"] = details
-    return Verdict("SAT", witness=strat, certificate=cert)
+def _first_certified(mdp: Mdp, query: Query, candidates, exhaustive: bool = True) -> Verdict:
+    """The verdict of a guess enumeration.
+
+    ``candidates`` yields one (strategy, certificate) pair per feasible
+    guess.  SAT with the first strategy whose exact evaluation on the full
+    model meets every constraint; its certificate gains the law and the per-
+    constraint details.  UNSAT only when no guess was feasible and the
+    enumeration is ``exhaustive``; otherwise UNKNOWN, whose certificate
+    lists the guesses whose witnesses failed under ``failed_guesses``."""
+    failed = []
+    for strat, cert in candidates:
+        ok, law, details = check_strategy(mdp, strat, query)
+        if ok:
+            cert["law"] = [d.atoms for d in law.marginals]
+            cert["constraints"] = details
+            return Verdict("SAT", witness=strat, certificate=cert)
+        failed.append(cert)
+    if failed:
+        return Verdict("UNKNOWN", certificate={"failed_guesses": failed})
+    return Verdict("UNSAT" if exhaustive else "UNKNOWN")
 
 
 def _reach_to_mean(mdp: Mdp, query: Query) -> Tuple[Mdp, Query]:
@@ -232,14 +242,14 @@ def _decide_reach(mdp: Mdp, query: Query, config: Optional[SolverConfig], decide
         mmdp, mquery = _reach_to_mean(mdp, query)
         return decide_mean(mmdp, mquery, config)
     clean, qm = _cleaned_quotient(mdp, qm)
-    for tc, flow in _iter_feasible(qm.quotient, query):
-        strat = realize_quotient_flow(clean, qm, flow.y, {}, {})
-        strat = _restrict_to_original(mdp, strat)
-        cert = {"guess": dict(tc), "flow": {"y": flow.y, "x": flow.x}}
-        verdict = _certified(mdp, query, strat, cert)
-        if verdict is not None:
-            return verdict
-    return Verdict("UNSAT")
+    candidates = (
+        (
+            _restrict_to_original(mdp, realize_quotient_flow(clean, qm, flow.y, {}, {})),
+            {"guess": dict(tc), "flow": {"y": flow.y, "x": flow.x}},
+        )
+        for tc, flow in _iter_feasible(qm.quotient, query)
+    )
+    return _first_certified(mdp, query, candidates)
 
 
 def decide_reach_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
@@ -276,6 +286,17 @@ def mec_gain(mdp: Mdp, mec, j: int = 0) -> Fraction:
     """Maximum expected mean payoff achievable inside a MEC (dimension j)."""
     value, _ = _mec_gain_flow(mdp, mec, j)
     return value
+
+
+def _inner_moves(mdp: Mdp, mecs, freqs: Sequence[Mapping[str, Fraction]]) -> Dict[State, Dict]:
+    """Moves of the memoryless strategies that realise the action frequencies
+    ``freqs[i]`` inside ``mecs[i]``, for every MEC that carries frequency mass."""
+    inner: Dict[State, Dict] = {}
+    for mec, freq in zip(mecs, freqs):
+        if sum(freq.values(), ZERO) != 0:
+            for (s, _mm), dist in mec_constant_strategy(mdp, mec, freq).next_move.items():
+                inner[s] = dict(dist)
+    return inner
 
 
 def decide_mean_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
@@ -321,24 +342,15 @@ def decide_mean_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = 
     reach_query = replace(query, objective="reach")
     _, qa = _cleaned_quotient(abstraction, mec_quotient(abstraction))
 
-    for tc, flow in _iter_feasible(qa.quotient, reach_query):
-        y = {a: v for a, v in flow.y.items() if a in base.delta}
-        switch = {
-            reps[i]: flow.y.get(f"__commit[{i}]", ZERO) for i in range(len(reps))
-        }
-        inner: Dict[State, Dict[str, Fraction]] = {}
-        for i, mec in enumerate(dec.mecs):
-            if switch[reps[i]] != 0:
-                strat_i = mec_constant_strategy(base, mec, freqs[i])
-                for (s, _mm), dist in strat_i.next_move.items():
-                    inner[s] = dict(dist)
-        strat = realize_quotient_flow(base, qm, y, switch, inner)
-        strat = _restrict_to_original(mdp, strat)
-        cert = {"guess": dict(tc), "gains": {repr(reps[i]): gains[i] for i in range(len(reps))}}
-        verdict = _certified(mdp, query, strat, cert)
-        if verdict is not None:
-            return verdict
-    return Verdict("UNSAT")
+    def candidates():
+        for tc, flow in _iter_feasible(qa.quotient, reach_query):
+            y = {a: v for a, v in flow.y.items() if a in base.delta}
+            switch = {rep: flow.y.get(f"__commit[{i}]", ZERO) for i, rep in enumerate(reps)}
+            used = [f if switch[rep] else {} for f, rep in zip(freqs, reps)]
+            strat = realize_quotient_flow(base, qm, y, switch, _inner_moves(base, dec.mecs, used))
+            yield strat, {"guess": dict(tc), "gains": {repr(r): g for r, g in zip(reps, gains)}}
+
+    return _first_certified(mdp, query, candidates())
 
 
 def build_mean_lp_multi(
@@ -346,7 +358,7 @@ def build_mean_lp_multi(
     query: Query,
     guess: Mapping[int, Fraction],
     cls: Mapping[int, Sequence[str]],
-    dec=None,
+    dec,
 ) -> LinearProgram:
     """Multi-dimension mean-payoff LP for one VaR guess and MEC classification.
 
@@ -355,7 +367,6 @@ def build_mean_lp_multi(
     """
     if any(c.var is not None for c in query.constraints):
         raise UnsupportedQueryError("VaR constraints unsupported for multi-dimensional mean payoff")
-    dec = dec or mec_decomposition(mdp)
     acts = mdp.actions
     mec_states = sorted((s for s in mdp.states if dec.mec_of(s) is not None), key=repr)
     mec_acts = sorted({a for _, aa in dec.mecs for a in aa})
@@ -450,11 +461,12 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
 
     base = replace(mdp, targets=frozenset())
     dec = mec_decomposition(base)
-    n = len(dec.mecs)
+    mecs = dec.mecs
+    n = len(mecs)
     cvar_dims = sorted(c.dim for c in query.constraints if c.cvar is not None)
     gmin: Dict[Tuple[int, int], Fraction] = {}
     gmax: Dict[Tuple[int, int], Fraction] = {}
-    for i, mec in enumerate(dec.mecs):
+    for i, mec in enumerate(mecs):
         for j in cvar_dims:
             gmax[i, j], _ = _mec_gain_flow(base, mec, j)
             gmin[i, j], _ = _mec_gain_flow(base, mec, j, minimize=True)
@@ -468,52 +480,34 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
                 refined.add(a + (b - a) * Fraction(k, config.grid))
         grids[j] = sorted(refined)
 
-    def label_options() -> List[Tuple[str, ...]]:
-        out = []
-        for eq_i in range(n):
-            rest = [i for i in range(n) if i != eq_i]
-            for labs in itertools.product(("le", "gt"), repeat=len(rest)):
-                full = ["eq"] * n
-                for i, lab in zip(rest, labs):
-                    full[i] = lab
-                out.append(tuple(full))
-        return out
-
-    options = label_options()
+    # one MEC labelled "eq", each other one "le" or "gt"
+    options = [
+        labs[:i] + ("eq",) + labs[i:]
+        for i in range(n)
+        for labs in itertools.product(("le", "gt"), repeat=n - 1)
+    ]
+    # expectation-only queries, and models whose MECs have point-valued gain
+    # ranges, make the sweep provably exhaustive
     exhaustive = all(gmin[i, j] == gmax[i, j] for i in range(n) for j in cvar_dims)
-    unverified = False
-    for cls_combo in itertools.product(options, repeat=len(cvar_dims)):
-        cls = dict(zip(cvar_dims, cls_combo))
-        for t_combo in itertools.product(*(grids[j] for j in cvar_dims)):
-            guess = dict(zip(cvar_dims, t_combo))
-            prog = build_mean_lp_multi(base, query, guess, cls, dec)
-            res = solve_feasibility(prog)
-            if not res.ok:
-                continue
-            y = {a: res.assignment.get(_y(a), ZERO) for a in base.actions}
-            switch = {
-                s: res.assignment.get(f"w::{s!r}", ZERO)
-                for s in base.states
-                if dec.mec_of(s) is not None
-            }
-            inner: Dict[State, Dict[str, Fraction]] = {}
-            for i, (members, aa) in enumerate(dec.mecs):
-                freq = {a: res.assignment.get(f"xa::{a}", ZERO) for a in aa}
-                if sum(freq.values(), ZERO) != 0:
-                    strat_i = mec_constant_strategy(base, dec.mecs[i], freq)
-                    for (s, _mm), dist in strat_i.next_move.items():
-                        inner[s] = dict(dist)
-            strat = two_memory_strategy(base, FlowSolution(y=y, x=switch), inner)
-            cert = {"guess": guess, "classification": {j: list(cls[j]) for j in cvar_dims}}
-            verdict = _certified(mdp, query, strat, cert)
-            if verdict is not None:
-                return verdict
-            unverified = True
-    if exhaustive and not unverified:
-        # expectation-only queries, and models whose MECs have point-valued
-        # gain ranges, make the sweep provably exhaustive
-        return Verdict("UNSAT")
-    return Verdict("UNKNOWN")
+    mec_states = [s for s in base.states if dec.mec_of(s) is not None]
+
+    def candidates():
+        for cls_combo in itertools.product(options, repeat=len(cvar_dims)):
+            cls = dict(zip(cvar_dims, cls_combo))
+            for t_combo in itertools.product(*(grids[j] for j in cvar_dims)):
+                guess = dict(zip(cvar_dims, t_combo))
+                res = solve_feasibility(build_mean_lp_multi(base, query, guess, cls, dec))
+                if not res.ok:
+                    continue
+                y = {a: res.assignment.get(_y(a), ZERO) for a in base.actions}
+                switch = {s: res.assignment.get(f"w::{s!r}", ZERO) for s in mec_states}
+                freqs = [{a: res.assignment.get(f"xa::{a}", ZERO) for a in aa} for _, aa in mecs]
+                inner = _inner_moves(base, mecs, freqs)
+                strat = two_memory_strategy(base, FlowSolution(y=y, x=switch), inner)
+                cert = {"guess": guess, "classification": {j: list(cls[j]) for j in cvar_dims}}
+                yield strat, cert
+
+    return _first_certified(mdp, query, candidates(), exhaustive)
 
 
 def decide(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:

@@ -171,6 +171,38 @@ class TestStrategyInput:
         assert captured.out == ""
         assert problem in captured.err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["next_move"][0].__setitem__("move", []),
+            lambda doc: doc.__setitem__("memory", [["m"]]),
+        ],
+        ids=["move-not-an-object", "memory-term-a-list"],
+    )
+    def test_malformed_strategy_is_invalid_input(self, tmp_path, capsys, edit):
+        model = tmp_path / "m.json"
+        assert main(["generate", "--example", "choice", str(model)]) == EXIT_SAT
+        doc = json.loads(S.strategy_to_json(memoryless({"s0": {"a": F(1)}})))
+        edit(doc)
+        strat = tmp_path / "bad.json"
+        strat.write_text(json.dumps(doc))
+        code = main(["evaluate", str(model), str(strat)])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("invalid input:")
+
+    @pytest.mark.parametrize("which", ["model", "query", "strategy"])
+    def test_deeply_nested_json_is_invalid_input(self, choice_files, capsys, which):
+        model, query, tmp = choice_files
+        strat = tmp / "sigma.json"
+        strat.write_text(S.strategy_to_json(memoryless({"s0": {"a": F(1)}})))
+        {"model": model, "query": query, "strategy": strat}[which].write_text("[" * 200000)
+        if which == "query":
+            code = main(["check", str(model), str(query), "--out", str(tmp / "d")])
+        else:
+            code = main(["evaluate", str(model), str(strat)])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("invalid input:")
+
 
 class TestSimulate:
     def test_exact_and_empirical_columns(self, choice_files, capsys):

@@ -412,3 +412,43 @@ class TestOneDecompositionPerModel:
         verdict = decide(mdp, query)
         assert verdict.status == "SAT"
         assert len(decompositions) == expected
+
+
+class TestFailedWitness:
+    """A feasible guess whose witness fails the exact check proves nothing:
+    the verdict is UNKNOWN, never UNSAT."""
+
+    @staticmethod
+    def reject(monkeypatch, calls):
+        seen = []
+
+        def patched(mdp, strategy, query):
+            seen.append(strategy)
+            if len(seen) <= calls:
+                return False, None, {}
+            return check_strategy(mdp, strategy, query)
+
+        monkeypatch.setattr(solver, "check_strategy", patched)
+        return seen
+
+    @pytest.mark.parametrize("name", ["choice", "loop"])
+    def test_first_witness_rejected_is_unknown(self, monkeypatch, name):
+        seen = self.reject(monkeypatch, 1)
+        verdict = decide(*example(name))
+        assert verdict.status == "UNKNOWN"
+        assert verdict.witness is None
+        (failed,) = verdict.certificate["failed_guesses"]
+        assert "guess" in failed and "law" not in failed
+        assert len(seen) == 1
+
+    def test_exhaustive_sweep_with_every_witness_rejected_is_unknown(self, monkeypatch):
+        seen = self.reject(monkeypatch, 10**9)
+        verdict = decide(*_two_mecs_expectations())
+        assert verdict.status == "UNKNOWN"
+        assert len(verdict.certificate["failed_guesses"]) == len(seen) >= 1
+
+    def test_no_feasible_guess_is_unsat(self, monkeypatch):
+        seen = self.reject(monkeypatch, 10**9)
+        mdp, _ = example("choice")
+        assert decide(mdp, reach_query(e=100)).status == "UNSAT"
+        assert seen == []
