@@ -91,42 +91,46 @@ class PayoffLaw:
         return self.marginals[j]
 
 
+def _absorbed(mc: MarkovChain, sinks: Set[State]) -> Dict[State, Fraction]:
+    """Probability of entering each sink state from the initial distribution.
+
+    One solve of ``(I - Q)^T v = mu`` gives the expected visits ``v`` to the
+    transient states that can reach a sink; a sink then receives its initial
+    mass plus ``v(s) * P(s, t)`` over its incoming edges.  Runs that never
+    reach a sink contribute nothing.
+    """
+    can_reach = backward_reachable(chain_graph(mc), sinks)
+    transient = [s for s in mc.states if s not in sinks and s in can_reach]
+    index = {s: i for i, s in enumerate(transient)}
+    n = len(transient)
+    a = [[ZERO] * n for _ in range(n)]
+    b = [[ZERO] for _ in range(n)]
+    for s in transient:
+        i = index[s]
+        a[i][i] = ONE
+        for t, p in mc.delta[s].items():
+            if p != 0 and t in index:
+                a[index[t]][i] -= p
+    result = {t: ZERO for t in sinks}
+    for s, mu in mc.initial_distribution.items():
+        if s in index:
+            b[index[s]][0] += mu
+        elif s in result:
+            result[s] += mu
+    visits = solve_linear(a, b) if n else []
+    for s in transient:
+        v = visits[index[s]][0]
+        if v != 0:
+            for t, p in mc.delta[s].items():
+                if t in result:
+                    result[t] += v * p
+    return result
+
+
 def reach_probabilities(mc: MarkovChain) -> Dict[State, Fraction]:
     """Exact absorption probability for each target, from the initial
     distribution.  States that cannot reach any target contribute nothing."""
-    targets = list(mc.targets)
-    target_set = set(targets)
-    can_reach = backward_reachable(chain_graph(mc), target_set)
-    transient = [s for s in mc.states if s not in target_set and s in can_reach]
-    index = {s: i for i, s in enumerate(transient)}
-    tindex = {t: j for j, t in enumerate(targets)}
-    n, m = len(transient), len(targets)
-    if n:
-        a = [[ZERO] * n for _ in range(n)]
-        b = [[ZERO] * m for _ in range(n)]
-        for s in transient:
-            i = index[s]
-            a[i][i] = ONE
-            for t, p in mc.delta[s].items():
-                if p == 0:
-                    continue
-                if t in index:
-                    a[i][index[t]] -= p
-                elif t in tindex:
-                    b[i][tindex[t]] += p
-        x = solve_linear(a, b)
-    else:
-        x = []
-    result = {t: ZERO for t in targets}
-    for s, mu in mc.initial_distribution.items():
-        if mu == 0:
-            continue
-        if s in tindex:
-            result[s] += mu
-        elif s in index:
-            for t in targets:
-                result[t] += mu * x[index[s]][tindex[t]]
-    return result
+    return _absorbed(mc, set(mc.targets))
 
 
 def payoff_law_reach(mc: MarkovChain) -> PayoffLaw:
@@ -161,15 +165,13 @@ def bscc_mean_payoff(mc: MarkovChain) -> List[Tuple[FrozenSet, Tuple[Fraction, .
         # rows 0..n-2: stationarity at members[0..n-2]; last row: total mass 1
         a = [[ZERO] * n for _ in range(n)]
         b = [[ZERO] for _ in range(n)]
-        for u in members[:-1]:
-            i = idx[u]
+        for s in members:
+            i = idx[s]
             a[i][i] -= 1
-            for s in members:
-                p = mc.delta[s].get(u, ZERO)
+            for t, p in mc.delta[s].items():
                 if p != 0:
-                    a[i][idx[s]] += p
-        for j in range(n):
-            a[n - 1][j] = ONE
+                    a[idx[t]][i] += p
+        a[n - 1] = [ONE] * n
         b[n - 1][0] = ONE
         pi = [row[0] for row in solve_linear(a, b)]
         gain = tuple(
@@ -181,22 +183,9 @@ def bscc_mean_payoff(mc: MarkovChain) -> List[Tuple[FrozenSet, Tuple[Fraction, .
 
 def payoff_law_mean(mc: MarkovChain) -> PayoffLaw:
     """Mean-payoff law: almost every run settles in a BSCC and attains that
-    BSCC's expected gain, so the law reduces to reachability over BSCCs."""
+    BSCC's expected gain, so the law is the absorption law over BSCCs."""
     gains = bscc_mean_payoff(mc)
-    bscc_states: Set[State] = set()
-    for comp, _ in gains:
-        bscc_states.update(comp)
-    frozen_delta = {
-        s: ({s: ONE} if s in bscc_states else mc.delta[s]) for s in mc.states
-    }
-    aux = MarkovChain(
-        states=mc.states,
-        delta=frozen_delta,
-        initial_distribution=mc.initial_distribution,
-        rewards=mc.rewards,
-        targets=frozenset(bscc_states),
-    )
-    probs = reach_probabilities(aux)
+    probs = _absorbed(mc, {s for comp, _ in gains for s in comp})
     marginals = []
     for j in range(mc.dim):
         atoms: Dict[Fraction, Fraction] = {}

@@ -201,7 +201,7 @@ def example(name: str) -> Tuple[Mdp, Query]:
         return _negative()
     m = _SLOW_RE.match(name)
     if m:
-        return _slow(Fraction(m.group(1)))
+        return _slow(m.group(1))
     raise ModelError(f"unknown example {name!r}; expected one of {EXAMPLE_NAMES}")
 
 

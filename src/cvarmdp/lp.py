@@ -1,9 +1,8 @@
 """Exact rational linear programming via a two-phase dense-tableau simplex.
 
-All arithmetic is exact.  Internally gmpy2.mpq is used when available (it is
-markedly faster than fractions.Fraction); results are always plain Fractions.
-Pivoting is Dantzig's rule, falling back to Bland's rule permanently once the
-objective stalls, which guarantees termination on degenerate programs.
+All arithmetic is exact ``fractions.Fraction``.  Pivoting is Dantzig's rule,
+falling back to Bland's rule permanently once the objective stalls, which
+guarantees termination on degenerate programs.
 """
 
 from __future__ import annotations
@@ -11,23 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
-
-try:  # pragma: no cover - exercised implicitly when gmpy2 is installed
-    from gmpy2 import mpq as _mpq
-
-    def _q(x: Fraction):
-        return _mpq(x.numerator, x.denominator)
-
-    def _back(x) -> Fraction:
-        return Fraction(int(x.numerator), int(x.denominator))
-
-except ImportError:  # pragma: no cover
-    def _q(x: Fraction) -> Fraction:
-        return x
-
-    def _back(x: Fraction) -> Fraction:
-        return x
-
 
 LE, GE, EQ = "<=", ">=", "=="
 _SENSES = (LE, GE, EQ)
@@ -99,8 +81,8 @@ def solve_optimize(lp: LinearProgram) -> LpResult:
 
 
 def _solve(lp: LinearProgram, optimize: bool) -> LpResult:
-    zero = _q(Fraction(0))
-    one = _q(Fraction(1))
+    zero = Fraction(0)
+    one = Fraction(1)
 
     # column layout: one column per variable, an extra negated column for free
     # variables, then slack columns, then artificials.
@@ -124,14 +106,13 @@ def _solve(lp: LinearProgram, optimize: bool) -> LpResult:
     for i, (coeffs, sense, rhs) in enumerate(lp.constraints):
         row = [zero] * (width + 1)
         for v, c in coeffs.items():
-            q = _q(c)
-            row[col_of[v]] += q
+            row[col_of[v]] += c
             if v in neg_col:
-                row[neg_col[v]] -= q
+                row[neg_col[v]] -= c
         if sense != EQ:
             row[slack_idx] = one if sense == LE else -one
             slack_idx += 1
-        row[width] = _q(rhs)
+        row[width] = rhs
         if row[width] < 0:
             row = [-x for x in row]
         row[nart_start + i] = one
@@ -167,7 +148,7 @@ def _solve(lp: LinearProgram, optimize: bool) -> LpResult:
     if optimize:
         cost2 = [zero] * width
         for v, c in (lp.objective or {}).items():
-            q = _q(Fraction(c))
+            q = Fraction(c)
             cost2[col_of[v]] += q
             if v in neg_col:
                 cost2[neg_col[v]] -= q
@@ -187,7 +168,7 @@ def _solve(lp: LinearProgram, optimize: bool) -> LpResult:
         x = values[col_of[v]]
         if v in neg_col:
             x = x - values[neg_col[v]]
-        assignment[v] = _back(x)
+        assignment[v] = x
     value = None
     if optimize:
         value = sum(

@@ -39,7 +39,10 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ModelError(f"not an exact rational: {value!r}") from None
     raise ModelError(f"not an exact rational: {value!r}")
 
 
@@ -347,51 +350,33 @@ def mix_strategies(s1: StrategySpec, s2: StrategySpec, lam: Fraction) -> Strateg
 def induced_chain(mdp: Mdp, strategy: StrategySpec) -> MarkovChain:
     """Product of an MDP with a finite-memory strategy.
 
-    States are ``(state, memory, action)`` triples, restricted to the
-    reachable part.  Rewards and target flags are lifted from the state
-    component.
+    States are the reachable ``(state, memory)`` pairs; each row sums over
+    the action the strategy moves with.  Target pairs are absorbing and
+    need no move, because the payoff is decided on arrival.  Rewards and
+    target flags are lifted from the state component.
     """
-    def move_at(s2, m2):
-        move = strategy.next_move.get((s2, m2))
-        if move is None and s2 in mdp.targets:
-            # payoff is fixed on arrival, so the action choice at a target is
-            # irrelevant; default deterministically for convenience
-            acts = mdp.available.get(s2, ())
-            if acts:
-                return {min(acts): ONE}
-        return move
-
-    initial: Dict = {}
-    for m, pm in normalized(strategy.initial_memory).items():
-        move = move_at(mdp.initial, m)
-        if move is None:
-            raise ModelError(f"strategy undefined at initial state, memory {m!r}")
-        for a, pa in normalized(move).items():
-            key = (mdp.initial, m, a)
-            initial[key] = initial.get(key, ZERO) + pm * pa
-
+    initial = {(mdp.initial, m): pm for m, pm in normalized(strategy.initial_memory).items()}
     delta: Dict = {}
     frontier = list(initial)
     seen = set(frontier)
     while frontier:
-        s, m, a = frontier.pop()
+        s, m = frontier.pop()
         if s in mdp.targets:
-            # payoff is decided on arrival; freeze the triple so targets stay absorbing
-            delta[(s, m, a)] = {(s, m, a): ONE}
+            delta[(s, m)] = {(s, m): ONE}
             continue
+        move = strategy.next_move.get((s, m))
+        if move is None:
+            raise ModelError(f"strategy undefined at state {s!r}, memory {m!r}")
         row: Dict = {}
-        for s2, pt in mdp.delta[a].items():
-            for m2, pu in normalized(strategy.update_dist(a, s2, m)).items():
-                move = move_at(s2, m2)
-                if move is None:
-                    raise ModelError(f"strategy undefined at state {s2!r}, memory {m2!r}")
-                for a2, pa in normalized(move).items():
-                    key = (s2, m2, a2)
-                    row[key] = row.get(key, ZERO) + pt * pu * pa
+        for a, pa in normalized(move).items():
+            for s2, pt in mdp.delta[a].items():
+                for m2, pu in normalized(strategy.update_dist(a, s2, m)).items():
+                    key = (s2, m2)
+                    row[key] = row.get(key, ZERO) + pa * pt * pu
                     if key not in seen:
                         seen.add(key)
                         frontier.append(key)
-        delta[(s, m, a)] = row
+        delta[(s, m)] = row
 
     states = tuple(sorted(seen, key=repr))
     rewards = {st: mdp.rewards[st[0]] for st in states}

@@ -103,18 +103,6 @@ def cvar(d: FiniteDistribution, p) -> Fraction:
     return (below + (p - mass_below) * v) / p
 
 
-def mix(d1: FiniteDistribution, d2: FiniteDistribution, lam) -> FiniteDistribution:
-    lam = rat(lam)
-    if not ZERO <= lam <= ONE:
-        raise ModelError(f"mixture weight {lam} outside [0,1]")
-    atoms: Dict[Fraction, Fraction] = {}
-    for v, p in d1.atoms.items():
-        atoms[v] = atoms.get(v, ZERO) + lam * p
-    for v, p in d2.atoms.items():
-        atoms[v] = atoms.get(v, ZERO) + (1 - lam) * p
-    return FiniteDistribution(atoms)
-
-
 def mixture(parts: Sequence[Tuple[Fraction, FiniteDistribution]]) -> FiniteDistribution:
     atoms: Dict[Fraction, Fraction] = {}
     for w, d in parts:

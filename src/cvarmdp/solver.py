@@ -15,7 +15,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .graphs import QuotientMap, check_attraction, cleanup, mec_decomposition, mec_quotient
+from .graphs import (
+    QuotientMap,
+    check_attraction,
+    cleanup,
+    mec_decomposition,
+    mec_quotient,
+    reachable_states,
+)
 from .lp import LinearProgram, solve_feasibility, solve_optimize
 from .model import (
     Mdp,
@@ -166,7 +173,17 @@ def _extract_flow(m: Mdp, assignment: Mapping[str, Fraction]) -> FlowSolution:
 
 
 def _iter_feasible(m: Mdp, query: Query) -> Iterator[Tuple[Dict[int, Fraction], FlowSolution]]:
-    """Enumerate threshold guesses in ascending order, yielding feasible flows."""
+    """Enumerate threshold guesses in ascending order, yielding feasible flows
+    over the states reachable from the initial state."""
+    keep = reachable_states(m, m.initial)
+    m = replace(
+        m,
+        states=tuple(s for s in m.states if s in keep),
+        available={s: m.available[s] for s in keep},
+        delta={a: m.delta[a] for s in keep for a in m.available[s]},
+        rewards={s: m.rewards[s] for s in keep},
+        targets=m.targets & keep,
+    )
     ok, tc_lists, tv, drop = _guess_plan(m, query)
     if not ok:
         return
@@ -179,27 +196,14 @@ def _iter_feasible(m: Mdp, query: Query) -> Iterator[Tuple[Dict[int, Fraction], 
             yield tc, _extract_flow(m, res.assignment)
 
 
-def _restrict_to_original(mdp: Mdp, strategy):
-    """Swap out moves that use cleanup-introduced actions; those states never
-    reach a target, so any original behavior there has the same payoff."""
-    known = set(mdp.delta)
-    next_move = {}
-    for (s, mm), dist in strategy.next_move.items():
-        if any(a not in known for a in dist):
-            dist = {sorted(mdp.available[s])[0]: ONE}
-        next_move[(s, mm)] = dict(dist)
-    update = {k: v for k, v in strategy.memory_update.items() if k[0] in known}
-    return replace(strategy, next_move=next_move, memory_update=update)
-
-
-def _cleaned_quotient(mdp: Mdp, qm: QuotientMap) -> Tuple[Mdp, QuotientMap]:
-    """``cleanup(mdp)`` and its MEC quotient, given ``mdp``'s quotient ``qm``.
+def _cleaned_quotient(mdp: Mdp, qm: QuotientMap) -> QuotientMap:
+    """The MEC quotient of ``cleanup(mdp)``, given ``mdp``'s quotient ``qm``.
 
     Only a cleanup that traps some MEC changes the model, and only then is
     the cleaned model decomposed again.
     """
     clean = cleanup(mdp, qm.decomposition)
-    return clean, (qm if clean is mdp else mec_quotient(clean))
+    return qm if clean is mdp else mec_quotient(clean)
 
 
 def _first_certified(mdp: Mdp, query: Query, candidates, exhaustive: bool = True) -> Verdict:
@@ -241,10 +245,10 @@ def _decide_reach(mdp: Mdp, query: Query, config: Optional[SolverConfig], decide
     if check_attraction(mdp, qm.decomposition) == "neither":
         mmdp, mquery = _reach_to_mean(mdp, query)
         return decide_mean(mmdp, mquery, config)
-    clean, qm = _cleaned_quotient(mdp, qm)
+    qm = _cleaned_quotient(mdp, qm)
     candidates = (
         (
-            _restrict_to_original(mdp, realize_quotient_flow(clean, qm, flow.y, {}, {})),
+            realize_quotient_flow(mdp, qm, flow.y, {}, {}),
             {"guess": dict(tc), "flow": {"y": flow.y, "x": flow.x}},
         )
         for tc, flow in _iter_feasible(qm.quotient, query)
@@ -340,7 +344,7 @@ def decide_mean_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = 
         targets=frozenset(fstates),
     )
     reach_query = replace(query, objective="reach")
-    _, qa = _cleaned_quotient(abstraction, mec_quotient(abstraction))
+    qa = _cleaned_quotient(abstraction, mec_quotient(abstraction))
 
     def candidates():
         for tc, flow in _iter_feasible(qa.quotient, reach_query):

@@ -61,15 +61,6 @@ def _flow_move(mdp: Mdp, y: Mapping[str, Fraction], s: State) -> Dict[str, Fract
     return dist if dist is not None else {_least_action(mdp, s): ONE}
 
 
-def strategy_from_reach_flow(mdp_clean: Mdp, flow: FlowSolution) -> StrategySpec:
-    """Memoryless strategy playing each action proportionally to its flow.
-
-    States with zero total flow are unreachable under the strategy and get a
-    fixed deterministic choice for reproducibility.
-    """
-    return memoryless({s: _flow_move(mdp_clean, flow.y, s) for s in mdp_clean.states})
-
-
 def _mec_graph(mdp: Mdp, members: frozenset, actions: frozenset) -> Dict[State, List[Tuple[str, State]]]:
     out: Dict[State, List[Tuple[str, State]]] = {s: [] for s in members}
     for s in members:
@@ -223,7 +214,7 @@ def _search_remain(
 
     return StrategySpec(
         memory=(SEARCH, REMAIN) + tuple(tokens),
-        initial_memory=normalized(arrival.get(mdp.initial, {SEARCH: ONE})),
+        initial_memory=arrival.get(mdp.initial, {SEARCH: ONE}),
         next_move=next_move,
         memory_update=update,
     )
@@ -241,7 +232,7 @@ def _switch_arrival(
         if inflow[s] < mass:
             raise ModelError(f"switch mass {mass} exceeds inflow {inflow[s]} at {s!r}")
         beta = mass / inflow[s]
-        arrival[s] = {REMAIN: beta, SEARCH: ONE - beta}
+        arrival[s] = normalized({REMAIN: beta, SEARCH: ONE - beta})
     return arrival
 
 
@@ -261,6 +252,8 @@ def realize_quotient_flow(
 ) -> StrategySpec:
     """Turn a quotient-level flow into a strategy on the un-quotiented MDP.
 
+    ``qm`` may quotient ``cleanup(mdp)`` rather than ``mdp``; MECs whose
+    representative is a quotient target get no flow and keep default moves.
     ``y`` gives masses for the quotient's actions (each owned by an original
     state); ``switch`` gives per-MEC-representative masses that stop searching
     and stay in the MEC forever, where ``inner`` then prescribes the moves.
@@ -280,9 +273,9 @@ def realize_quotient_flow(
     stay: Dict[State, Fraction] = {}  # switch masses inside small MECs
 
     for members, actions in dec.mecs:
-        if members <= mdp.targets:
-            continue
         rep = qm.lift[next(iter(members))]
+        if rep in qm.quotient.targets:
+            continue
         exits = {
             a: used[a]
             for s in members
@@ -319,8 +312,7 @@ def realize_quotient_flow(
 
     # internal actions never leave their MEC, so the completed flow's inflow
     # at a small MEC's member is its entry plus that MEC's own internal flow
-    for s, dist in _switch_arrival(mdp, full_y, stay).items():
-        arrival[s] = normalized(dist)
+    arrival.update(_switch_arrival(mdp, full_y, stay))
     return _search_remain(mdp, full_y, arrival, inner, tokens)
 
 

@@ -262,6 +262,10 @@ class TestGenerate:
     def test_unknown_example_invalid(self, tmp_path):
         assert main(["generate", "--example", "nope", str(tmp_path / "m.json")]) == EXIT_INVALID
 
+    @pytest.mark.parametrize("name", ["slow(1/0)", "slow(abc)"])
+    def test_malformed_slow_parameter_invalid(self, tmp_path, name):
+        assert main(["generate", "--example", name, str(tmp_path / "m.json")]) == EXIT_INVALID
+
 
 class TestGadgetSat:
     def test_full_pipeline(self, tmp_path, capsys):

@@ -146,7 +146,12 @@ def test_mean_multi_search_remain_witness(lp_log):
     verdict = decide(_two_mecs(), query)
     assert verdict.status == "SAT"
     assert lp_log == ["77f3736b00acea5576df5dfbfe2acb41b03c8ce0905854757c55f746036606e1"]
+    # arrival updates carry only their nonzero memory entries, as in the
+    # witnesses that realize_quotient_flow builds
+    witness = verdict.witness
+    for dist in [witness.initial_memory, *witness.memory_update.values()]:
+        assert all(p != 0 for p in dist.values())
     assert (
-        _sha(serialize.strategy_to_json(verdict.witness))
-        == "908bff4935ed964cb14c56fd3e2ea9de00c89b675f226efc8215f622f8b93802"
+        _sha(serialize.strategy_to_json(witness))
+        == "a5b70e472cd0ad7fd068da87a8767d2df6bee207ae830e1adb314e20f905d7d3"
     )

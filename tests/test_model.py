@@ -47,6 +47,11 @@ class TestRat:
         with pytest.raises(ModelError):
             rat(True)
 
+    @pytest.mark.parametrize("text", ["1/0", "abc"])
+    def test_rejects_malformed_strings(self, text):
+        with pytest.raises(ModelError):
+            rat(text)
+
 
 class TestValidation:
     def test_valid_model(self):

@@ -1,5 +1,7 @@
 """End-to-end decision procedure tests for reachability and mean payoff."""
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +25,7 @@ from cvarmdp.solver import (
     mec_gain,
 )
 from cvarmdp.graphs import mec_decomposition
+from cvarmdp.lp import solve_feasibility
 from cvarmdp.synthesis import check_strategy, evaluate
 
 
@@ -352,6 +355,33 @@ class TestLargeModels:
         assert verdict.certificate["law"] == [d.atoms for d in law.marginals]
         assert expectation(law[0]) >= 8
         assert decide(mdp, reach_query(e="91/10")).status == "UNSAT"
+
+    def test_states_the_initial_state_cannot_reach_stay_out_of_the_lp(self, monkeypatch):
+        # a 100-state line into the initial state; the flow LP over all of
+        # it took seconds
+        mdp, query = example("choice")
+        line = [f"p{i}" for i in range(100)]
+        succ = dict(zip(line, line[1:] + [mdp.initial]))
+        mdp = replace(
+            mdp,
+            states=mdp.states + tuple(line),
+            available={**mdp.available, **{p: (f"{p}_next",) for p in line}},
+            delta={**mdp.delta, **{f"{p}_next": {succ[p]: F(1)} for p in line}},
+            rewards={**mdp.rewards, **{p: (F(0),) for p in line}},
+        )
+        columns = []
+
+        def spy(prog):
+            columns.extend(prog.variables)
+            return solve_feasibility(prog)
+
+        monkeypatch.setattr(solver, "solve_feasibility", spy)
+        start = time.perf_counter()
+        verdict = decide(mdp, query)
+        assert time.perf_counter() - start < 1
+        assert verdict.status == "SAT"
+        assert check_strategy(mdp, verdict.witness, query)[0]
+        assert columns and not any(name.endswith("_next") for name in columns)
 
 
 def _trapped_mec() -> Mdp:

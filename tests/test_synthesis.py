@@ -22,29 +22,11 @@ from cvarmdp.synthesis import (
     determinize_single_constraint,
     evaluate,
     mec_constant_strategy,
-    strategy_from_reach_flow,
     two_memory_strategy,
 )
 
 
 class TestReachFlow:
-    def test_choice_flow_reproduces_mixture(self):
-        mdp, _ = example("choice")
-        flow = FlowSolution(
-            y={"a": F(3, 4), "b": F(1, 4)},
-            x={"t5": F(3, 4), "t10": F(9, 40), "t0": F(1, 40)},
-        )
-        sigma = strategy_from_reach_flow(mdp, flow)
-        assert sigma.next_move[("s0", sigma.memory[0])] == {"a": F(3, 4), "b": F(1, 4)}
-        law = evaluate(mdp, sigma, "reach")[0]
-        assert law.atoms == {F(0): F(1, 40), F(5): F(3, 4), F(10): F(9, 40)}
-
-    def test_dirac_flow_is_deterministic(self):
-        mdp, _ = example("choice")
-        flow = FlowSolution(y={"a": F(1), "b": F(0)}, x={"t5": F(1)})
-        sigma = strategy_from_reach_flow(mdp, flow)
-        assert sigma.is_deterministic
-
     def test_flow_fidelity_on_random_cleaned_mdps(self):
         # target masses prescribed by a strategy-induced flow come back exactly
         rng = random.Random(13)
@@ -63,7 +45,7 @@ class TestReachFlow:
             sigma = memoryless(choices)
             mc = induced_chain(clean, sigma)
             probs = reach_probabilities(mc)
-            # fold triple-state probabilities back onto model target states
+            # fold (state, memory) probabilities back onto model target states
             folded = {}
             for st, pr in probs.items():
                 folded[st[0]] = folded.get(st[0], F(0)) + pr
