@@ -2,10 +2,13 @@
 
 Reachability: after cleanup and MEC quotienting, satisfiability is a flow LP
 once the value-at-risk thresholds are guessed; the guesses range over target
-rewards.  Mean payoff reduces to reachability over per-MEC optimal gains
-(single dimension) or to a classification-guessing LP over recurrent
-frequencies (multi dimension, {E, CVaR} only).  Every SAT verdict carries a
-witness strategy that has been re-checked by exact evaluation.
+rewards at or above the CVaR bound, and each CVaR constraint is one
+Rockafellar-Uryasev row at its guessed threshold.  Mean payoff reduces to
+reachability over per-MEC optimal gains (single dimension) or to a
+classification-guessing LP over recurrent frequencies, swept over a threshold
+grid that starts at the CVaR bound (multi dimension, {E, CVaR} only).  Every
+SAT verdict carries a witness strategy that has been re-checked by exact
+evaluation.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .graphs import (
     QuotientMap,
@@ -65,10 +68,6 @@ def _x(s: State) -> str:
     return f"x::{s!r}"
 
 
-def _u(j: int, s: State) -> str:
-    return f"u{j}::{s!r}"
-
-
 # ---------------------------------------------------------------- reachability
 
 
@@ -77,20 +76,27 @@ def _reach_lp(
     query: Query,
     tc: Mapping[int, Fraction],
     tv: Mapping[int, Fraction],
-    drop_var: Set[int],
 ) -> LinearProgram:
-    """Flow LP over a cleaned, quotiented MDP for fixed threshold guesses."""
+    """Flow LP over a cleaned, quotiented MDP for fixed threshold guesses.
+
+    A CVaR constraint (p, c) on dimension j at guessed threshold t is the one
+    row  sum_{r_s[j] < t} (r_s[j] - t) x_s >= p (c - t),  i.e.
+    t - E[(t - X)+] / p >= c for the target-mass law X of x.  By the
+    Rockafellar-Uryasev identity CVaR_p(X) = max_t (t - E[(t - X)+] / p),
+    attained at t = VaR_p(X):
+
+    - every x meeting the row has CVaR_p >= c, and the witness realises x
+      exactly, so each candidate passes the full-model check;
+    - no verdict differs from the split-variable encoding (mass below t plus
+      parts u_s <= x_s of the mass at t, summing to exactly p): substituting
+      sum u = p - sum_{r_s[j] < t} x_s  turns its value row into this row,
+      and its "= p" row implies the VaR row it left out at the same level
+      (whose threshold is at most t), so its feasible guesses stay feasible.
+    """
     targets = sorted(m.targets, key=repr)
     nontarget = [s for s in m.states if s not in m.targets]
     acts = [a for s in nontarget for a in m.available[s]]
-    teq: Dict[int, List[State]] = {}
-    uvars: List[str] = []
-    for c in query.constraints:
-        if c.cvar is not None and c.dim in tc:
-            eqs = [s for s in targets if m.rewards[s][c.dim] == tc[c.dim]]
-            teq[c.dim] = eqs
-            uvars += [_u(c.dim, s) for s in eqs]
-    prog = LinearProgram(variables=[_y(a) for a in acts] + [_x(s) for s in targets] + uvars)
+    prog = LinearProgram(variables=[_y(a) for a in acts] + [_x(s) for s in targets])
 
     # Transient flow: inflow equals outflow at every non-target state, and
     # the recurrent mass of each target is its inflow.
@@ -107,21 +113,9 @@ def _reach_lp(
         if c.cvar is not None and j in tc:
             p, cbound = c.cvar
             t = tc[j]
-            lows = [s for s in targets if m.rewards[s][j] < t]
-            # the tail of size exactly p: all mass below t plus part of the
-            # mass at t, chosen per target via the split variables
-            for s in teq[j]:
-                prog.add({_u(j, s): ONE, _x(s): -ONE}, "<=", ZERO)
-            prog.add(
-                {**{_x(s): ONE for s in lows}, **{_u(j, s): ONE for s in teq[j]}},
-                "==",
-                p,
-            )
-            coeffs = {_x(s): m.rewards[s][j] for s in lows}
-            for s in teq[j]:
-                coeffs[_u(j, s)] = t
-            prog.add(coeffs, ">=", p * cbound)
-        if c.var is not None and j not in drop_var:
+            coeffs = {_x(s): m.rewards[s][j] - t for s in targets if m.rewards[s][j] < t}
+            prog.add(coeffs, ">=", p * (cbound - t))
+        if c.var is not None:
             q, _ = c.var
             thr = tv[j]
             prog.add({_x(s): ONE for s in targets if m.rewards[s][j] < thr}, "<=", q)
@@ -133,13 +127,11 @@ def _reach_lp(
 def _guess_plan(m: Mdp, query: Query):
     """Candidate thresholds per dimension over the quotient's target rewards.
 
-    Returns (ok, cvar candidate lists, var thresholds, var rows to drop);
-    ok=False means some VaR bound exceeds every target reward, which no
-    strategy can satisfy.
+    Returns (ok, cvar candidate lists, var thresholds); ok=False means some
+    VaR bound exceeds every target reward, which no strategy can satisfy.
     """
     tc_lists: Dict[int, List[Fraction]] = {}
     tv: Dict[int, Fraction] = {}
-    drop: Set[int] = set()
     for c in query.constraints:
         j = c.dim
         cands = sorted({m.rewards[t][j] for t in m.targets})
@@ -147,17 +139,16 @@ def _guess_plan(m: Mdp, query: Query):
             _, v = c.var
             above = [t for t in cands if t >= v]
             if not above:
-                return False, {}, {}, set()
+                return False, {}, {}
             tv[j] = above[0]
         if c.cvar is not None:
             lo = c.cvar[1]  # CVaR is a sub-threshold average, so t >= c is forced
             if c.var is not None and c.cvar[0] == c.var[0]:
-                drop.add(j)
-                lo = max(lo, tv[j])
+                lo = max(lo, tv[j])  # the maximiser VaR_p is then at least v
             tc_lists[j] = [t for t in cands if t >= lo]
             if not tc_lists[j]:
-                return False, {}, {}, set()
-    return True, tc_lists, tv, drop
+                return False, {}, {}
+    return True, tc_lists, tv
 
 
 def _extract_flow(m: Mdp, assignment: Mapping[str, Fraction]) -> FlowSolution:
@@ -184,13 +175,13 @@ def _iter_feasible(m: Mdp, query: Query) -> Iterator[Tuple[Dict[int, Fraction], 
         rewards={s: m.rewards[s] for s in keep},
         targets=m.targets & keep,
     )
-    ok, tc_lists, tv, drop = _guess_plan(m, query)
+    ok, tc_lists, tv = _guess_plan(m, query)
     if not ok:
         return
     dims = sorted(tc_lists)
     for combo in itertools.product(*(tc_lists[j] for j in dims)):
         tc = dict(zip(dims, combo))
-        prog = _reach_lp(m, query, tc, tv, drop)
+        prog = _reach_lp(m, query, tc, tv)
         res = solve_feasibility(prog)
         if res.ok:
             yield tc, _extract_flow(m, res.assignment)
@@ -467,7 +458,8 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
     dec = mec_decomposition(base)
     mecs = dec.mecs
     n = len(mecs)
-    cvar_dims = sorted(c.dim for c in query.constraints if c.cvar is not None)
+    bound = {c.dim: c.cvar[1] for c in query.constraints if c.cvar is not None}
+    cvar_dims = sorted(bound)
     gmin: Dict[Tuple[int, int], Fraction] = {}
     gmax: Dict[Tuple[int, int], Fraction] = {}
     for i, mec in enumerate(mecs):
@@ -475,6 +467,9 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
             gmax[i, j], _ = _mec_gain_flow(base, mec, j)
             gmin[i, j], _ = _mec_gain_flow(base, mec, j, minimize=True)
 
+    # Only thresholds t >= c can be feasible: below c the CVaR row of
+    # build_mean_lp_multi needs sum_le (r - t) x >= p (c - t) > 0, but each
+    # 'le' MEC's classification row makes its term <= 0.
     grids: Dict[int, List[Fraction]] = {}
     for j in cvar_dims:
         pts = sorted({gmin[i, j] for i in range(n)} | {gmax[i, j] for i in range(n)})
@@ -482,7 +477,7 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
         for a, b in zip(pts, pts[1:]):
             for k in range(1, config.grid):
                 refined.add(a + (b - a) * Fraction(k, config.grid))
-        grids[j] = sorted(refined)
+        grids[j] = sorted(t for t in refined if t >= bound[j])
 
     # one MEC labelled "eq", each other one "le" or "gt"
     options = [

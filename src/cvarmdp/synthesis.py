@@ -74,12 +74,14 @@ def _mec_graph(mdp: Mdp, members: frozenset, actions: frozenset) -> Dict[State, 
 
 def _routing(mdp: Mdp, members: frozenset, actions: frozenset, goal: Set[State]) -> Dict[State, str]:
     """For each member outside ``goal``, an action moving strictly closer to
-    the goal set (distances via backward BFS over the component's actions)."""
+    the goal set (distances via backward BFS over the component's actions).
+    Ties go to the first route in ``repr`` order of states, so the result
+    does not depend on set iteration order."""
     graph = _mec_graph(mdp, members, actions)
     dist = {s: 0 for s in goal}
-    frontier = list(goal)
+    frontier = sorted(goal, key=repr)
     preds: Dict[State, List[Tuple[State, str]]] = {s: [] for s in members}
-    for s in members:
+    for s in sorted(members, key=repr):
         for a, t in graph[s]:
             if t in preds:
                 preds[t].append((s, a))

@@ -60,12 +60,12 @@ def _two_mecs() -> Mdp:
 
 
 EXAMPLE_LPS = {
-    "choice": ["839ef79eef04c75e4fee747172f566094e9e618eaef6d83caf280bf42fb58d33"],
+    "choice": ["92fb8695c7b3b83264cff66cda3d443021504d5241b907f857f51e7f6a98e438"],
     "loop": [
         "6ad79f8f7a55a627ba1b0e09be1bfbc6a6bb2ffc949cef20e85837ebdf4db76a",
         "ccbe9c6df05d3d1c85c6694273e04045e41f935b6e0e393154fb3dca92a0da2b",
         "f20b94f1fd81a6ac4d63cad1f14561fc50bb5fae1425747ba8a22cf1ec621175",
-        "252c3306572ef717ca21fcf543ed4f678701c35669ab5e432c81dc2359e6bf50",
+        "1eda7f0b83eb62244c1a5d770a5a709e63ad004f6f4db1065133e2259c34d71b",
         "3982a379cb7f7d956ad2ce64417bda2b8691369932a9c38ccd270cae0d9caa52",
         "b29c4eb9b23d15762ae880e457b01e6bd680309f3125dfec6ce25445dd757215",
         "a7b453cbd1bb8b5d44bb2ffa25a5245fc56669d3976e45aa42826f7d9e7a985d",
@@ -74,7 +74,7 @@ EXAMPLE_LPS = {
         "5a154e7293eeb1acc56a4b8df5f496adc04290cb957bee817c4679c09ec96c9e",
         "0cd7e4d5a438e519ad5775a265bd2ea6adf3b796b672395c8b42b64fab2a28dd",
         "f7b9e664bb753305f2dc8a6402daae1012796a737e8a79c79bf2908d7fbf82fb",
-        "ee86bc869ffd76941a7f24595ade9c4606a32418458e1172fd52f44a2ad44c67",
+        "1a6213a37563cb989a8f3b5e135f1a372428c967a7fb63ad40fde25cf44844ec",
         "83cd3407fc7f8fa96a7fabc158542ee4a9ad8249f55fcf1ef057b8a89296335d",
         "e319bb4b58c95edea24257def834f7ecb80695c6cddc2b0e9720fcf686d82e5c",
         "a7b453cbd1bb8b5d44bb2ffa25a5245fc56669d3976e45aa42826f7d9e7a985d",
@@ -88,29 +88,26 @@ EXAMPLE_WITNESSES = {
 }
 
 # gain LPs (max and min per MEC and CVaR dimension), then the
-# classification sweep of the multi-dimensional mean-payoff LP
-TWO_MECS_CVAR_COUNT = 72
+# classification sweep of the multi-dimensional mean-payoff LP over the
+# grid points at or above the CVaR bound 7
+TWO_MECS_CVAR_COUNT = 16
 TWO_MECS_CVAR_FIRST = [
     "de1e232ff7be74523d2396b0f8b253c35790272989b6f6a932097a8d468d48d6",
     "2b2264621c81089ea861c56f483b923e8e29d7c7e90d92eaa2e3e2eea005fec5",
     "579c7bb4822c40949a220b4c56ba434a1f4facee16479a01efe003095e7b0104",
     "579c7bb4822c40949a220b4c56ba434a1f4facee16479a01efe003095e7b0104",
-    "480817de5a89c6323a0bdc97aa55ed12aeb6485a2c01db704f691d6cce9c4222",
-    "8e1d7c4e8d39eea86f2aae66cecc7c041ef4bc3090acc5e1d026bb9c1980cd6f",
-    "ecd34989ed70e33f1078dde323efd3575689e7b7e1d9fadaa56617d58292f786",
-    "747fb202fc491cf6abdff2f2b378ddb449c1173b7cc2c22e9b2f781a73e352b0",
-    "785020a0500caba2bf0709881b4cbe055a7b9b1c8930af975af52f05923c5ed0",
-    "688d0fd8ca7b52e3418423de2d9600e187d063a498b7cf6a2ba06f88a3a0590f",
-    "83b9ebc89029ec19066529edaa694f598187defb72440119df7839e2540febaf",
-    "5657714c6267080e3b17a8daa3eee7b9c06054a910a8b9fa7cd0f6abd0547746",
-    "0539a72c114a2f5f85d811b0917f2fc912235b0c7448dda8208b62a2606cc92a",
-    "05781e8fc5d154047d52c578189616d3f38f622b1cb34f099fec7eaac8f4d5cd",
-    "01d8ea8bf69deae7663cb4f1544883d0aa6d292ff1a683bd9a4c73de507911eb",
-    "5ba6baa4f59a5e0dfa85de74e663419db7aa4488bc7df0782c8bb8040de38b6e",
-    "4a1dd0514685a2f1a6608b986ec389565149462971dea72f081f21e87a083da8",
-    "cb794c6eee412ed02be28ecc1acac027d54caf8b5fd57c1d1107f636d5454502",
     "0b01cd2eebf3269ab16f60ac2ac5aa1c4b190c6a4db2e279a6e31cbaf8dd6709",
     "de4681ee7b470b96b726e53116657b1d021bf357535293a64344e238cb1cc909",
+    "78998fe7d78a1dd62181eef932c73522d968da7cb8d2de944fba2ff16ceb50c2",
+    "b042a15496a5c463f1ad4bcc021b2c47441cf90ad9b9fb58c21769f17eecd000",
+    "784f064a0b0327e250e9d2ffd65d33ef33e1f67033286365f38ef6b77e975e5d",
+    "16aeea5e00464e0b311a30d27b284e2b1be44536f8d3ef4950a3429346ab3c2a",
+    "05f9befb8fb96a6002b345174402ae5100fa094b45a0c4ca8102e8b5bf7b2666",
+    "8760fb19a3e936bbe529ea13ad8993ae71636201d3a6a8acae0c04146914557c",
+    "5a09cfaea94275421fb259af2ed0d3ac628efe8d368a19041b2323c3859e2195",
+    "8084687279a20b27f6a67fd251c60a52b0bc26d3fb4382962c6a0b71bf97b94e",
+    "0ec6175277f55c615567c622ffe03105a0b996f8c33a8798849cec81f4ee921e",
+    "1066b2a8cb6385f5c423ad7f33f3d0543b9c6df3aed9c195e274671e2f59f90c",
 ]
 
 

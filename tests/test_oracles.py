@@ -8,12 +8,19 @@ a target-free random model and adds exits from a few states into two
 absorbing targets, so some end components reach no target (cleanup's
 trapping branch) and a negative target reward breaks attraction A2.
 """
+import itertools
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 from cvarmdp.chain import solve_linear
-from cvarmdp.gadgets import random_mdp
-from cvarmdp.graphs import backward_reachable, bsccs, chain_graph, check_attraction, cleanup
+from cvarmdp.gadgets import Cnf3, random_mdp, sat_reduction
+from cvarmdp.graphs import backward_reachable, bsccs, chain_graph, check_attraction, cleanup, mec_quotient
+from cvarmdp.lp import LinearProgram, solve_feasibility
 from cvarmdp.model import (
     Constraint,
     MarkovChain,
@@ -23,8 +30,16 @@ from cvarmdp.model import (
     memoryless,
     mix_strategies,
 )
-from cvarmdp.risk import FiniteDistribution
-from cvarmdp.solver import _reach_to_mean, decide_mean_single, decide_reach_single
+from cvarmdp.risk import FiniteDistribution, cvar, expectation, var
+from cvarmdp.solver import (
+    _cleaned_quotient,
+    _guess_plan,
+    _reach_lp,
+    _reach_to_mean,
+    _x,
+    decide_mean_single,
+    decide_reach_single,
+)
 from cvarmdp.synthesis import check_strategy, evaluate
 
 SEEDS = range(30)
@@ -92,6 +107,29 @@ def test_reach_agrees_with_its_mean_payoff_encoding():
                 assert ok, (seed, details)
         statuses.add(reach.status)
     assert statuses == {"SAT", "UNSAT"}
+
+
+def test_witness_does_not_depend_on_the_hash_seed():
+    # seed 171 has two equally short routes into the frequency support at s5
+    script = (
+        "from cvarmdp.serialize import strategy_to_json\n"
+        "from cvarmdp.solver import decide\n"
+        "from test_oracles import trap_mdp, trap_query\n"
+        "print(strategy_to_json(decide(trap_mdp(171), trap_query(171)).witness))\n"
+    )
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "4")
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 # ------------------------------------------- evaluation against a reference
@@ -228,3 +266,97 @@ def test_evaluation_matches_the_action_product_reference():
         mc = _action_product(mdp, sigma)
         untargeted_bottoms += any(not comp & mc.targets for comp in bsccs(mc))
     assert untargeted_bottoms  # some runs settle away from every target
+
+
+# ----------------------------------- CVaR row against the split-variable rows
+
+
+def _split_variable_lp(m: Mdp, query: Query, tc, tv) -> LinearProgram:
+    """Reference encoding of each CVaR constraint (p, c) at threshold t: split
+    parts u_s <= x_s of the targets worth exactly t top the mass below t up
+    to exactly p, and that tail's value is at least p*c.  A VaR row at the
+    CVaR level is left out; the "= p" row implies it."""
+    same = {c.dim for c in query.constraints if c.cvar and c.var and c.cvar[0] == c.var[0]}
+    rest = tuple(replace(c, cvar=None, var=None if c.dim in same else c.var) for c in query.constraints)
+    prog = _reach_lp(m, replace(query, constraints=rest), {}, tv)
+    for c in query.constraints:
+        if c.cvar is None:
+            continue
+        (p, bound), j, t = c.cvar, c.dim, tc[c.dim]
+        lows = [s for s in m.targets if m.rewards[s][j] < t]
+        u = {s: f"u{j}::{s!r}" for s in m.targets if m.rewards[s][j] == t}
+        prog.variables += list(u.values())
+        for s, name in u.items():
+            prog.add({name: F(1), _x(s): F(-1)}, "<=", F(0))
+        prog.add({**{_x(s): F(1) for s in lows}, **{name: F(1) for name in u.values()}}, "==", p)
+        value = {_x(s): m.rewards[s][j] for s in lows}
+        prog.add({**value, **{name: t for name in u.values()}}, ">=", p * bound)
+    return prog
+
+
+def _with_var(rng: random.Random, m: Mdp, query: Query) -> Query:
+    """``query`` plus a VaR constraint at the CVaR level on about half of its
+    CVaR dimensions, at another level on a quarter; bounds lie near the
+    rewards of random targets."""
+    cons = []
+    for c in query.constraints:
+        rewards = sorted(m.rewards[t][c.dim] for t in m.targets)
+        kind = rng.choice(("same", "same", "other", "none"))
+        if c.cvar is not None and kind != "none":
+            level = c.cvar[0] if kind == "same" else F(rng.randint(1, 9), 10)
+            c = replace(c, var=(level, rng.choice(rewards) + F(rng.randint(-2, 1), 2)))
+        cons.append(c)
+    return replace(query, constraints=tuple(cons))
+
+
+def _cvar_row_instances():
+    """Cleaned quotients of attracting ``trap_mdp`` models with random CVaR
+    queries, and quotients of small 3-SAT reductions with their own."""
+    rng = random.Random(9)
+    for seed in range(100):
+        m = trap_mdp(seed)
+        qm = mec_quotient(m)
+        if check_attraction(m, qm.decomposition) != "neither":
+            q = _cleaned_quotient(m, qm).quotient
+            rewards = sorted(r for (r,) in (q.rewards[t] for t in q.targets))
+            bound = rng.choice(rewards) + F(rng.randint(-2, 1), 2)
+            mean_bound = rng.choice(rewards) if rng.random() < 0.3 else None
+            cvar_c = Constraint(dim=0, expectation=mean_bound, cvar=(F(rng.randint(1, 9), 10), bound))
+            yield q, _with_var(rng, q, Query(objective="reach", constraints=(cvar_c,)))
+    for _ in range(16):
+        clauses = tuple(
+            tuple(rng.choice((1, -1)) * v for v in rng.sample((1, 2), rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 2))
+        )
+        m, _, query = sat_reduction(Cnf3(2, clauses))
+        q = mec_quotient(m).quotient
+        yield q, _with_var(rng, q, query)
+
+
+def test_cvar_row_against_the_split_variable_encoding():
+    same_level = instances = 0
+    for m, query in _cvar_row_instances():
+        ok, tc_lists, tv = _guess_plan(m, query)
+        dims = sorted(tc_lists)
+        new_any = ref_any = False
+        for combo in itertools.product(*(tc_lists[j] for j in dims)) if ok else ():
+            tc = dict(zip(dims, combo))
+            new = solve_feasibility(_reach_lp(m, query, tc, tv))
+            ref = solve_feasibility(_split_variable_lp(m, query, tc, tv))
+            assert new.ok or not ref.ok, (query, tc)
+            new_any, ref_any = new_any or new.ok, ref_any or ref.ok
+            if not new.ok:
+                continue
+            for c in query.constraints:
+                atoms = {}
+                for s in m.targets:
+                    r = m.rewards[s][c.dim]
+                    atoms[r] = atoms.get(r, F(0)) + new.assignment.get(_x(s), F(0))
+                law = FiniteDistribution(atoms)
+                assert c.cvar is None or cvar(law, c.cvar[0]) >= c.cvar[1], (query, tc)
+                assert c.var is None or var(law, c.var[0]) >= c.var[1], (query, tc)
+                assert c.expectation is None or expectation(law) >= c.expectation
+        assert new_any == ref_any, query
+        instances += 1
+        same_level += any(c.var and c.var[0] == c.cvar[0] for c in query.constraints)
+    assert instances > 40 and same_level > 15

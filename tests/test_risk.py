@@ -94,6 +94,32 @@ class TestCvar:
         for k in range(0, 21):
             assert cvar(branch_family(F(k, 20)), p) >= floor
 
+    def test_rockafellar_uryasev_maximum_over_atoms_at_var(self):
+        # CVaR_p(X) = max_t (t - E[(t - X)+] / p), attained at t = VaR_p(X):
+        # the reachability LP encodes CVaR as this one row at a guessed atom
+        import random
+
+        def ru(d, t, p):
+            return t - sum(((t - x) * q for x, q in d.atoms.items() if x < t), F(0)) / p
+
+        rng = random.Random(20261018)
+        at_step = 0
+        for _ in range(300):
+            atoms = {F(rng.randint(-20, 20), rng.randint(1, 4)): F(rng.randint(1, 9)) for _ in range(rng.randint(1, 5))}
+            total = sum(atoms.values())
+            d = FiniteDistribution({x: q / total for x, q in atoms.items()})
+            # half of the levels sit on a cdf step, where VaR jumps
+            steps = [s for s in (sum(q for y, q in d.atoms.items() if y <= x) for x in d.atoms) if s < 1]
+            if steps and rng.random() < 0.5:
+                p = rng.choice(steps)
+                at_step += 1
+            else:
+                p = F(rng.randint(1, 99), 100)
+            values = [ru(d, t, p) for t in d.atoms]
+            assert cvar(d, p) == max(values)
+            assert ru(d, var(d, p), p) == cvar(d, p)
+        assert at_step > 50
+
 
 class TestMixture:
     def test_two_point_mix(self):
