@@ -1,4 +1,6 @@
-"""Exact payoff laws and query decision for finite Markov chains."""
+"""Exact payoff laws and query decision for finite Markov chains.  Linear
+blocks are eliminated on integer rows (ints over one denominator per row)
+by the simplex's kernel ``lp.pivot``."""
 
 from __future__ import annotations
 
@@ -8,6 +10,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 
 from . import risk
 from .graphs import backward_reachable, bsccs, chain_graph, strongly_connected_components
+from .lp import integer_row, pivot
 from .model import MarkovChain, Query, State, Verdict
 
 ZERO = Fraction(0)
@@ -60,21 +63,15 @@ def solve_linear(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[
 def _gauss_jordan(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fraction]]:
     """Dense Gauss-Jordan elimination for one block of ``solve_linear``."""
     n = len(a)
-    m = len(b[0]) if n else 0
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
+    rows, dens = map(list, zip(*(integer_row(a[i] + b[i]) for i in range(n))))
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
+        r = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if r is None:
             raise ValueError("singular linear system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                row, prow = aug[r], aug[col]
-                aug[r] = [row[k] - factor * prow[k] for k in range(n + m)]
-    return [aug[i][n:] for i in range(n)]
+        rows[col], rows[r] = rows[r], rows[col]
+        dens[col], dens[r] = dens[r], dens[col]
+        pivot(rows, dens, col, col)
+    return [[Fraction(x, d) for x in row[n:]] for row, d in zip(rows, dens)]
 
 
 @dataclass

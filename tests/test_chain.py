@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from cvarmdp.chain import (
+    _gauss_jordan,
     bscc_mean_payoff,
     decide_mc,
     payoff_law_mean,
@@ -232,3 +233,51 @@ class TestDecideMc:
         assert expectation(law) == 5
         assert cvar(law, F(1, 2)) == 2
         assert var(law, F(1, 2)) == 8
+
+
+def fraction_gauss_jordan(a, b):
+    """The Fraction Gauss-Jordan that the integer-row kernel replaced, kept
+    as the reference for ``chain._gauss_jordan``."""
+    n, m = len(a), len(b[0])
+    aug = [list(a[i]) + list(b[i]) for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular linear system")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [aug[r][k] - f * aug[col][k] for k in range(n + m)]
+    return [aug[i][n:] for i in range(n)]
+
+
+class TestIntegerGaussJordan:
+    def test_random_blocks_match_the_fraction_elimination(self):
+        rng = random.Random("integer-gauss-jordan")
+        solved = singular = 0
+        for _ in range(200):
+            n, m = rng.randint(1, 7), rng.randint(1, 4)
+            density = rng.choice([0.3, 0.6, 1.0])
+
+            def entry():
+                if rng.random() > density:
+                    return F(0)
+                return F(rng.randint(-9, 9), rng.choice([1, 2, 3, 10, 97]))
+
+            a = [[entry() for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.2 and n > 1:  # a dependent row
+                i, j = rng.sample(range(n), 2)
+                a[i] = [F(-3, 2) * x for x in a[j]]
+            b = [[entry() for _ in range(m)] for _ in range(n)]
+            try:
+                expected = fraction_gauss_jordan(a, b)
+            except ValueError:
+                with pytest.raises(ValueError, match="singular linear system"):
+                    _gauss_jordan(a, b)
+                singular += 1
+                continue
+            assert _gauss_jordan(a, b) == expected
+            solved += 1
+        assert solved >= 50 and singular >= 20

@@ -102,6 +102,15 @@ class TestBasics:
         assert res.assignment["x"] == -5
         assert res.value == 5
 
+    def test_add_checks_the_current_variable_list(self):
+        prog = LinearProgram(variables=["a", "b"])
+        prog.add({"a": 1}, LE, 1)
+        prog.variables[1] = "z"  # same length, other name
+        prog.add({"z": 1}, LE, 1)
+        with pytest.raises(ValueError, match="unknown variable 'b'"):
+            prog.add({"b": 1}, LE, 1)
+        assert solve_feasibility(prog).ok
+
     def test_dump_is_plain_text(self):
         prog = lp(["x"], [({"x": 1}, LE, 1)], objective={"x": 1})
         text = dump(prog)
@@ -169,3 +178,224 @@ class TestOracle:
         res = solve_optimize(prog)
         assert isinstance(res.assignment["x"], F)
         assert res.value == F(1, 3)
+
+
+# --------------------------------------------------------------------------
+# Differential check: the integer-row simplex against the Fraction tableau it
+# replaced.  ``fraction_solve`` is that tableau, kept here as the reference;
+# it returns the result and the (row, column) sequence of every pivot.
+
+
+def fraction_solve(lp, optimize):
+    from cvarmdp.lp import LpResult
+
+    zero, one = F(0), F(1)
+    trail = []
+    col_of, neg_col = {}, {}
+    for v in lp.variables:
+        col_of[v] = len(col_of) + len(neg_col)
+    for v in lp.variables:
+        if v in lp.free:
+            neg_col[v] = len(col_of) + len(neg_col)
+    nstruct = len(col_of) + len(neg_col)
+    nslack = sum(1 for _, sense, _ in lp.constraints if sense != EQ)
+    m = len(lp.constraints)
+    width = nstruct + nslack + m
+    nart_start = nstruct + nslack
+    rows, basis = [], []
+    slack_idx = nart_start - nslack
+    for i, (coeffs, sense, rhs) in enumerate(lp.constraints):
+        row = [zero] * (width + 1)
+        for v, c in coeffs.items():
+            row[col_of[v]] += c
+            if v in neg_col:
+                row[neg_col[v]] -= c
+        if sense != EQ:
+            row[slack_idx] = one if sense == LE else -one
+            slack_idx += 1
+        row[width] = rhs
+        if row[width] < 0:
+            row = [-x for x in row]
+        row[nart_start + i] = one
+        rows.append(row)
+        basis.append(nart_start + i)
+
+    def init_costrow(cost):
+        costrow = list(cost) + [zero]
+        for i, bi in enumerate(basis):
+            if cost[bi] != 0:
+                costrow = [cj - cost[bi] * rj for cj, rj in zip(costrow, rows[i])]
+        return costrow
+
+    def pivot(costrow, r, c):
+        trail.append((r, c))
+        prow = [x / rows[r][c] for x in rows[r]]
+        rows[r] = prow
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                f = row[c]
+                rows[i] = [x - f * px for x, px in zip(row, prow)]
+        if costrow[c] != 0:
+            f = costrow[c]
+            costrow[:] = [x - f * px for x, px in zip(costrow, prow)]
+        basis[r] = c
+
+    switched = []
+
+    def run(costrow, width):
+        bland, stall, last_obj = False, 0, costrow[width]
+        limit = 2 * (len(rows) + width) + 16
+        while True:
+            positive = [j for j in range(width) if costrow[j] > 0]
+            if not positive:
+                return "optimal"
+            c = positive[0] if bland else max(positive, key=lambda j: (costrow[j], -j))
+            r = None
+            for i, row in enumerate(rows):
+                if row[c] > 0:
+                    ratio = row[width] / row[c]
+                    if r is None or ratio < best or (ratio == best and basis[i] < basis[r]):
+                        best, r = ratio, i
+            if r is None:
+                return "unbounded"
+            pivot(costrow, r, c)
+            if costrow[width] == last_obj:
+                stall += 1
+                if stall > limit and not bland:
+                    bland = True
+                    switched.append(True)
+            else:
+                stall, last_obj = 0, costrow[width]
+
+    costrow = init_costrow([zero] * nart_start + [-one] * m)
+    run(costrow, width)
+    if costrow[width] != 0:
+        return LpResult("infeasible"), trail, bool(switched)
+    keep = []
+    for i in range(len(rows)):
+        if basis[i] >= nart_start:
+            c = next((j for j in range(nart_start) if rows[i][j] != 0), None)
+            if c is None:
+                continue
+            pivot(costrow, i, c)
+        keep.append(i)
+    rows[:] = [rows[i][:nart_start] + [rows[i][width]] for i in keep]
+    basis[:] = [basis[i] for i in keep]
+    width = nart_start
+    final = "feasible"
+    if optimize:
+        cost2 = [zero] * width
+        for v, c in lp.objective.items():
+            cost2[col_of[v]] += c
+            if v in neg_col:
+                cost2[neg_col[v]] -= c
+        costrow = init_costrow(cost2)
+        if run(costrow, width) == "unbounded":
+            return LpResult("unbounded"), trail, bool(switched)
+        final = "optimal"
+    values = [zero] * width
+    for i, bi in enumerate(basis):
+        values[bi] = rows[i][width]
+    assignment = {v: values[col_of[v]] - (values[neg_col[v]] if v in neg_col else 0) for v in lp.variables}
+    value = sum((c * assignment[v] for v, c in lp.objective.items()), zero) if optimize else None
+    return LpResult(final, assignment, value), trail, bool(switched)
+
+
+def _random_lp(rng):
+    n = rng.randint(1, 6)
+    variables = [f"v{i}" for i in range(n)]
+    free = {v for v in variables if rng.random() < 0.25}
+
+    def coeff():
+        return F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 5]))
+
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = {v: coeff() for v in rng.sample(variables, rng.randint(1, n))}
+        rows.append((coeffs, rng.choice([LE, GE, EQ]), F(rng.randint(-5, 6), rng.choice([1, 2, 7]))))
+    # redundant equalities: copies and combinations of existing rows
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        (c1, _, b1), (c2, _, b2) = rng.choice(rows), rng.choice(rows)
+        k1, k2 = F(rng.choice([-2, -1, 1, 3])), F(rng.choice([-1, 0, 1]))
+        combo = {v: k1 * c1.get(v, 0) + k2 * c2.get(v, 0) for v in variables}
+        rows.insert(rng.randint(0, len(rows)), (combo, EQ, k1 * b1 + k2 * b2))
+        rows.append((dict(c1), EQ, b1))
+    objective = {v: coeff() for v in variables}
+    return lp(variables, rows, objective=objective, free=free)
+
+
+def _beale():
+    return lp(
+        ["x1", "x2", "x3", "x4"],
+        [
+            ({"x1": "1/4", "x2": -60, "x3": "-1/25", "x4": 9}, LE, 0),
+            ({"x1": "1/2", "x2": -90, "x3": "-1/50", "x4": 3}, LE, 0),
+            ({"x3": 1}, LE, 1),
+        ],
+        objective={"x1": "3/4", "x2": -150, "x3": "1/50", "x4": -6},
+    )
+
+
+def _chvatal():
+    # Chvatal's cycling example ("Linear Programming", 1983, ch. 3); unlike
+    # Beale's, it cycles under this tableau's Dantzig rule and tie-break
+    return lp(
+        ["x1", "x2", "x3", "x4"],
+        [
+            ({"x1": "1/2", "x2": "-11/2", "x3": "-5/2", "x4": 9}, LE, 0),
+            ({"x1": "1/2", "x2": "-3/2", "x3": "-1/2", "x4": 1}, LE, 0),
+            ({"x1": 1}, LE, 1),
+        ],
+        objective={"x1": 10, "x2": -57, "x3": -9, "x4": -24},
+    )
+
+
+def _near_tie():
+    # the two ratios differ by one part in 10**18: equal as floats
+    big = 10**18
+    return lp(["x"], [({"x": 1}, LE, big + 1), ({"x": 1}, LE, big)], objective={"x": 1})
+
+
+class TestAgainstFractionTableau:
+    def _run_both(self, prog, optimize, monkeypatch, seen):
+        import cvarmdp.lp as lpmod
+
+        trail = []
+        kernel = lpmod.pivot
+
+        def spy(rows, dens, r, c):
+            trail.append((r, c))
+            seen["negative"] += rows[r][c] < 0
+            return kernel(rows, dens, r, c)
+
+        monkeypatch.setattr(lpmod, "pivot", spy)
+        res = (solve_optimize if optimize else solve_feasibility)(prog)
+        monkeypatch.setattr(lpmod, "pivot", kernel)
+        ref, ref_trail, ref_bland = fraction_solve(prog, optimize)
+        assert (res.status, res.assignment, res.value) == (ref.status, ref.assignment, ref.value)
+        assert trail == ref_trail
+        assert (res.pivots, res.bland) == (len(ref_trail), ref_bland)
+        seen[res.status] += 1
+        return res
+
+    def test_random_programs_pivot_like_the_fraction_tableau(self, monkeypatch):
+        rng = random.Random("integer-rows")
+        seen = {"optimal": 0, "feasible": 0, "infeasible": 0, "unbounded": 0, "negative": 0}
+        for _ in range(300):
+            prog = _random_lp(rng)
+            self._run_both(prog, True, monkeypatch, seen)
+            self._run_both(prog, False, monkeypatch, seen)
+        # every status and the negative artificial-removal pivot occur
+        assert min(seen.values()) > 0, seen
+
+    def test_cycling_instances(self, monkeypatch):
+        seen = {"optimal": 0, "negative": 0}
+        res = self._run_both(_beale(), True, monkeypatch, seen)
+        assert not res.bland and res.value == F(1, 20)
+        res = self._run_both(_chvatal(), True, monkeypatch, seen)
+        assert res.bland and res.value == 1
+
+    def test_near_tie_in_the_ratio_test(self, monkeypatch):
+        seen = {"optimal": 0, "negative": 0}
+        res = self._run_both(_near_tie(), True, monkeypatch, seen)
+        assert res.value == 10**18 and not res.bland

@@ -356,6 +356,25 @@ class TestLargeModels:
         assert expectation(law[0]) >= 8
         assert decide(mdp, reach_query(e="91/10")).status == "UNSAT"
 
+    def test_mean_payoff_certificate_is_the_witness_law_on_the_full_model(self, monkeypatch):
+        # one 448-state MEC whose gain LP spans the whole ring
+        mdp = replace(_exit_ring(450), targets=frozenset())
+        query = reach_query(e=8, c=0, objective="mean")
+        checked = []
+
+        def spy(model, strategy, q):
+            checked.append((model, strategy))
+            return check_strategy(model, strategy, q)
+
+        monkeypatch.setattr(solver, "check_strategy", spy)
+        verdict = decide(mdp, query)
+        assert verdict.status == "SAT"
+        assert checked[-1] == (mdp, verdict.witness)
+        ok, law, _ = check_strategy(mdp, verdict.witness, query)
+        assert ok
+        assert verdict.certificate["law"] == [d.atoms for d in law.marginals]
+        assert expectation(law[0]) >= 8
+
     def test_states_the_initial_state_cannot_reach_stay_out_of_the_lp(self, monkeypatch):
         # a 100-state line into the initial state; the flow LP over all of
         # it took seconds
