@@ -6,6 +6,11 @@ Bareiss 1968) and a gcd reduction per changed row.  Pivot choices compare
 integers, so they are those of exact rational arithmetic.  Pivoting is
 Dantzig's rule, falling back to Bland's rule permanently once the objective
 stalls, which guarantees termination on degenerate programs.
+
+A family of feasibility LPs that open with the same rows, such as the guess
+LPs of one quotient, is decided from one ``WarmStart``: the shared block is
+solved once, and each member only appends its own rows to a copy of the
+block's tableau and runs phase 1 over those.
 """
 
 from __future__ import annotations
@@ -67,9 +72,16 @@ def dump(lp: LinearProgram) -> str:
     return "\n".join(lines)
 
 
-def solve_feasibility(lp: LinearProgram) -> LpResult:
-    """Find any feasible point, ignoring the objective."""
-    return _solve(lp, optimize=False)
+def solve_feasibility(lp: LinearProgram, start: Optional[WarmStart] = None) -> LpResult:
+    """Find any feasible point, ignoring the objective.
+
+    With ``start``, ``lp`` must open with the very row objects of
+    ``start.block`` (else ``ValueError``), and is decided from the block's
+    tableau: see ``WarmStart``.
+    """
+    if start is None:
+        return _solve(lp, optimize=False)
+    return start._solve(lp)
 
 
 def solve_optimize(lp: LinearProgram) -> LpResult:
@@ -124,7 +136,47 @@ def _reduce(rows: List[List[int]], dens: List[int], i: int) -> None:
             dens[i] = d // g
 
 
-def _solve(lp: LinearProgram, optimize: bool) -> LpResult:
+@dataclass
+class _Tableau:
+    """A canonical tableau after phase 1 and artificial removal: row ``i`` is
+    ``rows[i] / dens[i]`` with the right-hand side at column ``width``, and
+    ``basis[i]`` is its basic column."""
+
+    rows: List[List[int]]
+    dens: List[int]
+    basis: List[int]
+    col_of: Dict[str, int]
+    neg_col: Dict[str, int]
+    width: int
+
+    def point(self, variables: List[str]) -> Dict[str, Fraction]:
+        """The basic solution, as values of ``variables``."""
+        values = [Fraction(0)] * self.width
+        for i, bi in enumerate(self.basis):
+            values[bi] = Fraction(self.rows[i][self.width], self.dens[i])
+        for v, j in self.neg_col.items():
+            values[self.col_of[v]] -= values[j]
+        return {v: values[self.col_of[v]] for v in variables}
+
+
+def _constraint_row(coeffs, rhs, col_of, neg_col, width) -> Tuple[List[int], int, int]:
+    """The structural numerators and right-hand side of one constraint over
+    its least common denominator, negated when ``rhs < 0``; returns the row,
+    the denominator and that sign."""
+    nums, den = integer_row([rhs, *coeffs.values()])
+    sign = -1 if rhs < 0 else 1
+    row = [0] * (width + 1)
+    for v, x in zip(coeffs, nums[1:]):
+        row[col_of[v]] = sign * x
+        if v in neg_col:
+            row[neg_col[v]] = -sign * x
+    row[width] = sign * nums[0]
+    return row, den, sign
+
+
+def _phase1(lp: LinearProgram) -> Tuple[Optional[_Tableau], LpResult]:
+    """Phase 1 from an all-artificial basis, then artificial removal; the
+    tableau is None when ``lp`` is infeasible."""
     # column layout: one column per variable, an extra negated column for free
     # variables, then slack columns, then artificials.
     col_of = {v: j for j, v in enumerate(lp.variables)}
@@ -141,17 +193,10 @@ def _solve(lp: LinearProgram, optimize: bool) -> LpResult:
     basis = list(range(nart_start, width))
     slack_idx = nart_start - nslack
     for i, (coeffs, sense, rhs) in enumerate(lp.constraints):
-        nums, den = integer_row([rhs, *coeffs.values()])
-        sign = -1 if rhs < 0 else 1
-        row = [0] * (width + 1)
-        for v, x in zip(coeffs, nums[1:]):
-            row[col_of[v]] = sign * x
-            if v in neg_col:
-                row[neg_col[v]] = -sign * x
+        row, den, sign = _constraint_row(coeffs, rhs, col_of, neg_col, width)
         if sense != EQ:
             row[slack_idx] = sign * den if sense == LE else -sign * den
             slack_idx += 1
-        row[width] = sign * nums[0]
         row[nart_start + i] = den
         rows.append(row)
         dens.append(den)
@@ -161,7 +206,7 @@ def _solve(lp: LinearProgram, optimize: bool) -> LpResult:
     _run_simplex(rows, dens, basis, [0] * nart_start + [-1] * m, stats)  # always bounded
     if stats.value != 0:
         stats.value = None
-        return stats
+        return None, stats
 
     # remove artificials from the basis, dropping redundant rows
     keep = []
@@ -179,28 +224,132 @@ def _solve(lp: LinearProgram, optimize: bool) -> LpResult:
     rows = [rows[i][:nart_start] + [rows[i][width]] for i in keep]
     dens = [dens[i] for i in keep]
     basis = [basis[i] for i in keep]
-    width = nart_start
+    return _Tableau(rows, dens, basis, col_of, neg_col, nart_start), stats
+
+
+def _solve(lp: LinearProgram, optimize: bool) -> LpResult:
+    tab, stats = _phase1(lp)
+    if tab is None:
+        return stats
+    rows, dens, basis, width = tab.rows, tab.dens, tab.basis, tab.width
 
     if optimize:
         cost2 = [Fraction(0)] * width
         for v, c in lp.objective.items():
-            cost2[col_of[v]] += c
-            if v in neg_col:
-                cost2[neg_col[v]] -= c
+            cost2[tab.col_of[v]] += c
+            if v in tab.neg_col:
+                cost2[tab.neg_col[v]] -= c
         if _run_simplex(rows, dens, basis, cost2, stats) == "unbounded":
             stats.status, stats.value = "unbounded", None
             return stats
         stats.status = "optimal"
     else:
         stats.status, stats.value = "feasible", None
-
-    values = [Fraction(0)] * width
-    for i, bi in enumerate(basis):
-        values[bi] = Fraction(rows[i][width], dens[i])
-    for v, j in neg_col.items():
-        values[col_of[v]] -= values[j]
-    stats.assignment = {v: values[col_of[v]] for v in lp.variables}
+    stats.assignment = tab.point(lp.variables)
     return stats
+
+
+class WarmStart:
+    """The shared leading rows ``block`` of a family of feasibility LPs, and
+    the block's tableau after phase 1 and artificial removal.
+
+    The first ``solve_feasibility(prog, start)`` computes that tableau, so
+    its pivots, Bland switch and time count in that call; when the block has
+    no feasible point, every member is infeasible.  Each call then decides
+    ``prog`` from a copy of the tableau (Chvatal, *Linear Programming*, 1983,
+    ch. 10): every row after the block gets a slack column (unless it is an
+    equation) and an artificial slot, and its entries in the block's basic
+    columns are cleared.  Where the cleared row leaves its slack
+    nonnegative, the slack becomes basic, with the row negated if its
+    coefficient is negative; every other row is made to have a nonnegative
+    right-hand side and takes its artificial into the basis.  A phase 1
+    over those artificials alone decides ``prog``, and its final basis gives
+    the point returned, the *warm vertex*.  It meets every row of ``prog``
+    exactly but need not be the vertex that ``start=None`` finds, and where
+    the block's phase 1 breaks a tie by column order, it depends on the
+    order of the block's variables.
+
+    A Farkas vector of an infeasible member, read off that phase 1's cost
+    row, weighs the block's rows as they stand in the tableau; mapping it
+    back to the original block rows needs the block's B^-1, which is the
+    artificial columns of the block's phase-1 tableau (dropped here by the
+    artificial removal).
+    """
+
+    def __init__(self, block: LinearProgram) -> None:
+        self.block = block
+        self._tableau: Optional[_Tableau] = None
+        self._solved = False
+
+    def _solve(self, lp: LinearProgram) -> LpResult:
+        shared = self.block.constraints
+        if (
+            lp.variables != self.block.variables
+            or lp.free != self.block.free
+            or len(lp.constraints) < len(shared)
+            or any(a is not b for a, b in zip(lp.constraints, shared))
+        ):
+            raise ValueError("the LP does not open with the warm start's block rows")
+        stats = LpResult(status="infeasible")
+        if not self._solved:
+            self._tableau, first = _phase1(self.block)
+            self._solved = True
+            stats.pivots, stats.bland = first.pivots, first.bland
+        tab = self._tableau
+        if tab is None:
+            return stats
+
+        # columns: the block's, one slack per appended inequality, one
+        # artificial slot per appended row, then the right-hand side
+        extra = lp.constraints[len(shared):]
+        nslack = sum(1 for _, sense, _ in extra if sense != EQ)
+        art_start = tab.width + nslack
+        width = art_start + len(extra)
+        pad = [0] * (width - tab.width)
+        warm = _Tableau(
+            [row[: tab.width] + pad + row[tab.width :] for row in tab.rows],
+            list(tab.dens),
+            list(tab.basis),
+            tab.col_of,
+            tab.neg_col,
+            width,
+        )
+        rows, dens, basis = warm.rows, warm.dens, warm.basis
+        cost = [0] * width
+        slack = tab.width
+        for k, (coeffs, sense, rhs) in enumerate(extra):
+            row, den, sign = _constraint_row(coeffs, rhs, tab.col_of, tab.neg_col, width)
+            if sense != EQ:
+                row[slack] = sign * den if sense == LE else -sign * den
+            r = len(rows)
+            rows.append(row)
+            dens.append(den)
+            for i, b in enumerate(tab.basis):
+                if rows[r][b]:
+                    prow = rows[i]
+                    _eliminate(rows, dens, r, prow, [j for j, y in enumerate(prow) if y], b)
+            row = rows[r]
+            s = row[slack] if sense != EQ else 0
+            if s and (row[width] == 0 or (row[width] > 0) == (s > 0)):
+                flip, basic = s < 0, slack
+            else:
+                flip, basic = row[width] < 0, art_start + k
+            if flip:
+                rows[r] = row = [-x for x in row]
+            if basic >= art_start:
+                row[basic] = dens[r]
+                cost[basic] = -1
+            basis.append(basic)
+            slack += sense != EQ
+
+        if any(cost):
+            _run_simplex(rows, dens, basis, cost, stats)  # always bounded
+            if stats.value != 0:
+                stats.value = None
+                return stats
+        stats.status, stats.value = "feasible", None
+        stats.assignment = warm.point(lp.variables)
+        return stats
 
 
 def _run_simplex(rows, dens, basis, cost, stats: LpResult) -> str:

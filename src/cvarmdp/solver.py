@@ -6,9 +6,11 @@ rewards at or above the CVaR bound, and each CVaR constraint is one
 Rockafellar-Uryasev row at its guessed threshold.  Mean payoff reduces to
 reachability over per-MEC optimal gains (single dimension) or to a
 classification-guessing LP over recurrent frequencies, swept over a threshold
-grid that starts at the CVaR bound (multi dimension, {E, CVaR} only).  Every
-SAT verdict carries a witness strategy that has been re-checked by exact
-evaluation.
+grid that starts at the CVaR bound (multi dimension, {E, CVaR} only).  The
+guess LPs of one model share their flow rows, which are built once and
+solved once as the block of an ``lp.WarmStart``; each guess appends only its
+own rows.  Every SAT verdict carries a witness strategy that has been
+re-checked by exact evaluation.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .graphs import (
     mec_quotient,
     reachable_states,
 )
-from .lp import LinearProgram, solve_feasibility, solve_optimize
+from .lp import LinearProgram, WarmStart, solve_feasibility, solve_optimize
 from .model import (
     Mdp,
     ModelError,
@@ -71,13 +73,34 @@ def _x(s: State) -> str:
 # ---------------------------------------------------------------- reachability
 
 
-def _reach_lp(
+def _reach_block(m: Mdp) -> LinearProgram:
+    """The guess-independent rows of the flow LP over a cleaned, quotiented
+    MDP: transient flow balance and the switch to recurrent behaviour."""
+    targets = sorted(m.targets, key=repr)
+    nontarget = [s for s in m.states if s not in m.targets]
+    acts = [a for s in nontarget for a in m.available[s]]
+    prog = LinearProgram(variables=[_y(a) for a in acts] + [_x(s) for s in targets])
+
+    # Transient flow: inflow equals outflow at every non-target state, and
+    # the recurrent mass of each target is its inflow.
+    rows = nontarget + targets
+    for s, coeffs in zip(rows, flow_rows(m, rows, acts, _y)):
+        if s in m.targets:
+            coeffs[_x(s)] = ONE
+        prog.add(coeffs, "==", ONE if s == m.initial else ZERO)
+    # Switching to recurrent behaviour.
+    prog.add({_x(t): ONE for t in targets}, "==", ONE)
+    return prog
+
+
+def _reach_guess_rows(
     m: Mdp,
+    block: LinearProgram,
     query: Query,
     tc: Mapping[int, Fraction],
     tv: Mapping[int, Fraction],
-) -> LinearProgram:
-    """Flow LP over a cleaned, quotiented MDP for fixed threshold guesses.
+) -> List:
+    """The constraint rows of the flow LP for fixed threshold guesses.
 
     A CVaR constraint (p, c) on dimension j at guessed threshold t is the one
     row  sum_{r_s[j] < t} (r_s[j] - t) x_s >= p (c - t),  i.e.
@@ -94,20 +117,7 @@ def _reach_lp(
       (whose threshold is at most t), so its feasible guesses stay feasible.
     """
     targets = sorted(m.targets, key=repr)
-    nontarget = [s for s in m.states if s not in m.targets]
-    acts = [a for s in nontarget for a in m.available[s]]
-    prog = LinearProgram(variables=[_y(a) for a in acts] + [_x(s) for s in targets])
-
-    # Transient flow: inflow equals outflow at every non-target state, and
-    # the recurrent mass of each target is its inflow.
-    rows = nontarget + targets
-    for s, coeffs in zip(rows, flow_rows(m, rows, acts, _y)):
-        if s in m.targets:
-            coeffs[_x(s)] = ONE
-        prog.add(coeffs, "==", ONE if s == m.initial else ZERO)
-    # Switching to recurrent behaviour.
-    prog.add({_x(t): ONE for t in targets}, "==", ONE)
-
+    prog = LinearProgram(variables=block.variables)
     for c in sorted(query.constraints, key=lambda c: c.dim):
         j = c.dim
         if c.cvar is not None and j in tc:
@@ -121,7 +131,18 @@ def _reach_lp(
             prog.add({_x(s): ONE for s in targets if m.rewards[s][j] < thr}, "<=", q)
         if c.expectation is not None:
             prog.add({_x(s): m.rewards[s][j] for s in targets}, ">=", c.expectation)
-    return prog
+    return prog.constraints
+
+
+def _reach_lp(
+    m: Mdp,
+    query: Query,
+    tc: Mapping[int, Fraction],
+    tv: Mapping[int, Fraction],
+) -> LinearProgram:
+    """Flow LP over a cleaned, quotiented MDP for fixed threshold guesses."""
+    block = _reach_block(m)
+    return LinearProgram(block.variables, block.constraints + _reach_guess_rows(m, block, query, tc, tv))
 
 
 def _guess_plan(m: Mdp, query: Query):
@@ -165,7 +186,8 @@ def _extract_flow(m: Mdp, assignment: Mapping[str, Fraction]) -> FlowSolution:
 
 def _iter_feasible(m: Mdp, query: Query) -> Iterator[Tuple[Dict[int, Fraction], FlowSolution]]:
     """Enumerate threshold guesses in ascending order, yielding feasible flows
-    over the states reachable from the initial state."""
+    over the states reachable from the initial state; every guess LP is
+    decided from one warm start on the flow block."""
     keep = reachable_states(m, m.initial)
     m = replace(
         m,
@@ -179,10 +201,12 @@ def _iter_feasible(m: Mdp, query: Query) -> Iterator[Tuple[Dict[int, Fraction], 
     if not ok:
         return
     dims = sorted(tc_lists)
+    block = _reach_block(m)
+    start = WarmStart(block)
     for combo in itertools.product(*(tc_lists[j] for j in dims)):
         tc = dict(zip(dims, combo))
-        prog = _reach_lp(m, query, tc, tv)
-        res = solve_feasibility(prog)
+        rows = _reach_guess_rows(m, block, query, tc, tv)
+        res = solve_feasibility(LinearProgram(block.variables, block.constraints + rows), start)
         if res.ok:
             yield tc, _extract_flow(m, res.assignment)
 
@@ -277,12 +301,6 @@ def _mec_gain_flow(mdp: Mdp, mec, j: int, minimize: bool = False):
     return sign * res.value, {a: res.assignment[f"f::{a}"] for a in acts}
 
 
-def mec_gain(mdp: Mdp, mec, j: int = 0) -> Fraction:
-    """Maximum expected mean payoff achievable inside a MEC (dimension j)."""
-    value, _ = _mec_gain_flow(mdp, mec, j)
-    return value
-
-
 def _inner_moves(mdp: Mdp, mecs, freqs: Sequence[Mapping[str, Fraction]]) -> Dict[State, Dict]:
     """Moves of the memoryless strategies that realise the action frequencies
     ``freqs[i]`` inside ``mecs[i]``, for every MEC that carries frequency mass."""
@@ -348,20 +366,9 @@ def decide_mean_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = 
     return _first_certified(mdp, query, candidates())
 
 
-def build_mean_lp_multi(
-    mdp: Mdp,
-    query: Query,
-    guess: Mapping[int, Fraction],
-    cls: Mapping[int, Sequence[str]],
-    dec,
-) -> LinearProgram:
-    """Multi-dimension mean-payoff LP for one VaR guess and MEC classification.
-
-    cls[j] labels each MEC "le" (value at most t_j), "gt" (above), with
-    exactly one "eq" whose value equals t_j.
-    """
-    if any(c.var is not None for c in query.constraints):
-        raise UnsupportedQueryError("VaR constraints unsupported for multi-dimensional mean payoff")
+def _mean_multi_block(mdp: Mdp, dec) -> LinearProgram:
+    """The guess-independent rows of the multi-dimensional mean-payoff LP:
+    transient flow, switching mass, recurrent flow and total switching."""
     acts = mdp.actions
     mec_states = sorted((s for s in mdp.states if dec.mec_of(s) is not None), key=repr)
     mec_acts = sorted({a for _, aa in dec.mecs for a in aa})
@@ -371,13 +378,6 @@ def build_mean_lp_multi(
         + [f"xa::{a}" for a in mec_acts]
     )
     prog = LinearProgram(variables=names)
-
-    def xs_coeffs(s: State, factor: Fraction, into: Dict[str, Fraction]) -> None:
-        idx = dec.mec_of(s)
-        _, aa = dec.mecs[idx]
-        for a in mdp.available[s]:
-            if a in aa:
-                into[f"xa::{a}"] = into.get(f"xa::{a}", ZERO) + factor
 
     # Transient flow (with per-state switching mass for MEC states).
     for s, coeffs in zip(mdp.states, flow_rows(mdp, mdp.states, acts, _y)):
@@ -395,6 +395,28 @@ def build_mean_lp_multi(
         for coeffs in flow_rows(mdp, sorted(members, key=repr), sorted(aa), lambda a: f"xa::{a}"):
             prog.add(coeffs, "==", ZERO)
     prog.add({f"w::{s!r}": ONE for s in mec_states}, "==", ONE)
+    return prog
+
+
+def _mean_multi_guess_rows(
+    mdp: Mdp,
+    block: LinearProgram,
+    query: Query,
+    guess: Mapping[int, Fraction],
+    cls: Mapping[int, Sequence[str]],
+    dec,
+) -> List:
+    """The constraint rows of the multi-dimensional mean-payoff LP for one
+    VaR guess and MEC classification."""
+    mec_states = sorted((s for s in mdp.states if dec.mec_of(s) is not None), key=repr)
+    prog = LinearProgram(variables=block.variables)
+
+    def xs_coeffs(s: State, factor: Fraction, into: Dict[str, Fraction]) -> None:
+        idx = dec.mec_of(s)
+        _, aa = dec.mecs[idx]
+        for a in mdp.available[s]:
+            if a in aa:
+                into[f"xa::{a}"] = into.get(f"xa::{a}", ZERO) + factor
 
     for c in sorted(query.constraints, key=lambda c: c.dim):
         j = c.dim
@@ -437,7 +459,26 @@ def build_mean_lp_multi(
             for s in mec_states:
                 xs_coeffs(s, mdp.rewards[s][j], coeffs)
             prog.add(coeffs, ">=", c.expectation)
-    return prog
+    return prog.constraints
+
+
+def build_mean_lp_multi(
+    mdp: Mdp,
+    query: Query,
+    guess: Mapping[int, Fraction],
+    cls: Mapping[int, Sequence[str]],
+    dec,
+) -> LinearProgram:
+    """Multi-dimension mean-payoff LP for one VaR guess and MEC classification.
+
+    cls[j] labels each MEC "le" (value at most t_j), "gt" (above), with
+    exactly one "eq" whose value equals t_j.
+    """
+    if any(c.var is not None for c in query.constraints):
+        raise UnsupportedQueryError("VaR constraints unsupported for multi-dimensional mean payoff")
+    block = _mean_multi_block(mdp, dec)
+    rows = _mean_multi_guess_rows(mdp, block, query, guess, cls, dec)
+    return LinearProgram(block.variables, block.constraints + rows)
 
 
 def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
@@ -489,13 +530,16 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
     # ranges, make the sweep provably exhaustive
     exhaustive = all(gmin[i, j] == gmax[i, j] for i in range(n) for j in cvar_dims)
     mec_states = [s for s in base.states if dec.mec_of(s) is not None]
+    block = _mean_multi_block(base, dec)
+    start = WarmStart(block)
 
     def candidates():
         for cls_combo in itertools.product(options, repeat=len(cvar_dims)):
             cls = dict(zip(cvar_dims, cls_combo))
             for t_combo in itertools.product(*(grids[j] for j in cvar_dims)):
                 guess = dict(zip(cvar_dims, t_combo))
-                res = solve_feasibility(build_mean_lp_multi(base, query, guess, cls, dec))
+                rows = _mean_multi_guess_rows(base, block, query, guess, cls, dec)
+                res = solve_feasibility(LinearProgram(block.variables, block.constraints + rows), start)
                 if not res.ok:
                     continue
                 y = {a: res.assignment.get(_y(a), ZERO) for a in base.actions}

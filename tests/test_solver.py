@@ -12,6 +12,7 @@ from cvarmdp.model import (
     Mdp,
     Query,
     UnsupportedQueryError,
+    memoryless,
 )
 from cvarmdp import graphs, solver
 from cvarmdp.risk import FiniteDistribution, cvar, expectation, var
@@ -22,7 +23,6 @@ from cvarmdp.solver import (
     decide_mean_single,
     decide_reach_multi,
     decide_reach_single,
-    mec_gain,
 )
 from cvarmdp.graphs import mec_decomposition
 from cvarmdp.lp import solve_feasibility
@@ -53,9 +53,16 @@ class TestReachSingle:
         verdict = decide(mdp, query)
         assert verdict.status == "SAT"
         law = law_of(verdict)
-        assert law.atoms == {F(0): F(1, 40), F(5): F(3, 4), F(10): F(9, 40)}
+        assert law.atoms == {F(0): F(3, 100), F(5): F(7, 10), F(10): F(27, 100)}
         ok, _, details = check_strategy(mdp, verdict.witness, query)
         assert ok, details
+
+    def test_choice_paper_mixing_strategy_meets_the_query(self):
+        # the paper's witness for this query: a with 3/4, b with 1/4 at s0
+        mdp, query = example("choice")
+        ok, law, details = check_strategy(mdp, memoryless({"s0": {"a": F(3, 4), "b": F(1, 4)}}), query)
+        assert ok, details
+        assert law[0].atoms == {F(0): F(1, 40), F(5): F(3, 4), F(10): F(9, 40)}
 
     def test_choice_tighter_expectation_unsat(self):
         mdp, _ = example("choice")
@@ -77,7 +84,7 @@ class TestReachSingle:
         verdict = decide(mdp, query)
         assert verdict.status == "SAT"
         law = law_of(verdict)
-        assert expectation(law) == 1
+        assert expectation(law) == F(6, 5)
         assert cvar(law, F(1, 20)) >= F(-3)
         assert var(law, F(1, 20)) >= 0
 
@@ -189,7 +196,7 @@ class TestMeanSingle:
         verdict = decide(mdp, query)
         assert verdict.status == "SAT"
         law = law_of(verdict)
-        assert law.atoms == {F(0): F(1, 40), F(5): F(3, 4), F(10): F(9, 40)}
+        assert law.atoms == {F(0): F(3, 100), F(5): F(7, 10), F(10): F(27, 100)}
         assert len(verdict.witness.memory) == 2
         ok, _, details = check_strategy(mdp, verdict.witness, query)
         assert ok, details
@@ -210,7 +217,7 @@ class TestMeanSingle:
     def test_mec_gain(self):
         mdp, _ = example("loop")
         dec = mec_decomposition(mdp)
-        gains = sorted(mec_gain(mdp, mec) for mec in dec.mecs)
+        gains = sorted(solver._mec_gain_flow(mdp, mec, 0)[0] for mec in dec.mecs)
         assert gains == [F(0), F(5), F(10)]
 
 
@@ -390,9 +397,9 @@ class TestLargeModels:
         )
         columns = []
 
-        def spy(prog):
+        def spy(prog, *args):
             columns.extend(prog.variables)
-            return solve_feasibility(prog)
+            return solve_feasibility(prog, *args)
 
         monkeypatch.setattr(solver, "solve_feasibility", spy)
         start = time.perf_counter()
