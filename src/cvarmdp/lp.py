@@ -8,9 +8,11 @@ Dantzig's rule, falling back to Bland's rule permanently once the objective
 stalls, which guarantees termination on degenerate programs.
 
 A family of feasibility LPs that open with the same rows, such as the guess
-LPs of one quotient, is decided from one ``WarmStart``: the shared block is
-solved once, and each member only appends its own rows to a copy of the
-block's tableau and runs phase 1 over those.
+LPs of one quotient, is decided from one ``WarmStart``.  The first member is
+solved from scratch.  Then the shared block is solved once, and each later
+member only appends its own rows to a copy of the block's tableau and runs
+phase 1 over those; a member found feasible there is solved again from
+scratch, so that every point returned is the cold one.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ def solve_feasibility(lp: LinearProgram, start: Optional[WarmStart] = None) -> L
 
     With ``start``, ``lp`` must open with the very row objects of
     ``start.block`` (else ``ValueError``), and is decided from the block's
-    tableau: see ``WarmStart``.
+    tableau: see ``WarmStart``.  The status and the point are those of
+    ``start=None``; only ``pivots`` differs.
     """
     if start is None:
         return _solve(lp, optimize=False)
@@ -253,35 +256,56 @@ class WarmStart:
     """The shared leading rows ``block`` of a family of feasibility LPs, and
     the block's tableau after phase 1 and artificial removal.
 
-    The first ``solve_feasibility(prog, start)`` computes that tableau, so
-    its pivots, Bland switch and time count in that call; when the block has
-    no feasible point, every member is infeasible.  Each call then decides
-    ``prog`` from a copy of the tableau (Chvatal, *Linear Programming*, 1983,
-    ch. 10): every row after the block gets a slack column (unless it is an
-    equation) and an artificial slot, and its entries in the block's basic
-    columns are cleared.  Where the cleared row leaves its slack
+    The first ``solve_feasibility(prog, start)`` solves ``prog`` cold, as
+    ``start=None`` does: a family whose first member is feasible, such as a
+    lone guess or a guess enumeration that stops at its first, then costs
+    nothing more.  The second call computes the block's tableau, so its
+    pivots, Bland switch and time count in that call; when the block has no
+    feasible point, every later member is infeasible.  Each later call
+    decides ``prog`` from a copy of the tableau (Chvatal, *Linear
+    Programming*, 1983, ch. 10): every row after the block gets a slack
+    column (unless it is an equation) and an artificial slot, and its
+    entries in the block's basic columns are cleared.  Where the cleared row leaves its slack
     nonnegative, the slack becomes basic, with the row negated if its
     coefficient is negative; every other row is made to have a nonnegative
     right-hand side and takes its artificial into the basis.  A phase 1
-    over those artificials alone decides ``prog``, and its final basis gives
-    the point returned, the *warm vertex*.  It meets every row of ``prog``
-    exactly but need not be the vertex that ``start=None`` finds, and where
-    the block's phase 1 breaks a tie by column order, it depends on the
-    order of the block's variables.
+    over those artificials alone decides ``prog``.
 
-    A Farkas vector of an infeasible member, read off that phase 1's cost
-    row, weighs the block's rows as they stand in the tableau; mapping it
-    back to the original block rows needs the block's B^-1, which is the
+    An infeasible member is answered from that phase 1.  A feasible one is
+    then solved cold, and the point returned is the one ``start=None``
+    finds: the *warm vertex* meets every row of ``prog`` too, but it can
+    depend on the order of the block's variables where the block's phase 1
+    breaks a tie by column order, and a witness built from it would then
+    depend on the order of each state's actions.  ``pivots`` and ``bland``
+    count both solves.
+
+    A Farkas vector of an infeasible member, read off the warm phase 1's
+    cost row, weighs the block's rows as they stand in the tableau; mapping
+    it back to the original block rows needs the block's B^-1, which is the
     artificial columns of the block's phase-1 tableau (dropped here by the
     artificial removal).
     """
 
     def __init__(self, block: LinearProgram) -> None:
         self.block = block
+        self._first = True
         self._tableau: Optional[_Tableau] = None
         self._solved = False
 
     def _solve(self, lp: LinearProgram) -> LpResult:
+        if self._first:
+            self._check(lp)
+            self._first = False
+            return _solve(lp, optimize=False)
+        stats = self._warm(lp)
+        if not stats.ok:
+            return stats
+        cold = _solve(lp, optimize=False)
+        cold.pivots += stats.pivots
+        cold.bland = cold.bland or stats.bland
+        return cold
+
+    def _check(self, lp: LinearProgram) -> None:
         shared = self.block.constraints
         if (
             lp.variables != self.block.variables
@@ -290,6 +314,12 @@ class WarmStart:
             or any(a is not b for a, b in zip(lp.constraints, shared))
         ):
             raise ValueError("the LP does not open with the warm start's block rows")
+
+    def _warm(self, lp: LinearProgram) -> LpResult:
+        """Decide ``lp`` from the block's tableau; a feasible result carries
+        the warm vertex."""
+        self._check(lp)
+        shared = self.block.constraints
         stats = LpResult(status="infeasible")
         if not self._solved:
             self._tableau, first = _phase1(self.block)

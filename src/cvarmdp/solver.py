@@ -462,25 +462,6 @@ def _mean_multi_guess_rows(
     return prog.constraints
 
 
-def build_mean_lp_multi(
-    mdp: Mdp,
-    query: Query,
-    guess: Mapping[int, Fraction],
-    cls: Mapping[int, Sequence[str]],
-    dec,
-) -> LinearProgram:
-    """Multi-dimension mean-payoff LP for one VaR guess and MEC classification.
-
-    cls[j] labels each MEC "le" (value at most t_j), "gt" (above), with
-    exactly one "eq" whose value equals t_j.
-    """
-    if any(c.var is not None for c in query.constraints):
-        raise UnsupportedQueryError("VaR constraints unsupported for multi-dimensional mean payoff")
-    block = _mean_multi_block(mdp, dec)
-    rows = _mean_multi_guess_rows(mdp, block, query, guess, cls, dec)
-    return LinearProgram(block.variables, block.constraints + rows)
-
-
 def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
     """Multi-dimension {E, CVaR} mean payoff via classification guessing.
 
@@ -509,7 +490,7 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
             gmin[i, j], _ = _mec_gain_flow(base, mec, j, minimize=True)
 
     # Only thresholds t >= c can be feasible: below c the CVaR row of
-    # build_mean_lp_multi needs sum_le (r - t) x >= p (c - t) > 0, but each
+    # _mean_multi_guess_rows needs sum_le (r - t) x >= p (c - t) > 0, but each
     # 'le' MEC's classification row makes its term <= 0.
     grids: Dict[int, List[Fraction]] = {}
     for j in cvar_dims:

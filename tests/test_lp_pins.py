@@ -59,9 +59,6 @@ def _two_mecs() -> Mdp:
     )
 
 
-# "loop" and "negative": the MEC gain LPs, the reachability guess LPs, then
-# one transshipment LP per MEC, whose right-hand sides are the commit masses
-# of the guess LP's vertex
 EXAMPLE_LPS = {
     "choice": ["92fb8695c7b3b83264cff66cda3d443021504d5241b907f857f51e7f6a98e438"],
     "loop": [
@@ -69,25 +66,25 @@ EXAMPLE_LPS = {
         "ccbe9c6df05d3d1c85c6694273e04045e41f935b6e0e393154fb3dca92a0da2b",
         "f20b94f1fd81a6ac4d63cad1f14561fc50bb5fae1425747ba8a22cf1ec621175",
         "1eda7f0b83eb62244c1a5d770a5a709e63ad004f6f4db1065133e2259c34d71b",
-        "abbf74b9215169482c769697885154855b1edc9d791d98822adce46712870643",
-        "acba22ab29bbac00d65be91998e5a1e7f96a11ce312db9894878efa593807973",
-        "6dcd81689b6ce62de6932db3c4a3f151ac3eedb32c84b4549a57d01c42542108",
+        "3982a379cb7f7d956ad2ce64417bda2b8691369932a9c38ccd270cae0d9caa52",
+        "b29c4eb9b23d15762ae880e457b01e6bd680309f3125dfec6ce25445dd757215",
+        "a7b453cbd1bb8b5d44bb2ffa25a5245fc56669d3976e45aa42826f7d9e7a985d",
     ],
     "negative": [
         "5a154e7293eeb1acc56a4b8df5f496adc04290cb957bee817c4679c09ec96c9e",
         "0cd7e4d5a438e519ad5775a265bd2ea6adf3b796b672395c8b42b64fab2a28dd",
         "f7b9e664bb753305f2dc8a6402daae1012796a737e8a79c79bf2908d7fbf82fb",
         "1a6213a37563cb989a8f3b5e135f1a372428c967a7fb63ad40fde25cf44844ec",
-        "ff27a0b472decfbf5e76536359d9171986abf94edc5145ba9624a4ba961e0054",
-        "372601b27f673093007c7037e77ddb25a0a9d953ce322c88e4f925b7092571df",
-        "6dcd81689b6ce62de6932db3c4a3f151ac3eedb32c84b4549a57d01c42542108",
+        "83cd3407fc7f8fa96a7fabc158542ee4a9ad8249f55fcf1ef057b8a89296335d",
+        "e319bb4b58c95edea24257def834f7ecb80695c6cddc2b0e9720fcf686d82e5c",
+        "a7b453cbd1bb8b5d44bb2ffa25a5245fc56669d3976e45aa42826f7d9e7a985d",
     ],
 }
 
 EXAMPLE_WITNESSES = {
-    "choice": "480d0fd677ab2faaaef493c59fc40748395b465711e625bf89e7505e64730072",
-    "loop": "8daa965b3889aa7625575170e3b6c4a0ca34ecf737267c46db084f05709cdba8",
-    "negative": "ff9eb8a16db9400889ab94a8d2a6f597f3235b22e77c4cbd2a8b0e6318530b22",
+    "choice": "9ce7e8ad2c7d0987bf7e2c84d61d98ab22786dbd86ca51f71124daeaedcb8cc2",
+    "loop": "16007979ffadc2f997b6bbd08a791144722b39e186225e589899c8cdcaf08863",
+    "negative": "66e6c4995c3d2dd2b267227c2b97279ca5ebb2fda794a7090d89abbef80d349b",
 }
 
 # gain LPs (max and min per MEC and CVaR dimension), then the

@@ -53,7 +53,7 @@ class TestReachSingle:
         verdict = decide(mdp, query)
         assert verdict.status == "SAT"
         law = law_of(verdict)
-        assert law.atoms == {F(0): F(3, 100), F(5): F(7, 10), F(10): F(27, 100)}
+        assert law.atoms == {F(0): F(1, 40), F(5): F(3, 4), F(10): F(9, 40)}
         ok, _, details = check_strategy(mdp, verdict.witness, query)
         assert ok, details
 
@@ -84,7 +84,7 @@ class TestReachSingle:
         verdict = decide(mdp, query)
         assert verdict.status == "SAT"
         law = law_of(verdict)
-        assert expectation(law) == F(6, 5)
+        assert expectation(law) == 1
         assert cvar(law, F(1, 20)) >= F(-3)
         assert var(law, F(1, 20)) >= 0
 
@@ -196,7 +196,7 @@ class TestMeanSingle:
         verdict = decide(mdp, query)
         assert verdict.status == "SAT"
         law = law_of(verdict)
-        assert law.atoms == {F(0): F(3, 100), F(5): F(7, 10), F(10): F(27, 100)}
+        assert law.atoms == {F(0): F(1, 40), F(5): F(3, 4), F(10): F(9, 40)}
         assert len(verdict.witness.memory) == 2
         ok, _, details = check_strategy(mdp, verdict.witness, query)
         assert ok, details

@@ -95,7 +95,7 @@ class TestTwoMemory:
         sigma = verdict.witness
         assert len(sigma.memory) == 2
         law = evaluate(mdp, sigma, "mean")[0]
-        assert law.atoms == {F(0): F(3, 100), F(5): F(7, 10), F(10): F(27, 100)}
+        assert law.atoms == {F(0): F(1, 40), F(5): F(3, 4), F(10): F(9, 40)}
 
     def test_switch_mass_exceeding_inflow_rejected(self):
         mdp, _ = example("loop")

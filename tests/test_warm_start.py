@@ -2,9 +2,10 @@
 
 The guess LPs of one quotient share their flow block, and
 ``solve_feasibility(prog, start)`` decides each of them from the block's
-tableau.  Every warm status is compared with the cold solve of the same LP,
-and every warm point is checked against every row of the full LP by plain
-arithmetic, without the solver.
+tableau.  Every warm decision is compared with the cold solve of the same
+LP, and every warm vertex is checked against every row of the full LP by
+plain arithmetic, without the solver.  What ``solve_feasibility`` returns
+with a start, status and point, is the cold result.
 """
 import itertools
 import random
@@ -21,6 +22,17 @@ from cvarmdp.solver import SolverConfig, _reach_to_mean, decide
 from test_lp import _random_lp
 from test_lp_pins import _two_mecs
 from test_oracles import trap_mdp, trap_query
+
+
+def _warm_and_cold(prog: LinearProgram, start: WarmStart):
+    """The warm decision of ``prog``, checked against the cold solve; returns
+    what ``solve_feasibility(prog, start)`` gives."""
+    warm, cold = start._warm(prog), solve_feasibility(prog)
+    assert warm.status == cold.status, lpmod.dump(prog)
+    assert not warm.ok or _meets(prog, warm.assignment), lpmod.dump(prog)
+    res = solve_feasibility(prog, start)
+    assert (res.status, res.assignment) == (cold.status, cold.assignment), lpmod.dump(prog)
+    return res
 
 
 def _meets(prog: LinearProgram, point) -> bool:
@@ -52,10 +64,7 @@ def test_random_programs_split_anywhere_keep_their_status():
         reversed_tail = prog.constraints[:k] + prog.constraints[k:][::-1]
         other = LinearProgram(prog.variables, reversed_tail, free=prog.free)
         for member in (prog, other, prog):
-            warm, cold = solve_feasibility(member, start), solve_feasibility(member)
-            assert warm.status == cold.status, lpmod.dump(member)
-            assert not warm.ok or _meets(member, warm.assignment), lpmod.dump(member)
-            seen[warm.status] += 1
+            seen[_warm_and_cold(member, start).status] += 1
     assert min(seen.values()) > 0, seen
 
 
@@ -81,17 +90,15 @@ def test_a_program_that_does_not_open_with_the_block_rows_is_refused():
 
 @pytest.fixture
 def cross_checked(monkeypatch):
-    """Each guess LP the solver decides warm is solved cold too, and every
+    """Each guess LP the solver decides warm is decided cold too, and every
     guess enumeration runs to its end."""
     seen = {"feasible": 0, "infeasible": 0}
 
     def both(prog, start=None):
         assert start is not None
-        warm, cold = lpmod.solve_feasibility(prog, start), lpmod.solve_feasibility(prog)
-        assert warm.status == cold.status, lpmod.dump(prog)
-        assert not warm.ok or _meets(prog, warm.assignment), lpmod.dump(prog)
-        seen[warm.status] += 1
-        return warm
+        res = _warm_and_cold(prog, start)
+        seen[res.status] += 1
+        return res
 
     first_certified = solver._first_certified
 
