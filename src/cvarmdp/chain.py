@@ -1,6 +1,7 @@
 """Exact payoff laws and query decision for finite Markov chains.  Linear
-blocks are eliminated on integer rows (ints over one denominator per row)
-by the simplex's kernel ``lp.pivot``."""
+systems come as sparse rows; only a block that needs Gauss-Jordan is dense,
+and it is eliminated on integer rows by the simplex's kernel ``lp.pivot``.
+Stationary laws fix pi = 1 at one BSCC member, then scale to mass 1."""
 
 from __future__ import annotations
 
@@ -17,45 +18,40 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def solve_linear(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Solve A X = B exactly (B holds columns as a row-major right-hand-side
-    matrix).
+def solve_linear(a: List[Dict[int, Fraction]], b: List[List[Fraction]]) -> List[List[Fraction]]:
+    """Solve A X = B exactly.  Row ``i`` of A is the mapping ``{j: A[i][j]}``
+    of its nonzero entries; B holds one right-hand-side row per row of A.
 
     The unknowns are split into the strongly connected components of the
-    graph i -> j for A[i][j] != 0, i != j, and solved one block at a time,
-    sinks first, with the solved x_j folded into the right-hand side.  A
-    singleton block is one division; a larger one goes to Gauss-Jordan.  A
-    block-triangular determinant is the product of its blocks', so a
-    singular block means a singular system.
+    graph i -> j over the keys of row i, j != i, and solved one block at a
+    time, sinks first, with the solved x_j folded into the right-hand side.
+    A singleton block is one division; a larger one is densified for
+    Gauss-Jordan.  A block-triangular determinant is the product of its
+    blocks', so a singular block means a singular system.
     """
     n = len(a)
     m = len(b[0]) if n else 0
-    # most zero entries are the shared ZERO, which the identity test skips
-    # without a Fraction comparison
-    graph = {
-        i: [j for j, v in enumerate(row) if v is not ZERO and v and j != i]
-        for i, row in enumerate(a)
-    }
+    graph = {i: [j for j in row if j != i] for i, row in enumerate(a)}
     x: List[List[Fraction]] = [[]] * n
     for comp in strongly_connected_components(graph):
         rhs = {}
         for i in comp:
             r = list(b[i])
-            for j in graph[i]:
+            for j, aij in a[i].items():
                 if j not in comp:
-                    aij, xj = a[i][j], x[j]
+                    xj = x[j]
                     r = [r[k] - aij * xj[k] for k in range(m)]
             rhs[i] = r
         if len(comp) == 1:
             (i,) = comp
-            d = a[i][i]
+            d = a[i].get(i, ZERO)
             if d == 0:
                 raise ValueError("singular linear system")
             x[i] = rhs[i] if d == 1 else [v / d for v in rhs[i]]
         else:
             block = sorted(comp)
-            sub = _gauss_jordan([[a[i][j] for j in block] for i in block], [rhs[i] for i in block])
-            for i, row in zip(block, sub):
+            dense = [[a[i].get(j, ZERO) for j in block] for i in block]
+            for i, row in zip(block, _gauss_jordan(dense, [rhs[i] for i in block])):
                 x[i] = row
     return x
 
@@ -99,22 +95,20 @@ def _absorbed(mc: MarkovChain, sinks: Set[State]) -> Dict[State, Fraction]:
     can_reach = backward_reachable(chain_graph(mc), sinks)
     transient = [s for s in mc.states if s not in sinks and s in can_reach]
     index = {s: i for i, s in enumerate(transient)}
-    n = len(transient)
-    a = [[ZERO] * n for _ in range(n)]
-    b = [[ZERO] for _ in range(n)]
-    for s in transient:
-        i = index[s]
-        a[i][i] = ONE
+    a: List[Dict[int, Fraction]] = [{i: ONE} for i in range(len(transient))]
+    b = [[ZERO] for _ in transient]
+    for i, s in enumerate(transient):
         for t, p in mc.delta[s].items():
             if p != 0 and t in index:
-                a[index[t]][i] -= p
+                row = a[index[t]]
+                row[i] = row.get(i, ZERO) - p
     result = {t: ZERO for t in sinks}
     for s, mu in mc.initial_distribution.items():
         if s in index:
             b[index[s]][0] += mu
         elif s in result:
             result[s] += mu
-    visits = solve_linear(a, b) if n else []
+    visits = solve_linear(a, b) if transient else []
     for s in transient:
         v = visits[index[s]][0]
         if v != 0:
@@ -153,26 +147,30 @@ def payoff_law_reach(mc: MarkovChain) -> PayoffLaw:
 
 
 def bscc_mean_payoff(mc: MarkovChain) -> List[Tuple[FrozenSet, Tuple[Fraction, ...]]]:
-    """Expected mean payoff of each BSCC via its exact stationary distribution."""
+    """Expected mean payoff of each BSCC via its exact stationary distribution.
+
+    The stationarity rows pi(t) = sum_s pi(s) P(s, t) sum to zero, so the one
+    at ``members[0]`` is replaced by pi(members[0]) = 1, and the solution is
+    scaled to mass 1.  A BSCC is irreducible, so its stationary distribution
+    is unique and positive (Perron-Frobenius): the system's one solution is
+    pi / pi(members[0]), and the gain is that of a total-mass row.  A unit row
+    keeps the system sparse where an all-ones row would make it one block.
+    """
     out = []
     for comp in bsccs(mc):
         members = sorted(comp, key=repr)
         idx = {s: i for i, s in enumerate(members)}
-        n = len(members)
-        # rows 0..n-2: stationarity at members[0..n-2]; last row: total mass 1
-        a = [[ZERO] * n for _ in range(n)]
-        b = [[ZERO] for _ in range(n)]
-        for s in members:
-            i = idx[s]
-            a[i][i] -= 1
+        a: List[Dict[int, Fraction]] = [{i: -ONE} for i in range(len(members))]
+        for i, s in enumerate(members):
             for t, p in mc.delta[s].items():
                 if p != 0:
-                    a[idx[t]][i] += p
-        a[n - 1] = [ONE] * n
-        b[n - 1][0] = ONE
-        pi = [row[0] for row in solve_linear(a, b)]
+                    row = a[idx[t]]
+                    row[i] = row.get(i, ZERO) + p
+        a[0] = {0: ONE}
+        x = [row[0] for row in solve_linear(a, [[ONE]] + [[ZERO] for _ in members[1:]])]
+        total = sum(x, ZERO)
         gain = tuple(
-            sum((pi[idx[s]] * mc.rewards[s][j] for s in members), ZERO) for j in range(mc.dim)
+            sum((v * mc.rewards[s][j] for v, s in zip(x, members)), ZERO) / total for j in range(mc.dim)
         )
         out.append((frozenset(comp), gain))
     return out

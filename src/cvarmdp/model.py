@@ -96,7 +96,7 @@ class Mdp:
     def successors(self, state: State) -> set:
         out = set()
         for a in self.available.get(state, ()):
-            out.update(self.delta[a].keys())
+            out.update(t for t, p in self.delta[a].items() if p != 0)
         return out
 
 
@@ -350,10 +350,11 @@ def mix_strategies(s1: StrategySpec, s2: StrategySpec, lam: Fraction) -> Strateg
 def induced_chain(mdp: Mdp, strategy: StrategySpec) -> MarkovChain:
     """Product of an MDP with a finite-memory strategy.
 
-    States are the reachable ``(state, memory)`` pairs; each row sums over
-    the action the strategy moves with.  Target pairs are absorbing and
-    need no move, because the payoff is decided on arrival.  Rewards and
-    target flags are lifted from the state component.
+    States are the ``(state, memory)`` pairs reachable with positive
+    probability; each row sums over the action the strategy moves with.
+    Target pairs are absorbing and need no move, because the payoff is
+    decided on arrival.  Rewards and target flags are lifted from the state
+    component.
     """
     initial = {(mdp.initial, m): pm for m, pm in normalized(strategy.initial_memory).items()}
     delta: Dict = {}
@@ -369,7 +370,7 @@ def induced_chain(mdp: Mdp, strategy: StrategySpec) -> MarkovChain:
             raise ModelError(f"strategy undefined at state {s!r}, memory {m!r}")
         row: Dict = {}
         for a, pa in normalized(move).items():
-            for s2, pt in mdp.delta[a].items():
+            for s2, pt in normalized(mdp.delta[a]).items():
                 for m2, pu in normalized(strategy.update_dist(a, s2, m)).items():
                     key = (s2, m2)
                     row[key] = row.get(key, ZERO) + pa * pt * pu

@@ -94,12 +94,8 @@ def _reach_block(m: Mdp) -> LinearProgram:
 
 
 def _reach_guess_rows(
-    m: Mdp,
-    block: LinearProgram,
-    query: Query,
-    tc: Mapping[int, Fraction],
-    tv: Mapping[int, Fraction],
-) -> List:
+    m: Mdp, query: Query, tc: Mapping[int, Fraction], tv: Mapping[int, Fraction]
+) -> List[Tuple[Dict[str, Fraction], str, Fraction]]:
     """The constraint rows of the flow LP for fixed threshold guesses.
 
     A CVaR constraint (p, c) on dimension j at guessed threshold t is the one
@@ -116,33 +112,20 @@ def _reach_guess_rows(
       and its "= p" row implies the VaR row it left out at the same level
       (whose threshold is at most t), so its feasible guesses stay feasible.
     """
-    targets = sorted(m.targets, key=repr)
-    prog = LinearProgram(variables=block.variables)
+    targets = [(_x(s), m.rewards[s]) for s in sorted(m.targets, key=repr)]
+    rows = []
     for c in sorted(query.constraints, key=lambda c: c.dim):
         j = c.dim
         if c.cvar is not None and j in tc:
             p, cbound = c.cvar
             t = tc[j]
-            coeffs = {_x(s): m.rewards[s][j] - t for s in targets if m.rewards[s][j] < t}
-            prog.add(coeffs, ">=", p * (cbound - t))
+            rows.append(({x: r[j] - t for x, r in targets if r[j] < t}, ">=", p * (cbound - t)))
         if c.var is not None:
             q, _ = c.var
-            thr = tv[j]
-            prog.add({_x(s): ONE for s in targets if m.rewards[s][j] < thr}, "<=", q)
+            rows.append(({x: ONE for x, r in targets if r[j] < tv[j]}, "<=", q))
         if c.expectation is not None:
-            prog.add({_x(s): m.rewards[s][j] for s in targets}, ">=", c.expectation)
-    return prog.constraints
-
-
-def _reach_lp(
-    m: Mdp,
-    query: Query,
-    tc: Mapping[int, Fraction],
-    tv: Mapping[int, Fraction],
-) -> LinearProgram:
-    """Flow LP over a cleaned, quotiented MDP for fixed threshold guesses."""
-    block = _reach_block(m)
-    return LinearProgram(block.variables, block.constraints + _reach_guess_rows(m, block, query, tc, tv))
+            rows.append(({x: r[j] for x, r in targets if r[j] != 0}, ">=", c.expectation))
+    return rows
 
 
 def _guess_plan(m: Mdp, query: Query):
@@ -205,7 +188,7 @@ def _iter_feasible(m: Mdp, query: Query) -> Iterator[Tuple[Dict[int, Fraction], 
     start = WarmStart(block)
     for combo in itertools.product(*(tc_lists[j] for j in dims)):
         tc = dict(zip(dims, combo))
-        rows = _reach_guess_rows(m, block, query, tc, tv)
+        rows = _reach_guess_rows(m, query, tc, tv)
         res = solve_feasibility(LinearProgram(block.variables, block.constraints + rows), start)
         if res.ok:
             yield tc, _extract_flow(m, res.assignment)
@@ -400,16 +383,18 @@ def _mean_multi_block(mdp: Mdp, dec) -> LinearProgram:
 
 def _mean_multi_guess_rows(
     mdp: Mdp,
-    block: LinearProgram,
     query: Query,
     guess: Mapping[int, Fraction],
     cls: Mapping[int, Sequence[str]],
     dec,
-) -> List:
+) -> List[Tuple[Dict[str, Fraction], str, Fraction]]:
     """The constraint rows of the multi-dimensional mean-payoff LP for one
     VaR guess and MEC classification."""
     mec_states = sorted((s for s in mdp.states if dec.mec_of(s) is not None), key=repr)
-    prog = LinearProgram(variables=block.variables)
+    rows = []
+
+    def add(coeffs: Dict[str, Fraction], sense: str, rhs: Fraction) -> None:
+        rows.append(({v: x for v, x in coeffs.items() if x != 0}, sense, rhs))
 
     def xs_coeffs(s: State, factor: Fraction, into: Dict[str, Fraction]) -> None:
         idx = dec.mec_of(s)
@@ -433,33 +418,33 @@ def _mean_multi_guess_rows(
             for i in low:
                 for s in dec.mecs[i][0]:
                     xs_coeffs(s, mdp.rewards[s][j] - t, coeffs)
-            prog.add(coeffs, ">=", p * (cbound - t))
+            add(coeffs, ">=", p * (cbound - t))
             # Verify VaR guess: 'le' mass below p, adding 'eq' reaches p
             coeffs = {}
             for i in low:
                 for s in dec.mecs[i][0]:
                     xs_coeffs(s, ONE, coeffs)
-            prog.add(dict(coeffs), "<=", p)
+            add(coeffs, "<=", p)
             for s in dec.mecs[eq[0]][0]:
                 xs_coeffs(s, ONE, coeffs)
-            prog.add(coeffs, ">=", p)
+            add(coeffs, ">=", p)
             # Verify MEC classification guess
             for i, lab in enumerate(labels):
                 coeffs = {}
                 for s in dec.mecs[i][0]:
                     xs_coeffs(s, mdp.rewards[s][j] - t, coeffs)
                 if lab == "le":
-                    prog.add(coeffs, "<=", ZERO)
+                    add(coeffs, "<=", ZERO)
                 elif lab == "gt":
-                    prog.add(coeffs, ">=", ZERO)
+                    add(coeffs, ">=", ZERO)
                 else:
-                    prog.add(coeffs, "==", ZERO)
+                    add(coeffs, "==", ZERO)
         if c.expectation is not None:
             coeffs = {}
             for s in mec_states:
                 xs_coeffs(s, mdp.rewards[s][j], coeffs)
-            prog.add(coeffs, ">=", c.expectation)
-    return prog.constraints
+            add(coeffs, ">=", c.expectation)
+    return rows
 
 
 def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
@@ -519,7 +504,7 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
             cls = dict(zip(cvar_dims, cls_combo))
             for t_combo in itertools.product(*(grids[j] for j in cvar_dims)):
                 guess = dict(zip(cvar_dims, t_combo))
-                rows = _mean_multi_guess_rows(base, block, query, guess, cls, dec)
+                rows = _mean_multi_guess_rows(base, query, guess, cls, dec)
                 res = solve_feasibility(LinearProgram(block.variables, block.constraints + rows), start)
                 if not res.ok:
                     continue

@@ -29,11 +29,16 @@ def chain(delta, init, rewards, targets=()):
     )
 
 
+def sparse(a):
+    """The rows of a dense matrix as ``solve_linear`` takes them: {column: nonzero entry}."""
+    return [{j: v for j, v in enumerate(row) if v != 0} for row in a]
+
+
 class TestLinearSolver:
     def test_exact_solution(self):
         a = [[F(2), F(1)], [F(1), F(3)]]
         b = [[F(5)], [F(10)]]
-        x = solve_linear(a, b)
+        x = solve_linear(sparse(a), b)
         assert x == [[F(1)], [F(3)]]
 
     def test_random_systems_roundtrip(self):
@@ -44,8 +49,8 @@ class TestLinearSolver:
             x_true = [[F(rng.randint(-3, 3))] for _ in range(n)]
             b = [[sum(a[i][j] * x_true[j][0] for j in range(n))] for i in range(n)]
             try:
-                x = solve_linear(a, b)
-            except Exception:
+                x = solve_linear(sparse(a), b)
+            except ValueError:
                 continue  # singular draw
             assert all(
                 sum(a[i][j] * x[j][0] for j in range(n)) == b[i][0] for i in range(n)
@@ -91,7 +96,7 @@ class TestBlockKernel:
             a, x_true, b = _block_system(rng, sizes, rng.randint(1, 3))
             graph = {i: [j for j, v in enumerate(row) if v != 0 and j != i] for i, row in enumerate(a)}
             assert sorted(map(len, strongly_connected_components(graph))) == sorted(sizes)
-            x = solve_linear(a, b)
+            x = solve_linear(sparse(a), b)
             n, m = len(a), len(b[0])
             assert all(
                 sum(a[i][j] * x[j][k] for j in range(n)) == b[i][k]
@@ -104,7 +109,7 @@ class TestBlockKernel:
         # x1 is determined, but row 0 has no term in x0: det = 0 * 1
         a = [[F(0), F(1)], [F(0), F(1)]]
         with pytest.raises(ValueError, match="singular linear system"):
-            solve_linear(a, [[F(1)], [F(1)]])
+            solve_linear(sparse(a), [[F(1)], [F(1)]])
 
     def test_singular_block_behind_regular_ones(self):
         # x3 and x2 are regular singletons; block {0, 1} is [[1, 2], [1, 2]]
@@ -116,9 +121,9 @@ class TestBlockKernel:
         ]
         b = [[F(1), F(0)], [F(2), F(0)], [F(3), F(1)], [F(4), F(1)]]
         with pytest.raises(ValueError, match="singular linear system"):
-            solve_linear(a, b)
+            solve_linear(sparse(a), b)
         a[1][0] = F(2)  # block {0, 1} becomes [[1, 2], [2, 2]], det -2
-        x = solve_linear(a, b)
+        x = solve_linear(sparse(a), b)
         assert all(sum(a[i][j] * x[j][k] for j in range(4)) == b[i][k] for i in range(4) for k in range(2))
 
     def test_long_acyclic_chain_closed_form(self):
@@ -195,6 +200,27 @@ class TestMeanLaw:
         gains = bscc_mean_payoff(mc)
         # stationary distribution (4/5, 1/5)
         assert [g for _, g in gains] == [(F(12, 5),)]
+
+    def test_unit_row_gains_match_the_total_mass_row(self):
+        # pi(members[0]) = 1 and scaling against the stationarity rows at
+        # members[:-1] plus an all-ones row, solved densely
+        rng = random.Random("stationary")
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            states = [f"s{i}" for i in range(n)]
+            delta = {}
+            for i, s in enumerate(states):  # a Hamiltonian cycle keeps it irreducible
+                succ = {states[(i + 1) % n]} | set(rng.sample(states, rng.randint(0, min(3, n))))
+                weights = {t: F(rng.randint(1, 5)) for t in succ}
+                total = sum(weights.values())
+                delta[s] = {t: w / total for t, w in weights.items()}
+            rewards = {s: (F(rng.randint(-5, 9)), F(rng.randint(0, 4), 3)) for s in states}
+            mc = MarkovChain(tuple(states), delta, {states[0]: F(1)}, rewards, frozenset())
+            members = sorted(states, key=repr)
+            a = [[delta[s].get(u, F(0)) - (s == u) for s in members] for u in members[:-1]]
+            (pi,) = zip(*fraction_gauss_jordan(a + [[F(1)] * n], [[F(0)]] * (n - 1) + [[F(1)]]))
+            expected = tuple(sum(p * rewards[s][j] for p, s in zip(pi, members)) for j in range(2))
+            assert bscc_mean_payoff(mc) == [(frozenset(states), expected)]
 
 
 class TestDecideMc:

@@ -39,9 +39,9 @@ def brute_force_max(variables, rows, objective, free=()):
         a = [planes[i][0] for i in combo]
         b = [[planes[i][1]] for i in combo]
         try:
-            x = solve_linear([row[:] for row in a], [row[:] for row in b])
-        except Exception:
-            continue
+            x = solve_linear([{j: v for j, v in enumerate(row) if v != 0} for row in a], b)
+        except ValueError:
+            continue  # singular subsystem: no vertex
         point = [x[j][0] for j in range(n)]
         if any(point[j] < 0 for j, v in enumerate(variables) if v not in free):
             continue

@@ -34,7 +34,8 @@ from cvarmdp.risk import FiniteDistribution, cvar, expectation, var
 from cvarmdp.solver import (
     _cleaned_quotient,
     _guess_plan,
-    _reach_lp,
+    _reach_block,
+    _reach_guess_rows,
     _reach_to_mean,
     _x,
     decide_mean_single,
@@ -176,12 +177,12 @@ def _absorption_per_sink(mc: MarkovChain, sinks) -> dict:
     live = backward_reachable(chain_graph(mc), set(sinks))
     transient = [s for s in mc.states if s in live and s not in sinks]
     idx = {s: i for i, s in enumerate(transient)}
-    a = [[F(int(i == j)) for j in range(len(transient))] for i in range(len(transient))]
+    a = [{i: F(1)} for i in range(len(transient))]
     b = [[mc.delta[s].get(t, F(0)) for t in sinks] for s in transient]
     for s in transient:
         for t, p in mc.delta[s].items():
             if t in idx:
-                a[idx[s]][idx[t]] -= p
+                a[idx[s]][idx[t]] = a[idx[s]].get(idx[t], F(0)) - p
     x = solve_linear(a, b) if transient else []
     out = {t: F(0) for t in sinks}
     for s, mu in mc.initial_distribution.items():
@@ -206,7 +207,8 @@ def _reference_law(mdp: Mdp, sigma: StrategySpec, objective: str):
             # stationarity at members[:-1] from in-neighbours, then total mass 1
             a = [[mc.delta[s].get(u, F(0)) - (s == u) for s in members] for u in members[:-1]]
             b = [[F(0)] for _ in members[:-1]] + [[F(1)]]
-            pi = [row[0] for row in solve_linear(a + [[F(1)] * n], b)]
+            rows = [{k: v for k, v in enumerate(row) if v} for row in a + [[F(1)] * n]]
+            pi = [row[0] for row in solve_linear(rows, b)]
             gain = tuple(sum(p * mc.rewards[s][j] for p, s in zip(pi, members)) for j in range(mc.dim))
             gains.append((comp, gain))
         bottom = {s for comp, _ in gains for s in comp}
@@ -269,6 +271,12 @@ def test_evaluation_matches_the_action_product_reference():
 
 
 # ----------------------------------- CVaR row against the split-variable rows
+
+
+def _reach_lp(m: Mdp, query: Query, tc, tv) -> LinearProgram:
+    """The solver's flow LP for one threshold guess: its block plus its guess rows."""
+    block = _reach_block(m)
+    return LinearProgram(block.variables, block.constraints + _reach_guess_rows(m, query, tc, tv))
 
 
 def _split_variable_lp(m: Mdp, query: Query, tc, tv) -> LinearProgram:

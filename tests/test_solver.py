@@ -13,8 +13,9 @@ from cvarmdp.model import (
     Query,
     UnsupportedQueryError,
     memoryless,
+    validate,
 )
-from cvarmdp import graphs, solver
+from cvarmdp import chain, graphs, solver
 from cvarmdp.risk import FiniteDistribution, cvar, expectation, var
 from cvarmdp.solver import (
     SolverConfig,
@@ -408,6 +409,55 @@ class TestLargeModels:
         assert verdict.status == "SAT"
         assert check_strategy(mdp, verdict.witness, query)[0]
         assert columns and not any(name.endswith("_next") for name in columns)
+
+    def test_witness_linear_systems_stay_sparse(self, monkeypatch):
+        # a ring's stationary system loses its only cycle once pi is fixed at
+        # one member, and a visit system has one entry per edge of the chain
+        solve, gauss_jordan = chain.solve_linear, chain._gauss_jordan
+        systems, blocks = [], []
+
+        def spy_solve(a, b):
+            systems.append((len(a), max(map(len, a))))
+            return solve(a, b)
+
+        def spy_gauss_jordan(a, b):
+            blocks.append(len(a))
+            return gauss_jordan(a, b)
+
+        monkeypatch.setattr(chain, "solve_linear", spy_solve)
+        monkeypatch.setattr(chain, "_gauss_jordan", spy_gauss_jordan)
+        mean = replace(_exit_ring(900), targets=frozenset())
+        assert decide(mean, reach_query(e=8, c=0, objective="mean")).status == "SAT"
+        assert blocks == []
+        assert max(rows for rows, _ in systems) >= 898
+        assert all(width <= 2 for _, width in systems)
+        systems.clear()
+        assert decide(_exit_ring(3000), reach_query(e=8, c=0)).status == "SAT"
+        assert max(rows for rows, _ in systems) >= 2900
+        assert all(width <= 2 for _, width in systems)
+
+    def test_zero_probability_successors_are_not_followed(self):
+        # "x" is listed with probability 0 only; no witness needs a move there
+        mdp = _exit_ring(80)
+        delta = {**mdp.delta, "fwd5": {**mdp.delta["fwd5"], "x": F(0)}, "x_go": {"hi": F(1)}}
+        mdp = replace(
+            mdp,
+            states=mdp.states + ("x",),
+            available={**mdp.available, "x": ("x_go",)},
+            delta=delta,
+            rewards={**mdp.rewards, "x": (F(0),)},
+        )
+        assert validate(mdp).ok
+        assert "x" not in mdp.successors("c5")
+        query = reach_query(e=8, c=0)
+        verdict = decide(mdp, query)
+        assert verdict.status == "SAT"
+        assert check_strategy(mdp, verdict.witness, query)[0]
+        # forward everywhere, exit only where it wins w.p. 9/10
+        moves = {s: {mdp.available[s][0]: F(1)} for s in mdp.states if s.startswith("c")}
+        moves["c53"] = {"exit53": F(1)}
+        ok, law, _ = check_strategy(mdp, memoryless(moves), query)
+        assert ok and law[0].atoms == {F(10): F(9, 10), F(0): F(1, 10)}
 
 
 def _trapped_mec() -> Mdp:
