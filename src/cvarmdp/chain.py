@@ -1,17 +1,19 @@
 """Exact payoff laws and query decision for finite Markov chains.  Linear
-systems come as sparse rows; only a block that needs Gauss-Jordan is dense,
-and it is eliminated on integer rows by the simplex's kernel ``lp.pivot``.
-Stationary laws fix pi = 1 at one BSCC member, then scale to mass 1."""
+systems come as sparse rows and are solved one strongly connected block at a
+time; a block of several unknowns is eliminated in Markowitz order on sparse
+integer rows, so no system is ever stored densely.  Stationary laws fix
+pi = 1 at one BSCC member, then scale to mass 1."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from . import risk
 from .graphs import backward_reachable, bsccs, chain_graph, strongly_connected_components
-from .lp import integer_row, pivot
 from .model import MarkovChain, Query, State, Verdict
 
 ZERO = Fraction(0)
@@ -25,9 +27,9 @@ def solve_linear(a: List[Dict[int, Fraction]], b: List[List[Fraction]]) -> List[
     The unknowns are split into the strongly connected components of the
     graph i -> j over the keys of row i, j != i, and solved one block at a
     time, sinks first, with the solved x_j folded into the right-hand side.
-    A singleton block is one division; a larger one is densified for
-    Gauss-Jordan.  A block-triangular determinant is the product of its
-    blocks', so a singular block means a singular system.
+    A singleton block is one division; a larger one goes to ``_solve_block``.
+    A block-triangular determinant is the product of its blocks', so a
+    singular block means a singular system.
     """
     n = len(a)
     m = len(b[0]) if n else 0
@@ -50,24 +52,107 @@ def solve_linear(a: List[Dict[int, Fraction]], b: List[List[Fraction]]) -> List[
             x[i] = rhs[i] if d == 1 else [v / d for v in rhs[i]]
         else:
             block = sorted(comp)
-            dense = [[a[i].get(j, ZERO) for j in block] for i in block]
-            for i, row in zip(block, _gauss_jordan(dense, [rhs[i] for i in block])):
+            local = {j: k for k, j in enumerate(block)}
+            rows = [{local[j]: v for j, v in a[i].items() if j in local} for i in block]
+            for i, row in zip(block, _solve_block(rows, [rhs[i] for i in block])):
                 x[i] = row
     return x
 
 
-def _gauss_jordan(a: List[List[Fraction]], b: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Dense Gauss-Jordan elimination for one block of ``solve_linear``."""
-    n = len(a)
-    rows, dens = map(list, zip(*(integer_row(a[i] + b[i]) for i in range(n))))
-    for col in range(n):
-        r = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if r is None:
+def _solve_block(a: List[Dict[int, Fraction]], b: List[List[Fraction]]) -> List[List[Fraction]]:
+    """Solve one square block A X = B, rows as in ``solve_linear``, by sparse
+    fraction-free Gaussian elimination in Markowitz order (Markowitz, "The
+    elimination form of the inverse and its application to linear
+    programming", Management Science 1957).
+
+    Row ``i`` is kept as the integer equation ``rows[i] . x = rhs[i]``: a
+    ``{column: int}`` map of its nonzero entries and a list of right-hand
+    sides, with the gcd of all its numbers divided out.  Scaling an equation
+    leaves its solutions alone, so no denominator is kept.  Each step takes
+    a live row with the fewest live entries and, in it, the live column held
+    by the fewest other live rows, then clears that column from exactly
+    those rows.  A cleared column leaves every live row, so a pivot row holds
+    only columns pivoted after it, and back-substitution in reverse pivot
+    order solves the system.  A live row with no live column means a
+    singular system.
+    """
+    n, m = len(a), len(b[0])
+    rows: List[Dict[int, int]] = []
+    rhs: List[List[int]] = []
+    holders: List[Set[int]] = [set() for _ in range(n)]  # live rows by column
+    for i, (row, brow) in enumerate(zip(a, b)):
+        terms = [(j, *v.as_integer_ratio()) for j, v in row.items()]
+        ratios = [v.as_integer_ratio() for v in brow]
+        den = lcm(*[d for _, _, d in terms], *[d for _, d in ratios])
+        rows.append({j: x * (den // d) for j, x, d in terms if x})
+        rhs.append([x * (den // d) for x, d in ratios])
+        for j in rows[i]:
+            holders[j].add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapify(heap)
+    live = [True] * n
+    order = []
+    while heap:
+        count, r = heappop(heap)
+        if not live[r] or count != len(rows[r]):
+            continue  # a stale entry: the row was pivoted or has changed
+        if count == 0:
             raise ValueError("singular linear system")
-        rows[col], rows[r] = rows[r], rows[col]
-        dens[col], dens[r] = dens[r], dens[col]
-        pivot(rows, dens, col, col)
-    return [[Fraction(x, d) for x in row[n:]] for row, d in zip(rows, dens)]
+        live[r] = False
+        prow = rows[r]
+        for j in prow:
+            holders[j].discard(r)
+        c = min(prow, key=lambda j: (len(holders[j]), j))
+        for i in holders[c]:
+            _eliminate(rows, rhs, holders, i, r, c)
+            heappush(heap, (len(rows[i]), i))
+        order.append((r, c, prow.pop(c)))
+    x = [[ZERO] * m for _ in range(n)]
+    for k in range(m):
+        nums, dens = [0] * n, [1] * n  # x[j][k] = nums[j] / dens[j]
+        for r, c, p in reversed(order):
+            prow = rows[r]
+            den = lcm(*[dens[j] for j in prow])
+            s = rhs[r][k] * den
+            for j, v in prow.items():
+                s -= v * nums[j] * (den // dens[j])
+            x[c][k] = xc = Fraction(s, den * p)
+            nums[c], dens[c] = xc.as_integer_ratio()
+    return x
+
+
+def _eliminate(
+    rows: List[Dict[int, int]], rhs: List[List[int]], holders: List[Set[int]], i: int, r: int, c: int
+) -> None:
+    """Clear column ``c`` of row ``i`` with pivot row ``r``: row ``i``
+    becomes ``p * row_i - a * row_r`` for the pivot entry ``p`` and row
+    ``i``'s entry ``a``, both divided by their gcd, and then drops the gcd
+    of its numbers.  ``holders`` follows every entry that fills in or
+    cancels."""
+    prow, row = rows[r], rows[i]
+    g = gcd(prow[c], row[c])
+    p, f = prow[c] // g, row.pop(c) // g
+    if p != 1:
+        for j in row:
+            row[j] *= p
+    for j, v in prow.items():
+        if j != c:
+            w = row.get(j, 0) - f * v
+            if not w:
+                del row[j]
+                holders[j].discard(i)
+            elif j not in row:
+                row[j] = w
+                holders[j].add(i)
+            else:
+                row[j] = w
+    vals = [p * x - f * y for x, y in zip(rhs[i], rhs[r])]
+    g = gcd(*row.values(), *vals)
+    if g > 1:
+        for j in row:
+            row[j] //= g
+        vals = [x // g for x in vals]
+    rhs[i] = vals
 
 
 @dataclass

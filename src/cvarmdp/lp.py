@@ -5,7 +5,9 @@ positive denominator, kept by integer-preserving elimination (Edmonds 1967,
 Bareiss 1968) and a gcd reduction per changed row.  Pivot choices compare
 integers, so they are those of exact rational arithmetic.  Pivoting is
 Dantzig's rule, falling back to Bland's rule permanently once the objective
-stalls, which guarantees termination on degenerate programs.
+stalls, which guarantees termination on degenerate programs.  The kernel
+``pivot`` serves the simplex alone: the linear systems of Markov-chain
+evaluation are sparse and have their own elimination, ``chain.solve_linear``.
 
 A family of feasibility LPs that open with the same rows, such as the guess
 LPs of one quotient, is decided from one ``WarmStart``.  The first member is

@@ -116,6 +116,14 @@ def _entries(docs: Any, kind: str) -> List[dict]:
 _JSON_TYPE = {str: "string", list: "list", dict: "object", bool: "boolean"}
 
 
+def _known_fields(doc: dict, fields: Tuple[str, ...], where: str) -> None:
+    """Reject a field outside ``fields``: a misspelt one would otherwise be
+    dropped without a word and leave its default in place."""
+    unknown = sorted(k for k in doc if k not in fields)
+    if unknown:
+        raise ModelError(f"{where}: unknown field {unknown[0]!r}; expected one of {', '.join(fields)}")
+
+
 def _field(doc: dict, key: str, kind: type, where: str, default: Any = None) -> Any:
     """``doc[key]``, checked to be a ``kind``; required unless a default is given."""
     if key not in doc and default is None:
@@ -130,6 +138,7 @@ def model_from_json(text: str) -> Mdp:
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")
+    _known_fields(doc, ("initial", "states", "actions"), "model")
     try:
         state_docs = doc["states"]
         action_docs = doc["actions"]
@@ -142,6 +151,7 @@ def model_from_json(text: str) -> Mdp:
     targets: List[str] = []
     for sd in _entries(state_docs, "state"):
         name = _field(sd, "name", str, "state")
+        _known_fields(sd, ("name", "rewards", "target"), f"state {name!r}")
         states.append(name)
         rewards[name] = tuple(
             _parse_rat(r, f"reward of {name!r}")
@@ -154,6 +164,7 @@ def model_from_json(text: str) -> Mdp:
     delta: Dict[str, Dict[str, Fraction]] = {}
     for ad in _entries(action_docs, "action"):
         name = _field(ad, "name", str, "action")
+        _known_fields(ad, ("name", "from", "transitions"), f"action {name!r}")
         src = _field(ad, "from", str, f"action {name!r}")
         if src not in available:
             raise ModelError(f"action {name!r} from unknown state {src!r}")
@@ -208,6 +219,7 @@ def query_to_json(query: Query) -> str:
 def _parse_pair(obj: Any, where: str, keys: Tuple[str, str]) -> Tuple[Fraction, Fraction]:
     if not isinstance(obj, dict):
         raise ModelError(f"{where}: expected an object with fields {keys}")
+    _known_fields(obj, keys, where)
     missing = [k for k in keys if k not in obj]
     if missing:
         raise ModelError(f"{where}: missing field {missing[0]!r}")
@@ -218,6 +230,7 @@ def query_from_json(text: str) -> Query:
     doc = _load_json(text)
     if not isinstance(doc, dict) or "objective" not in doc:
         raise ModelError("query document must be an object with 'objective'")
+    _known_fields(doc, ("objective", "constraints"), "query")
     constraint_docs = doc.get("constraints", [])
     if not isinstance(constraint_docs, list):
         raise ModelError("'constraints' must be a list")
@@ -225,9 +238,12 @@ def query_from_json(text: str) -> Query:
     for cd in constraint_docs:
         if not isinstance(cd, dict):
             raise ModelError(f"constraint must be an object, got {cd!r}")
+        _known_fields(cd, ("dim", "e", "cvar", "var"), "constraint")
         dim = cd.get("dim", 0)
         if isinstance(dim, bool) or not isinstance(dim, int):
             raise ModelError(f"dim: expected an integer, got {dim!r}")
+        if dim < 0:
+            raise ModelError(f"dim: must be nonnegative, got {dim}")
         kwargs: Dict[str, Any] = {"dim": dim}
         if "e" in cd:
             kwargs["expectation"] = _parse_rat(cd["e"], "e")
@@ -317,16 +333,19 @@ def strategy_from_json(text: str) -> StrategySpec:
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ModelError("strategy document must be a JSON object")
+    _known_fields(doc, ("memory", "initial_memory", "next_move", "memory_update"), "strategy")
     try:
         memory = tuple(_dec_term(m) for m in _field(doc, "memory", list, "strategy"))
         initial_memory = _dec_dist(doc["initial_memory"], "initial_memory")
         next_move = {}
         for nd in _entries(doc["next_move"], "next_move"):
+            _known_fields(nd, ("state", "memory", "move"), "next_move")
             move = _field(nd, "move", dict, "next_move")
             key = (_dec_term(nd["state"]), _dec_term(nd["memory"]))
             next_move[key] = {a: _parse_rat(p, "next_move") for a, p in move.items()}
         memory_update = {}
         for ud in _entries(doc.get("memory_update", []), "memory_update"):
+            _known_fields(ud, ("action", "state", "memory", "dist"), "memory_update")
             action = _field(ud, "action", str, "memory_update")
             key = (action, _dec_term(ud["state"]), _dec_term(ud["memory"]))
             memory_update[key] = _dec_dist(ud["dist"], "memory_update")

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from cvarmdp import chain as chain_module
 from cvarmdp.chain import (
-    _gauss_jordan,
+    _solve_block,
     bscc_mean_payoff,
     decide_mc,
     payoff_law_mean,
@@ -262,8 +263,8 @@ class TestDecideMc:
 
 
 def fraction_gauss_jordan(a, b):
-    """The Fraction Gauss-Jordan that the integer-row kernel replaced, kept
-    as the reference for ``chain._gauss_jordan``."""
+    """Dense Gauss-Jordan on Fractions, kept as the reference for the sparse
+    block solve ``chain._solve_block``."""
     n, m = len(a), len(b[0])
     aug = [list(a[i]) + list(b[i]) for i in range(n)]
     for col in range(n):
@@ -301,9 +302,61 @@ class TestIntegerGaussJordan:
                 expected = fraction_gauss_jordan(a, b)
             except ValueError:
                 with pytest.raises(ValueError, match="singular linear system"):
-                    _gauss_jordan(a, b)
+                    _solve_block(sparse(a), b)
                 singular += 1
                 continue
-            assert _gauss_jordan(a, b) == expected
+            assert _solve_block(sparse(a), b) == expected
             solved += 1
         assert solved >= 50 and singular >= 20
+
+    def test_sparse_blocks_with_zero_diagonals(self):
+        # a cycle through every unknown and no diagonal at all: each pivot
+        # is off the diagonal, and every right-hand side is carried along
+        rng = random.Random("zero-diagonals")
+        solved = 0
+        for _ in range(60):
+            n, m = rng.randint(2, 12), rng.randint(2, 4)
+            a = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                a[i][(i + 1) % n] = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))
+                for j in rng.sample(range(n), 2):
+                    if j != i and rng.random() < 0.4:
+                        a[i][j] = F(rng.randint(-5, 5), rng.randint(1, 7))
+            assert all(a[i][i] == 0 for i in range(n))
+            b = [[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m)] for _ in range(n)]
+            try:
+                expected = fraction_gauss_jordan(a, b)
+            except ValueError:
+                with pytest.raises(ValueError, match="singular linear system"):
+                    _solve_block(sparse(a), b)
+                continue
+            assert _solve_block(sparse(a), b) == expected
+            solved += 1
+        assert solved >= 40
+
+    def test_sparse_block_needs_few_eliminations(self, monkeypatch):
+        # the visit system (I - Q)^T v = e_0 of a 120-state ring that moves on
+        # w.p. 1/2, stays w.p. 1/4 and jumps 7 ahead w.p. 1/4 is one strongly
+        # connected block; an exit at state 0 keeps I - Q regular
+        n = 120
+        moves = {i: {i: F(1, 4), (i + 1) % n: F(1, 2), (i + 7) % n: F(1, 4)} for i in range(n)}
+        moves[0][1] = F(1, 4)  # the rest of state 0's mass leaves the ring
+        a = [{j: F(1)} for j in range(n)]
+        for i, row in moves.items():
+            for j, p in row.items():
+                a[j][i] = a[j].get(i, F(0)) - p
+        b = [[F(1)]] + [[F(0)] for _ in range(n - 1)]
+        graph = {i: [j for j in row if j != i] for i, row in enumerate(a)}
+        assert len(strongly_connected_components(graph)) == 1
+        eliminate, calls = chain_module._eliminate, []
+
+        def spy(rows, rhs, holders, i, r, c):
+            calls.append(i)
+            return eliminate(rows, rhs, holders, i, r, c)
+
+        monkeypatch.setattr(chain_module, "_eliminate", spy)
+        x = _solve_block(a, b)
+        assert all(sum(v * x[j][0] for j, v in row.items()) == b[i][0] for i, row in enumerate(a))
+        # Markowitz order clears 397 rows here; dense Gauss-Jordan clears
+        # n - 1 rows per pivot, n (n - 1) = 14280 in all
+        assert len(calls) <= 4 * n

@@ -29,6 +29,12 @@ def choice_files(tmp_path):
     return model, queryf, tmp_path
 
 
+def _rename(entries, name, old, new):
+    """Rename field ``old`` of the entry called ``name`` to ``new``."""
+    entry = next(e for e in entries if e["name"] == name)
+    entry[new] = entry.pop(old)
+
+
 class TestCheck:
     def test_sat_exit_and_artifacts(self, choice_files, capsys):
         model, query, tmp = choice_files
@@ -111,6 +117,45 @@ class TestCheck:
         assert code == EXIT_INVALID
         assert capsys.readouterr().err.startswith("invalid input:")
 
+    @pytest.mark.parametrize(
+        "constraints, message",
+        [
+            ('"constraints": [{"dim": 0, "E": "100"}]', "constraint: unknown field 'E'"),  # "e" exits UNSAT
+            ('"constraints": [{"cvar": {"p": "1/2", "c": "0", "v": "1"}}]', "cvar: unknown field 'v'"),
+            ('"constraints": [{"var": {"q": "1/2", "v": "0", "c": "1"}}]', "var: unknown field 'c'"),
+            ('"constraint": [{"dim": 0, "e": "100"}]', "query: unknown field 'constraint'"),
+            ('"constraints": [{"dim": -1, "e": "1"}]', "dim: must be nonnegative, got -1"),
+        ],
+        ids=["constraint", "cvar", "var", "query", "negative-dim"],
+    )
+    def test_misspelt_query_field_is_named(self, choice_files, tmp_path, capsys, constraints, message):
+        model, _, tmp = choice_files
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"objective": "reach", %s}' % constraints)
+        code = main(["check", str(model), str(bad), "--out", str(tmp / "b")])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"invalid input: {message}")
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: _rename(doc["states"], "t10", "rewards", "reward"), "reward"),
+            (lambda doc: _rename(doc["actions"], "b", "from", "form"), "form"),
+            (lambda doc: doc.__setitem__("targets", ["t10"]), "targets"),
+        ],
+        ids=["state", "action", "model"],
+    )
+    def test_misspelt_model_field_is_named(self, tmp_path, capsys, edit, field):
+        # t10 written with "reward" used to get reward 0, flipping SAT to UNSAT
+        model, query = tmp_path / "m.json", tmp_path / "q.json"
+        assert main(["generate", "--example", "choice", str(model), str(query)]) == EXIT_SAT
+        doc = json.loads(model.read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        code = main(["check", str(model), str(query), "--out", str(tmp_path / "b")])
+        assert code == EXIT_INVALID
+        assert f"unknown field {field!r}" in capsys.readouterr().err
+
     def test_solver_crash_is_internal_error(self, choice_files, monkeypatch, capsys):
         model, query, tmp = choice_files
 
@@ -189,6 +234,29 @@ class TestStrategyInput:
         code = main(["evaluate", str(model), str(strat)])
         assert code == EXIT_INVALID
         assert capsys.readouterr().err.startswith("invalid input:")
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc.__setitem__("memory_updates", doc.pop("memory_update")), "memory_updates"),
+            (lambda doc: doc["next_move"][0].__setitem__("moves", {}), "moves"),
+            (lambda doc: doc["memory_update"][0].__setitem__("dists", []), "dists"),
+        ],
+        ids=["strategy", "next_move", "memory_update"],
+    )
+    def test_misspelt_strategy_field_is_named(self, tmp_path, capsys, edit, field):
+        # without its memory updates the slow(1/8) witness read E = 87/11,
+        # VaR = CVaR = 0 in place of 6, 5 and 5/2, and still exited 0
+        model, query = tmp_path / "m.json", tmp_path / "q.json"
+        assert main(["generate", "--example", "slow(1/8)", str(model), str(query)]) == EXIT_SAT
+        assert main(["check", str(model), str(query), "--out", str(tmp_path / "w")]) == EXIT_SAT
+        doc = json.loads((tmp_path / "w.witness.json").read_text())
+        edit(doc)
+        strat = tmp_path / "bad.json"
+        strat.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["evaluate", str(model), str(strat), "--objective", "mean"]) == EXIT_INVALID
+        assert f"unknown field {field!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("which", ["model", "query", "strategy"])
     def test_deeply_nested_json_is_invalid_input(self, choice_files, capsys, which):

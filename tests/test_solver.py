@@ -413,19 +413,19 @@ class TestLargeModels:
     def test_witness_linear_systems_stay_sparse(self, monkeypatch):
         # a ring's stationary system loses its only cycle once pi is fixed at
         # one member, and a visit system has one entry per edge of the chain
-        solve, gauss_jordan = chain.solve_linear, chain._gauss_jordan
+        solve, solve_block = chain.solve_linear, chain._solve_block
         systems, blocks = [], []
 
         def spy_solve(a, b):
             systems.append((len(a), max(map(len, a))))
             return solve(a, b)
 
-        def spy_gauss_jordan(a, b):
+        def spy_solve_block(a, b):
             blocks.append(len(a))
-            return gauss_jordan(a, b)
+            return solve_block(a, b)
 
         monkeypatch.setattr(chain, "solve_linear", spy_solve)
-        monkeypatch.setattr(chain, "_gauss_jordan", spy_gauss_jordan)
+        monkeypatch.setattr(chain, "_solve_block", spy_solve_block)
         mean = replace(_exit_ring(900), targets=frozenset())
         assert decide(mean, reach_query(e=8, c=0, objective="mean")).status == "SAT"
         assert blocks == []
