@@ -27,23 +27,22 @@ class UnsupportedQueryError(ValueError):
     """Raised when a query falls outside the implemented decision procedures."""
 
 
-def rat(value) -> Fraction:
-    """Coerce ints, strings like ``"9/10"``, and Fractions to Fraction.
+def rat(value, where: str = "value") -> Fraction:
+    """Coerce ints, strings like ``"9/10"``, and Fractions to Fraction;
+    ``where`` names the value in the error.
 
-    Floats are rejected on purpose: model data must be exact.
+    Booleans and floats are rejected on purpose: model data must be exact.
     """
-    if isinstance(value, bool):
-        raise ModelError(f"boolean is not a rational: {value!r}")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ModelError(f"not an exact rational: {value!r}") from None
-    raise ModelError(f"not an exact rational: {value!r}")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ModelError(f"{where}: bad rational {value!r}: {exc}") from None
+    raise ModelError(f"{where}: not an exact rational: {value!r}; write it as an integer or a string 'a/b'")
 
 
 Distribution = Dict  # value -> Fraction, positive, summing to 1

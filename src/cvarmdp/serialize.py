@@ -23,7 +23,6 @@ from .model import (
     validate,
     validate_query,
 )
-from .risk import FiniteDistribution
 
 __all__ = [
     "model_to_json",
@@ -43,25 +42,12 @@ def _rat_str(x: Rational) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
-def _parse_rat(obj: Any, where: str) -> Fraction:
-    if isinstance(obj, bool):
-        raise ModelError(f"{where}: booleans are not numbers")
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, float):
-        raise ModelError(
-            f"{where}: floats are rejected; write the rational as a string 'a/b'"
-        )
-    if isinstance(obj, str):
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ModelError(f"{where}: bad rational {obj!r}: {exc}") from exc
-    raise ModelError(f"{where}: expected rational, got {type(obj).__name__}")
-
-
 def _dumps(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _reject_float(text: str) -> None:
+    raise ModelError(f"floats are rejected; write {text!r} as a rational string 'a/b'")
 
 
 def _load_json(text: str) -> Any:
@@ -73,6 +59,40 @@ def _load_json(text: str) -> Any:
         raise ModelError(f"malformed JSON: {exc}") from exc
     except RecursionError:
         raise ModelError("malformed JSON: nested too deeply") from None
+
+
+_JSON_TYPE = {str: "string", list: "list", dict: "object", bool: "boolean"}
+
+
+def _object(doc: Any, where: str, required: Tuple[str, ...], optional: Tuple[str, ...] = ()) -> dict:
+    """``doc``, checked to be a JSON object that has every ``required`` field
+    and no other field than those and the ``optional`` ones: a misspelt field
+    would otherwise be dropped without a word and leave its default in place."""
+    if not isinstance(doc, dict):
+        raise ModelError(f"{where} must be a JSON object, got {doc!r}")
+    fields = required + optional
+    unknown = sorted(k for k in doc if k not in fields)
+    if unknown:
+        raise ModelError(f"{where}: unknown field {unknown[0]!r}; expected one of {', '.join(fields)}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ModelError(f"{where}: missing field {missing[0]!r}")
+    return doc
+
+
+def _entries(docs: Any, kind: str, required: Tuple[str, ...], optional: Tuple[str, ...] = ()) -> List[dict]:
+    """The list of ``kind`` entries of a document, each checked by ``_object``."""
+    if not isinstance(docs, list):
+        raise ModelError(f"{kind}s must be a list")
+    return [_object(d, kind, required, optional) for d in docs]
+
+
+def _field(doc: dict, key: str, kind: type, where: str, default: Any = None) -> Any:
+    """``doc[key]``, or ``default`` when it is absent, checked to be a ``kind``."""
+    value = doc.get(key, default)
+    if not isinstance(value, kind):
+        raise ModelError(f"{where}: field {key!r} must be a {_JSON_TYPE[kind]}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -103,74 +123,32 @@ def model_to_json(mdp: Mdp) -> str:
     return _dumps(doc)
 
 
-def _entries(docs: Any, kind: str) -> List[dict]:
-    """The list of ``kind`` entries of a model document, each an object."""
-    if not isinstance(docs, list):
-        raise ModelError(f"{kind}s must be a list")
-    for d in docs:
-        if not isinstance(d, dict):
-            raise ModelError(f"{kind} entry must be an object, got {d!r}")
-    return docs
-
-
-_JSON_TYPE = {str: "string", list: "list", dict: "object", bool: "boolean"}
-
-
-def _known_fields(doc: dict, fields: Tuple[str, ...], where: str) -> None:
-    """Reject a field outside ``fields``: a misspelt one would otherwise be
-    dropped without a word and leave its default in place."""
-    unknown = sorted(k for k in doc if k not in fields)
-    if unknown:
-        raise ModelError(f"{where}: unknown field {unknown[0]!r}; expected one of {', '.join(fields)}")
-
-
-def _field(doc: dict, key: str, kind: type, where: str, default: Any = None) -> Any:
-    """``doc[key]``, checked to be a ``kind``; required unless a default is given."""
-    if key not in doc and default is None:
-        raise ModelError(f"{where}: missing field {key!r}")
-    value = doc.get(key, default)
-    if not isinstance(value, kind):
-        raise ModelError(f"{where}: field {key!r} must be a {_JSON_TYPE[kind]}, got {value!r}")
-    return value
-
-
 def model_from_json(text: str) -> Mdp:
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise ModelError("model document must be a JSON object")
-    _known_fields(doc, ("initial", "states", "actions"), "model")
-    try:
-        state_docs = doc["states"]
-        action_docs = doc["actions"]
-    except KeyError as exc:
-        raise ModelError(f"model document missing key {exc}") from exc
+    doc = _object(_load_json(text), "model", ("initial", "states", "actions"))
     initial = _field(doc, "initial", str, "model")
 
     states: List[str] = []
     rewards: Dict[str, Tuple[Fraction, ...]] = {}
     targets: List[str] = []
-    for sd in _entries(state_docs, "state"):
+    for sd in _entries(doc["states"], "state", ("name",), ("rewards", "target")):
         name = _field(sd, "name", str, "state")
-        _known_fields(sd, ("name", "rewards", "target"), f"state {name!r}")
         states.append(name)
         rewards[name] = tuple(
-            _parse_rat(r, f"reward of {name!r}")
-            for r in _field(sd, "rewards", list, f"state {name!r}", ["0"])
+            rat(r, f"reward of {name!r}") for r in _field(sd, "rewards", list, f"state {name!r}", ["0"])
         )
         if _field(sd, "target", bool, f"state {name!r}", False):
             targets.append(name)
 
     available: Dict[str, List[str]] = {s: [] for s in states}
     delta: Dict[str, Dict[str, Fraction]] = {}
-    for ad in _entries(action_docs, "action"):
+    for ad in _entries(doc["actions"], "action", ("name", "from", "transitions")):
         name = _field(ad, "name", str, "action")
-        _known_fields(ad, ("name", "from", "transitions"), f"action {name!r}")
         src = _field(ad, "from", str, f"action {name!r}")
         if src not in available:
             raise ModelError(f"action {name!r} from unknown state {src!r}")
         available[src].append(name)
         delta[name] = {
-            t: _parse_rat(p, f"transition {name!r}->{t!r}")
+            t: rat(p, f"transition {name!r}->{t!r}")
             for t, p in _field(ad, "transitions", dict, f"action {name!r}").items()
         }
     # targets are absorbing by definition; give action-less ones a self-loop
@@ -194,10 +172,6 @@ def model_from_json(text: str) -> Mdp:
     return mdp
 
 
-def _reject_float(text: str) -> None:
-    raise ModelError(f"floats are rejected; write {text!r} as a rational string 'a/b'")
-
-
 # ---------------------------------------------------------------------------
 # queries
 
@@ -217,28 +191,14 @@ def query_to_json(query: Query) -> str:
 
 
 def _parse_pair(obj: Any, where: str, keys: Tuple[str, str]) -> Tuple[Fraction, Fraction]:
-    if not isinstance(obj, dict):
-        raise ModelError(f"{where}: expected an object with fields {keys}")
-    _known_fields(obj, keys, where)
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise ModelError(f"{where}: missing field {missing[0]!r}")
-    return tuple(_parse_rat(obj[k], f"{where}.{k}") for k in keys)
+    obj = _object(obj, where, keys)
+    return tuple(rat(obj[k], f"{where}.{k}") for k in keys)
 
 
 def query_from_json(text: str) -> Query:
-    doc = _load_json(text)
-    if not isinstance(doc, dict) or "objective" not in doc:
-        raise ModelError("query document must be an object with 'objective'")
-    _known_fields(doc, ("objective", "constraints"), "query")
-    constraint_docs = doc.get("constraints", [])
-    if not isinstance(constraint_docs, list):
-        raise ModelError("'constraints' must be a list")
+    doc = _object(_load_json(text), "query", ("objective",), ("constraints",))
     constraints = []
-    for cd in constraint_docs:
-        if not isinstance(cd, dict):
-            raise ModelError(f"constraint must be an object, got {cd!r}")
-        _known_fields(cd, ("dim", "e", "cvar", "var"), "constraint")
+    for cd in _entries(doc.get("constraints", []), "constraint", (), ("dim", "e", "cvar", "var")):
         dim = cd.get("dim", 0)
         if isinstance(dim, bool) or not isinstance(dim, int):
             raise ModelError(f"dim: expected an integer, got {dim!r}")
@@ -246,7 +206,7 @@ def query_from_json(text: str) -> Query:
             raise ModelError(f"dim: must be nonnegative, got {dim}")
         kwargs: Dict[str, Any] = {"dim": dim}
         if "e" in cd:
-            kwargs["expectation"] = _parse_rat(cd["e"], "e")
+            kwargs["expectation"] = rat(cd["e"], "e")
         if "cvar" in cd:
             kwargs["cvar"] = _parse_pair(cd["cvar"], "cvar", ("p", "c"))
         if "var" in cd:
@@ -286,7 +246,7 @@ def _dec_dist(obj: Any, where: str) -> Dict[Any, Fraction]:
     """A distribution over terms, written as a list of [term, probability] pairs."""
     if not isinstance(obj, list) or not all(isinstance(e, list) and len(e) == 2 for e in obj):
         raise ModelError(f"{where}: expected a list of [term, probability] pairs, got {obj!r}")
-    return {_dec_term(m): _parse_rat(p, where) for m, p in obj}
+    return {_dec_term(m): rat(p, where) for m, p in obj}
 
 
 def _term_key(x: Any) -> str:
@@ -330,27 +290,19 @@ def strategy_to_json(strategy: StrategySpec) -> str:
 
 
 def strategy_from_json(text: str) -> StrategySpec:
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise ModelError("strategy document must be a JSON object")
-    _known_fields(doc, ("memory", "initial_memory", "next_move", "memory_update"), "strategy")
-    try:
-        memory = tuple(_dec_term(m) for m in _field(doc, "memory", list, "strategy"))
-        initial_memory = _dec_dist(doc["initial_memory"], "initial_memory")
-        next_move = {}
-        for nd in _entries(doc["next_move"], "next_move"):
-            _known_fields(nd, ("state", "memory", "move"), "next_move")
-            move = _field(nd, "move", dict, "next_move")
-            key = (_dec_term(nd["state"]), _dec_term(nd["memory"]))
-            next_move[key] = {a: _parse_rat(p, "next_move") for a, p in move.items()}
-        memory_update = {}
-        for ud in _entries(doc.get("memory_update", []), "memory_update"):
-            _known_fields(ud, ("action", "state", "memory", "dist"), "memory_update")
-            action = _field(ud, "action", str, "memory_update")
-            key = (action, _dec_term(ud["state"]), _dec_term(ud["memory"]))
-            memory_update[key] = _dec_dist(ud["dist"], "memory_update")
-    except KeyError as exc:
-        raise ModelError(f"malformed strategy document: missing field {exc}") from exc
+    doc = _object(_load_json(text), "strategy", ("memory", "initial_memory", "next_move"), ("memory_update",))
+    memory = tuple(_dec_term(m) for m in _field(doc, "memory", list, "strategy"))
+    initial_memory = _dec_dist(doc["initial_memory"], "initial_memory")
+    next_move = {}
+    for nd in _entries(doc["next_move"], "next_move", ("state", "memory", "move")):
+        move = _field(nd, "move", dict, "next_move")
+        key = (_dec_term(nd["state"]), _dec_term(nd["memory"]))
+        next_move[key] = {a: rat(p, "next_move") for a, p in move.items()}
+    memory_update = {}
+    for ud in _entries(doc.get("memory_update", []), "memory_update", ("action", "state", "memory", "dist")):
+        action = _field(ud, "action", str, "memory_update")
+        key = (action, _dec_term(ud["state"]), _dec_term(ud["memory"]))
+        memory_update[key] = _dec_dist(ud["dist"], "memory_update")
     return StrategySpec(
         memory=memory,
         initial_memory=initial_memory,
@@ -364,30 +316,17 @@ def strategy_from_json(text: str) -> StrategySpec:
 
 
 def _audit(obj: Any) -> Any:
+    """A certificate value as JSON: rationals as strings, a mapping as its
+    [key, value] pairs in the order of the keys' reprs."""
     if isinstance(obj, Fraction):
         return _rat_str(obj)
-    if isinstance(obj, bool) or obj is None:
+    if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, FiniteDistribution):
-        return {
-            "atoms": [[_rat_str(x), _rat_str(p)] for x, p in sorted(obj.atoms.items())]
-        }
-    if isinstance(obj, StrategySpec):
-        return json.loads(strategy_to_json(obj))
-    if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # namedtuple
-        return {f: _audit(getattr(obj, f)) for f in obj._fields}
-    if hasattr(obj, "marginals"):  # PayoffLaw
-        return [_audit(m) for m in obj.marginals]
     if isinstance(obj, Mapping):
         return [[_audit(k), _audit(v)] for k, v in sorted(obj.items(), key=lambda kv: repr(kv[0]))]
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
-        return [_audit(x) for x in items]
-    if hasattr(obj, "__dataclass_fields__"):
-        return {f: _audit(getattr(obj, f)) for f in obj.__dataclass_fields__}
-    return repr(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_audit(x) for x in obj]
+    raise TypeError(f"a certificate holds no {type(obj).__name__}: {obj!r}")
 
 
 def verdict_to_json(verdict: Verdict) -> str:
