@@ -28,7 +28,6 @@ from .chain import PayoffLaw, decide_mc, payoff_law_mean, payoff_law_reach
 from .lp import LinearProgram, LpResult, solve_feasibility, solve_optimize
 from .solver import SolverConfig, decide
 from .synthesis import check_strategy, determinize_single_constraint, evaluate
-from .simulate import SimConfig, empirical_measures, sample_payoffs
 from .gadgets import Cnf3, example, random_mdp, sat_reduction
 
 __version__ = "0.1.0"
@@ -70,9 +69,6 @@ __all__ = [
     "check_strategy",
     "determinize_single_constraint",
     "evaluate",
-    "SimConfig",
-    "empirical_measures",
-    "sample_payoffs",
     "Cnf3",
     "example",
     "random_mdp",

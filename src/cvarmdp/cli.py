@@ -16,7 +16,6 @@ from . import serialize
 from .graphs import mec_decomposition
 from .model import ModelError, Query, Rational, UnsupportedQueryError, strategy_problems
 from .risk import cvar, expectation, var
-from .simulate import SimConfig, empirical_measures, sample_payoffs, write_samples_csv
 from .solver import SolverConfig, decide
 from .synthesis import check_strategy, evaluate
 
@@ -166,6 +165,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import SimConfig, empirical_measures, sample_payoffs, write_samples_csv
+
     mdp = serialize.model_from_json(_read(args.model))
     strategy = _read_strategy(args.strategy, mdp)
     law = evaluate(mdp, strategy, args.objective)

@@ -6,6 +6,7 @@ Floating point is confined to the simulation module.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -200,18 +201,22 @@ def validate(model) -> ValidationReport:
 
 
 def _validate_mdp(mdp: Mdp, problems: List[str]) -> None:
-    states = set(mdp.states)
+    states = Counter(mdp.states)  # each state once, in order
+    problems.extend(f"state {s!r} listed {n} times" for s, n in states.items() if n > 1)
     if mdp.initial not in states:
         problems.append(f"initial state {mdp.initial!r} not a state")
     owner: Dict[ActionName, State] = {}
-    for s in mdp.states:
+    for s in states:
         acts = mdp.available.get(s, ())
         if not acts:
             problems.append(f"state {s!r} has no available action")
         for a in acts:
-            if a in owner:
+            if a not in owner:
+                owner[a] = s
+            elif owner[a] == s:
+                problems.append(f"action {a!r} listed twice at state {s!r}")
+            else:
                 problems.append(f"action {a!r} shared between states {owner[a]!r} and {s!r}")
-            owner[a] = s
             row = mdp.delta.get(a)
             if row is None:
                 problems.append(f"action {a!r} has no transition row")
@@ -226,7 +231,7 @@ def _validate_mdp(mdp: Mdp, problems: List[str]) -> None:
     dims = {len(v) for v in mdp.rewards.values()}
     if len(dims) > 1:
         problems.append(f"inconsistent reward dimensions: {sorted(dims)}")
-    for s in mdp.states:
+    for s in states:
         if s not in mdp.rewards:
             problems.append(f"state {s!r} has no reward vector")
     for t in mdp.targets:

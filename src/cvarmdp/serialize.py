@@ -12,7 +12,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .model import (
     Constraint,
-    MarkovChain,
     Mdp,
     ModelError,
     Query,
@@ -50,11 +49,25 @@ def _reject_float(text: str) -> None:
     raise ModelError(f"floats are rejected; write {text!r} as a rational string 'a/b'")
 
 
+def _put(table: dict, key: Any, value: Any, where: str) -> None:
+    """``table[key] = value``; a key given twice is an error, not a silent overwrite."""
+    if key in table:
+        raise ModelError(f"{where}: {key!r} given twice")
+    table[key] = value
+
+
+def _unique_keys(pairs: List[Tuple[str, Any]]) -> dict:
+    doc: dict = {}
+    for key, value in pairs:
+        _put(doc, key, value, "JSON object")
+    return doc
+
+
 def _load_json(text: str) -> Any:
     """Parse an input document; malformed or too deeply nested JSON is a
-    ``ModelError``, and so is any float."""
+    ``ModelError``, and so is any float or a key repeated in one object."""
     try:
-        return json.loads(text, parse_float=_reject_float)
+        return json.loads(text, parse_float=_reject_float, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ModelError(f"malformed JSON: {exc}") from exc
     except RecursionError:
@@ -246,7 +259,10 @@ def _dec_dist(obj: Any, where: str) -> Dict[Any, Fraction]:
     """A distribution over terms, written as a list of [term, probability] pairs."""
     if not isinstance(obj, list) or not all(isinstance(e, list) and len(e) == 2 for e in obj):
         raise ModelError(f"{where}: expected a list of [term, probability] pairs, got {obj!r}")
-    return {_dec_term(m): rat(p, where) for m, p in obj}
+    dist: Dict[Any, Fraction] = {}
+    for m, p in obj:
+        _put(dist, _dec_term(m), rat(p, where), where)
+    return dist
 
 
 def _term_key(x: Any) -> str:
@@ -297,12 +313,12 @@ def strategy_from_json(text: str) -> StrategySpec:
     for nd in _entries(doc["next_move"], "next_move", ("state", "memory", "move")):
         move = _field(nd, "move", dict, "next_move")
         key = (_dec_term(nd["state"]), _dec_term(nd["memory"]))
-        next_move[key] = {a: rat(p, "next_move") for a, p in move.items()}
+        _put(next_move, key, {a: rat(p, "next_move") for a, p in move.items()}, "next_move")
     memory_update = {}
     for ud in _entries(doc.get("memory_update", []), "memory_update", ("action", "state", "memory", "dist")):
         action = _field(ud, "action", str, "memory_update")
         key = (action, _dec_term(ud["state"]), _dec_term(ud["memory"]))
-        memory_update[key] = _dec_dist(ud["dist"], "memory_update")
+        _put(memory_update, key, _dec_dist(ud["dist"], "memory_update"), "memory_update")
     return StrategySpec(
         memory=memory,
         initial_memory=initial_memory,

@@ -1,6 +1,10 @@
 """CLI tests: subcommands, exit codes, emitted files."""
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -270,6 +274,69 @@ class TestStrategyInput:
             code = main(["evaluate", str(model), str(strat)])
         assert code == EXIT_INVALID
         assert capsys.readouterr().err.startswith("invalid input:")
+
+
+class TestRepeatedInput:
+    """A key or an entry given twice is invalid input, never a silent overwrite."""
+
+    @pytest.mark.parametrize(
+        "which, old, new",
+        [
+            # t10 read with the second "rewards" got reward 0 and exited UNSAT
+            ("model", '"rewards": ["10"]', '"rewards": ["10"], "rewards": ["0"]'),
+            # the constraint read with the second "e" exited UNSAT
+            ("query", '"e": "6"', '"e": "6", "e": "100"'),
+        ],
+    )
+    def test_repeated_key_is_invalid_input(self, choice_files, capsys, which, old, new):
+        model, query, tmp = choice_files
+        path = {"model": model, "query": query}[which]
+        text = json.dumps(json.loads(path.read_text()))
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        code = main(["check", str(model), str(query), "--out", str(tmp / "r")])
+        assert code == EXIT_INVALID
+        assert "given twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "example_name, objective, edit",
+        [
+            # the second entry used to win: E = 9, VaR = CVaR = 0, exit 0
+            (
+                "choice",
+                "reach",
+                lambda doc: doc["next_move"].append({"state": "s0", "memory": "search", "move": {"b": "1"}}),
+            ),
+            (
+                "slow(1/8)",
+                "mean",
+                lambda doc: doc["memory_update"].append(dict(doc["memory_update"][0], dist=[["search", "1"]])),
+            ),
+            ("choice", "reach", lambda doc: doc["initial_memory"].append(doc["initial_memory"][0])),
+        ],
+        ids=["next_move", "memory_update", "initial_memory"],
+    )
+    def test_repeated_strategy_entry_is_invalid_input(self, tmp_path, capsys, example_name, objective, edit):
+        model, query = tmp_path / "m.json", tmp_path / "q.json"
+        assert main(["generate", "--example", example_name, str(model), str(query)]) == EXIT_SAT
+        assert main(["check", str(model), str(query), "--out", str(tmp_path / "w")]) == EXIT_SAT
+        doc = json.loads((tmp_path / "w.witness.json").read_text())
+        edit(doc)
+        strat = tmp_path / "twice.json"
+        strat.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["evaluate", str(model), str(strat), "--objective", objective]) == EXIT_INVALID
+        assert "given twice" in capsys.readouterr().err
+
+
+def test_import_does_not_load_numpy():
+    # numpy serves only the Monte Carlo sampler: the exact library and every
+    # other command start without it
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, cvarmdp, cvarmdp.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    assert out == "False\n"
 
 
 class TestSimulate:

@@ -1,4 +1,5 @@
 """Unit tests for core model types, validation, and strategy products."""
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -77,6 +78,18 @@ class TestValidation:
             rewards={"s": (F(0),)},
         )
         assert not validate(bad).ok
+
+    def test_repeated_state_is_named(self):
+        # the second copy of "s" used to be reported as its actions being
+        # shared between states 's' and 's'
+        mdp = two_state()
+        problems = validate(replace(mdp, states=mdp.states + ("s",))).problems
+        assert problems == ["state 's' listed 2 times"]
+
+    def test_repeated_action_is_named(self):
+        mdp = two_state()
+        twice = replace(mdp, available={**mdp.available, "s": ("go", "stay", "go")})
+        assert validate(twice).problems == ["action 'go' listed twice at state 's'"]
 
     def test_query_levels_must_be_interior(self):
         q = Query(
