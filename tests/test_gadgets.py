@@ -1,4 +1,5 @@
 """Constructor tests: named examples, the CNF reduction, random instances."""
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 
 from cvarmdp.gadgets import Cnf3, example, random_mdp, sat_reduction
 from cvarmdp.model import ModelError, memoryless, validate
+from cvarmdp.serialize import model_to_json, query_to_json
 from cvarmdp.solver import decide
 from cvarmdp.synthesis import evaluate
 
@@ -43,6 +45,83 @@ class TestExamples:
             example("mystery")
         with pytest.raises(ModelError):
             example("slow(2)")  # parameter outside (0,1)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _layout(mdp) -> str:
+    """The model in construction order: states, actions per state, the
+    entries of every transition row, rewards, and the (sorted) targets."""
+    return repr(
+        (
+            mdp.states,
+            list(mdp.available.items()),
+            [(a, list(row.items())) for a, row in mdp.delta.items()],
+            list(mdp.rewards.items()),
+            mdp.initial,
+            sorted(mdp.targets),
+        )
+    )
+
+
+class TestExamplePins:
+    """SHA-256 of each named example's model JSON, query JSON and layout
+    (the JSON writer sorts; the layout keeps every insertion order)."""
+
+    PINS = {
+        "choice": (
+            "2a9f47b2c54a6f981141d45289c96fcc426648d0b123c306e21dcaea4f028153",
+            "cc5475ce42e9815d0a5de51aff7d31dc8ff534dcf94f371236096c021f0dd6d1",
+            "640fea26ca2bd0e1a05908e425138d848905f2fe88be8791755e164e25d2c25a",
+        ),
+        "loop": (
+            "3f6ee631d5482f29e0f88f269423a5b9eb1f1abb71c9fc2d0445d5f5cda77689",
+            "e724d66240799c35ab0af2aff5704c23fc5d487788690231f71068826c1e4533",
+            "d7e458036cd4922f4d9a757ac80be87b01bffaddcd5b157fe9c3bf8b9ec4419e",
+        ),
+        "negative": (
+            "8148c605893a543090c7caa9356ca20d50ed5e743ba06eddafc9b69666e27cca",
+            "33fb8552ad3885956f86fb41e73c902fc225b8643e811628bf7b4eb7c64553c9",
+            "70c72fb4dfc995fe1bdd8b61dcce3bd8cddaa2f142ac804c8468e686dddac965",
+        ),
+        "slow(1/8)": (
+            "d1a45142c60d95d01cce7837f856bc670716d742173481ade65c446474ff9170",
+            "e724d66240799c35ab0af2aff5704c23fc5d487788690231f71068826c1e4533",
+            "f44b3d816ff1a28d59cf64f9cd86c7a6295570dd25e34e9deccbce306fc871c4",
+        ),
+        "slow(1/64)": (
+            "399da799b610f98417936a308473209c1496b2dd198320d6169938b5b740aa0c",
+            "e724d66240799c35ab0af2aff5704c23fc5d487788690231f71068826c1e4533",
+            "a9ae58434ae63914085116728f1d753e8d86e29bf96d3360bd9e5f71cf718136",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_example_bytes(self, name):
+        mdp, query = example(name)
+        got = (_sha(model_to_json(mdp)), _sha(query_to_json(query)), _sha(_layout(mdp)))
+        assert got == self.PINS[name]
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("slow(0)", "slow parameter must lie in (0,1), got 0"),
+            ("slow(1)", "slow parameter must lie in (0,1), got 1"),
+            ("slow(2)", "slow parameter must lie in (0,1), got 2"),
+            ("slow(x)", "value: bad rational 'x': Invalid literal for Fraction: 'x'"),
+            (
+                "mystery",
+                "unknown example 'mystery'; expected one of "
+                "('choice', 'loop', 'slow(eps)', 'negative')",
+            ),
+        ],
+    )
+    def test_rejection_message(self, name, message):
+        with pytest.raises(ModelError) as info:
+            example(name)
+        assert str(info.value) == message
 
 
 class TestCnf3:
