@@ -68,140 +68,63 @@ def _build(
     return mdp
 
 
-def _choice() -> Tuple[Mdp, Query]:
-    states = ["s0", "t5", "t10", "t0"]
+def _gamble(
+    objective: str, keep: str, win: str, lose: str, rewards: Mapping[str, int], bounds, eps: Rational = 1
+) -> Tuple[Mdp, Query]:
+    """The stay-or-gamble gadget behind every named example.
+
+    At ``s0``, action ``a`` moves surely to ``keep`` and action ``b`` reaches
+    ``win`` with probability 9/10 * eps and ``lose`` with 1/10 * eps, staying
+    at ``s0`` otherwise.  ``rewards`` maps states to their one reward; a reach
+    objective makes every state but ``s0`` a target.  ``bounds`` are the
+    expectation, CVaR and VaR lower bounds, the last two at level 1/20.
+    """
+    states = list(dict.fromkeys(["s0", keep, win, lose]))
+    gamble = {win: Fraction(9, 10) * eps, lose: Fraction(1, 10) * eps}
+    if eps != 1:
+        gamble["s0"] = 1 - eps
     mdp = _build(
         states,
         {"s0": ("a", "b")},
-        {
-            "a": {"t5": _ONE},
-            "b": {"t10": Fraction(9, 10), "t0": Fraction(1, 10)},
-        },
+        {"a": {keep: _ONE}, "b": gamble},
         "s0",
-        _rewards(states, 1, {"t5": {0: 5}, "t10": {0: 10}}),
-        targets=["t5", "t10", "t0"],
+        _rewards(states, 1, {s: {0: r} for s, r in rewards.items()}),
+        targets=states[1:] if objective == "reach" else (),
     )
-    query = Query(
-        objective="reach",
-        constraints=(
-            Constraint(
-                dim=0,
-                expectation=Fraction(6),
-                cvar=(Fraction(1, 20), Fraction(2)),
-                var=(Fraction(1, 20), Fraction(5)),
-            ),
-        ),
-    )
-    return mdp, query
+    e, c, v = (rat(b) for b in bounds)
+    level = Fraction(1, 20)
+    constraint = Constraint(dim=0, expectation=e, cvar=(level, c), var=(level, v))
+    return mdp, Query(objective=objective, constraints=(constraint,))
 
 
-def _loop() -> Tuple[Mdp, Query]:
-    states = ["s0", "r10", "r0"]
-    mdp = _build(
-        states,
-        {"s0": ("a", "b")},
-        {
-            "a": {"s0": _ONE},
-            "b": {"r10": Fraction(9, 10), "r0": Fraction(1, 10)},
-        },
-        "s0",
-        _rewards(states, 1, {"s0": {0: 5}, "r10": {0: 10}}),
-    )
-    query = Query(
-        objective="mean",
-        constraints=(
-            Constraint(
-                dim=0,
-                expectation=Fraction(6),
-                cvar=(Fraction(1, 20), Fraction(2)),
-                var=(Fraction(1, 20), Fraction(5)),
-            ),
-        ),
-    )
-    return mdp, query
-
-
-def _slow(eps: Rational) -> Tuple[Mdp, Query]:
-    eps = rat(eps)
-    if not (0 < eps < 1):
-        raise ModelError(f"slow parameter must lie in (0,1), got {eps}")
-    states = ["s0", "r10", "r0"]
-    mdp = _build(
-        states,
-        {"s0": ("a", "b")},
-        {
-            "a": {"s0": _ONE},
-            "b": {
-                "r10": Fraction(9, 10) * eps,
-                "r0": Fraction(1, 10) * eps,
-                "s0": 1 - eps,
-            },
-        },
-        "s0",
-        _rewards(states, 1, {"s0": {0: 5}, "r10": {0: 10}}),
-    )
-    query = Query(
-        objective="mean",
-        constraints=(
-            Constraint(
-                dim=0,
-                expectation=Fraction(6),
-                cvar=(Fraction(1, 20), Fraction(2)),
-                var=(Fraction(1, 20), Fraction(5)),
-            ),
-        ),
-    )
-    return mdp, query
-
-
-def _negative() -> Tuple[Mdp, Query]:
-    states = ["s0", "p5", "m5"]
-    mdp = _build(
-        states,
-        {"s0": ("a", "b")},
-        {
-            "a": {"s0": _ONE},
-            "b": {"p5": Fraction(9, 10), "m5": Fraction(1, 10)},
-        },
-        "s0",
-        _rewards(states, 1, {"p5": {0: 5}, "m5": {0: -5}}),
-        targets=["p5", "m5"],
-    )
-    query = Query(
-        objective="reach",
-        constraints=(
-            Constraint(
-                dim=0,
-                expectation=Fraction(1),
-                cvar=(Fraction(1, 20), Fraction(-3)),
-                var=(Fraction(1, 20), Fraction(0)),
-            ),
-        ),
-    )
-    return mdp, query
-
-
+# name -> _gamble arguments; slow(eps) is loop with the gamble slowed by eps
+_EXAMPLES = {
+    "choice": ("reach", "t5", "t10", "t0", {"t5": 5, "t10": 10}, (6, 2, 5)),
+    "loop": ("mean", "s0", "r10", "r0", {"s0": 5, "r10": 10}, (6, 2, 5)),
+    "negative": ("reach", "s0", "p5", "m5", {"p5": 5, "m5": -5}, (1, -3, 0)),
+}
 _SLOW_RE = re.compile(r"^slow\((.+)\)$")
 
 
 def example(name: str) -> Tuple[Mdp, Query]:
     """Return a named benchmark instance as an ``(Mdp, Query)`` pair.
 
-    Known names: ``choice`` (one-shot branch, weighted reachability),
-    ``loop`` (stay-or-gamble mean payoff, needs two-memory witnesses),
-    ``slow(eps)`` with a rational ``eps`` such as ``slow(1/8)`` (the slowed
-    gamble whose witness switch probability scales with eps), and
-    ``negative`` (mixed-sign rewards, exercising the mean-payoff reduction).
+    All are one stay-or-gamble gadget (see ``_gamble``).  Known names:
+    ``choice`` (one-shot branch, weighted reachability), ``loop``
+    (stay-or-gamble mean payoff, needs two-memory witnesses), ``slow(eps)``
+    with a rational ``eps`` in (0, 1) such as ``slow(1/8)`` (the slowed
+    gamble whose witness switch probability scales with eps; ``loop`` is its
+    ``eps = 1`` case), and ``negative`` (mixed-sign rewards, exercising the
+    mean-payoff reduction).
     """
-    if name == "choice":
-        return _choice()
-    if name == "loop":
-        return _loop()
-    if name == "negative":
-        return _negative()
+    if name in _EXAMPLES:
+        return _gamble(*_EXAMPLES[name])
     m = _SLOW_RE.match(name)
     if m:
-        return _slow(m.group(1))
+        eps = rat(m.group(1))
+        if not (0 < eps < 1):
+            raise ModelError(f"slow parameter must lie in (0,1), got {eps}")
+        return _gamble(*_EXAMPLES["loop"], eps)
     raise ModelError(f"unknown example {name!r}; expected one of {EXAMPLE_NAMES}")
 
 

@@ -381,27 +381,31 @@ def _mean_multi_block(mdp: Mdp, dec) -> LinearProgram:
     return prog
 
 
+def _mec_terms(mdp: Mdp, dec) -> List[List[Tuple[str, Tuple[Fraction, ...]]]]:
+    """Per MEC, the recurrent-frequency variable of each of its actions, with
+    the reward vector of the state that owns the action."""
+    return [
+        [(f"xa::{a}", mdp.rewards[s]) for s in sorted(members, key=repr) for a in mdp.available[s] if a in aa]
+        for members, aa in dec.mecs
+    ]
+
+
+_CLASS_SENSE = {"le": "<=", "gt": ">=", "eq": "=="}
+
+
 def _mean_multi_guess_rows(
-    mdp: Mdp,
     query: Query,
     guess: Mapping[int, Fraction],
     cls: Mapping[int, Sequence[str]],
-    dec,
+    terms: Sequence[Sequence[Tuple[str, Tuple[Fraction, ...]]]],
 ) -> List[Tuple[Dict[str, Fraction], str, Fraction]]:
     """The constraint rows of the multi-dimensional mean-payoff LP for one
-    VaR guess and MEC classification."""
-    mec_states = sorted((s for s in mdp.states if dec.mec_of(s) is not None), key=repr)
+    VaR guess and MEC classification (one 'eq' MEC per CVaR dimension), over
+    the ``_mec_terms`` table."""
     rows = []
 
-    def add(coeffs: Dict[str, Fraction], sense: str, rhs: Fraction) -> None:
-        rows.append(({v: x for v, x in coeffs.items() if x != 0}, sense, rhs))
-
-    def xs_coeffs(s: State, factor: Fraction, into: Dict[str, Fraction]) -> None:
-        idx = dec.mec_of(s)
-        _, aa = dec.mecs[idx]
-        for a in mdp.available[s]:
-            if a in aa:
-                into[f"xa::{a}"] = into.get(f"xa::{a}", ZERO) + factor
+    def add(mecs, weight, sense: str, rhs: Fraction) -> None:
+        rows.append(({x: w for i in mecs for x, r in terms[i] if (w := weight(r)) != 0}, sense, rhs))
 
     for c in sorted(query.constraints, key=lambda c: c.dim):
         j = c.dim
@@ -410,40 +414,17 @@ def _mean_multi_guess_rows(
             t = guess[j]
             labels = cls[j]
             low = [i for i, lab in enumerate(labels) if lab == "le"]
-            eq = [i for i, lab in enumerate(labels) if lab == "eq"]
-            if len(eq) != 1:
-                raise ModelError("classification needs exactly one 'eq' component")
+            excess = lambda r: r[j] - t
             # CVaR satisfaction: tail = all 'le' mass topped up to p at value t
-            coeffs = {}
-            for i in low:
-                for s in dec.mecs[i][0]:
-                    xs_coeffs(s, mdp.rewards[s][j] - t, coeffs)
-            add(coeffs, ">=", p * (cbound - t))
+            add(low, excess, ">=", p * (cbound - t))
             # Verify VaR guess: 'le' mass below p, adding 'eq' reaches p
-            coeffs = {}
-            for i in low:
-                for s in dec.mecs[i][0]:
-                    xs_coeffs(s, ONE, coeffs)
-            add(coeffs, "<=", p)
-            for s in dec.mecs[eq[0]][0]:
-                xs_coeffs(s, ONE, coeffs)
-            add(coeffs, ">=", p)
+            add(low, lambda r: ONE, "<=", p)
+            add(low + [labels.index("eq")], lambda r: ONE, ">=", p)
             # Verify MEC classification guess
             for i, lab in enumerate(labels):
-                coeffs = {}
-                for s in dec.mecs[i][0]:
-                    xs_coeffs(s, mdp.rewards[s][j] - t, coeffs)
-                if lab == "le":
-                    add(coeffs, "<=", ZERO)
-                elif lab == "gt":
-                    add(coeffs, ">=", ZERO)
-                else:
-                    add(coeffs, "==", ZERO)
+                add([i], excess, _CLASS_SENSE[lab], ZERO)
         if c.expectation is not None:
-            coeffs = {}
-            for s in mec_states:
-                xs_coeffs(s, mdp.rewards[s][j], coeffs)
-            add(coeffs, ">=", c.expectation)
+            add(range(len(terms)), lambda r: r[j], ">=", c.expectation)
     return rows
 
 
@@ -496,6 +477,7 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
     # ranges, make the sweep provably exhaustive
     exhaustive = all(gmin[i, j] == gmax[i, j] for i in range(n) for j in cvar_dims)
     mec_states = [s for s in base.states if dec.mec_of(s) is not None]
+    terms = _mec_terms(base, dec)
     block = _mean_multi_block(base, dec)
     start = WarmStart(block)
 
@@ -504,7 +486,7 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
             cls = dict(zip(cvar_dims, cls_combo))
             for t_combo in itertools.product(*(grids[j] for j in cvar_dims)):
                 guess = dict(zip(cvar_dims, t_combo))
-                rows = _mean_multi_guess_rows(base, query, guess, cls, dec)
+                rows = _mean_multi_guess_rows(query, guess, cls, terms)
                 res = solve_feasibility(LinearProgram(block.variables, block.constraints + rows), start)
                 if not res.ok:
                     continue
