@@ -2,7 +2,8 @@
 
 Subcommands: check, evaluate, simulate, mec, generate, gadget-sat.
 Exit codes: 0 SAT, 1 UNSAT, 2 UNKNOWN, 64 usage error, 65 invalid input,
-70 internal error (including a SAT witness that fails re-verification).
+69 numpy missing (simulate only), 70 internal error (including a SAT witness
+that fails re-verification), 73 an output file cannot be written.
 """
 from __future__ import annotations
 
@@ -24,7 +25,13 @@ EXIT_UNSAT = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_INVALID = 65
+EXIT_UNAVAILABLE = 69
 EXIT_INTERNAL = 70
+EXIT_CANTCREAT = 73
+
+
+class _CannotWrite(Exception):
+    """An output file could not be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,6 +53,15 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise ModelError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    """Write one output file; every command writes through here."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _build_parser() -> _Parser:
@@ -128,11 +144,12 @@ def _cmd_check(args) -> int:
         if not ok:
             print(f"internal error: witness failed re-verification: {details}", file=sys.stderr)
             return EXIT_INTERNAL
-    print(verdict.status)
     prefix = args.out or str(Path(args.query).with_suffix(""))
-    Path(prefix + ".certificate.json").write_text(serialize.verdict_to_json(verdict))
+    _write(prefix + ".certificate.json", serialize.verdict_to_json(verdict))
     if verdict.witness is not None:
-        Path(prefix + ".witness.json").write_text(serialize.strategy_to_json(verdict.witness))
+        _write(prefix + ".witness.json", serialize.strategy_to_json(verdict.witness))
+    print(verdict.status)
+    if verdict.witness is not None:
         print(f"witness: {prefix}.witness.json")
     print(f"certificate: {prefix}.certificate.json")
     return {"SAT": EXIT_SAT, "UNSAT": EXIT_UNSAT}.get(verdict.status, EXIT_UNKNOWN)
@@ -165,7 +182,13 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .simulate import SimConfig, empirical_measures, sample_payoffs, write_samples_csv
+    try:
+        from .simulate import SimConfig, empirical_measures, sample_payoffs, samples_csv
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print("cvarmdp simulate needs numpy, which is not installed", file=sys.stderr)
+        return EXIT_UNAVAILABLE
 
     mdp = serialize.model_from_json(_read(args.model))
     strategy = _read_strategy(args.strategy, mdp)
@@ -188,7 +211,7 @@ def _cmd_simulate(args) -> int:
             ]
         )
         if args.csv and j == 0:
-            write_samples_csv(args.csv, samples)
+            _write(args.csv, samples_csv(samples))
     _print_table(rows)
     return EXIT_SAT
 
@@ -208,10 +231,10 @@ def _cmd_generate(args) -> int:
 
     if args.example:
         mdp, query = gadgets.example(args.example)
-        Path(args.model_out).write_text(serialize.model_to_json(mdp))
+        _write(args.model_out, serialize.model_to_json(mdp))
         print(f"model: {args.model_out}")
         if args.query_out:
-            Path(args.query_out).write_text(serialize.query_to_json(query))
+            _write(args.query_out, serialize.query_to_json(query))
             print(f"query: {args.query_out}")
     else:
         mdp = gadgets.random_mdp(
@@ -223,7 +246,7 @@ def _cmd_generate(args) -> int:
             args.seed,
             targets=args.targets,
         )
-        Path(args.model_out).write_text(serialize.model_to_json(mdp))
+        _write(args.model_out, serialize.model_to_json(mdp))
         print(f"model: {args.model_out}")
     return EXIT_SAT
 
@@ -233,8 +256,8 @@ def _cmd_gadget_sat(args) -> int:
 
     num_vars, clauses = serialize.parse_dimacs(_read(args.cnf))
     mdp, _, query = sat_reduction(Cnf3(num_vars, clauses))
-    Path(args.model_out).write_text(serialize.model_to_json(mdp))
-    Path(args.query_out).write_text(serialize.query_to_json(query))
+    _write(args.model_out, serialize.model_to_json(mdp))
+    _write(args.query_out, serialize.query_to_json(query))
     print(f"model: {args.model_out}")
     print(f"query: {args.query_out}")
     return EXIT_SAT
@@ -261,6 +284,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ModelError, UnsupportedQueryError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except _CannotWrite as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CANTCREAT
     except Exception as exc:  # any other failure is a defect, not bad input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -293,6 +293,8 @@ def random_mdp(
     if not (0 <= targets < states or (targets == states == 1)):
         raise ModelError("target count out of range")
     lo, hi = reward_range
+    if lo > hi:
+        raise ModelError(f"reward range {lo}..{hi} is empty")
     rng = random.Random(seed)
     names = [f"s{i}" for i in range(states)]
     target_names = names[states - targets :] if targets else []

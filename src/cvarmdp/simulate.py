@@ -7,6 +7,7 @@ boundary.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +23,7 @@ __all__ = [
     "sample_payoffs",
     "empirical_measures",
     "empirical_distribution",
+    "samples_csv",
     "write_samples_csv",
     "summary_json",
 ]
@@ -164,12 +166,19 @@ def empirical_measures(
     return expectation(dist), var(dist, q), cvar(dist, p)
 
 
+def samples_csv(samples: Sequence[float]) -> str:
+    """The samples as CSV text: a ``run,payoff`` header, then one row per run."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["run", "payoff"])
+    for i, x in enumerate(samples):
+        writer.writerow([i, repr(float(x))])
+    return out.getvalue()
+
+
 def write_samples_csv(path: str, samples: Sequence[float]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "payoff"])
-        for i, x in enumerate(samples):
-            writer.writerow([i, repr(float(x))])
+        fh.write(samples_csv(samples))
 
 
 def summary_json(

@@ -369,6 +369,20 @@ class TestSimulate:
         assert csv_path.read_text().startswith("run,payoff")
 
 
+def test_simulate_without_numpy(choice_files, monkeypatch, capsys):
+    # numpy is an optional dependency of the sampler alone: its absence is
+    # EX_UNAVAILABLE (69), not an internal error
+    model, _, tmp = choice_files
+    strat = tmp / "sigma.json"
+    strat.write_text(S.strategy_to_json(memoryless({"s0": {"b": F(1)}})))
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.delitem(sys.modules, "cvarmdp.simulate", raising=False)
+    assert main(["simulate", str(model), str(strat)]) == 69
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cvarmdp simulate needs numpy, which is not installed\n"
+
+
 class TestMec:
     def test_prints_decomposition(self, choice_files, capsys):
         model, _, _ = choice_files
@@ -400,6 +414,53 @@ class TestGenerate:
     @pytest.mark.parametrize("name", ["slow(1/0)", "slow(abc)"])
     def test_malformed_slow_parameter_invalid(self, tmp_path, name):
         assert main(["generate", "--example", name, str(tmp_path / "m.json")]) == EXIT_INVALID
+
+    def test_empty_reward_range_invalid(self, tmp_path, capsys):
+        argv = ["generate", "--random", "--reward-lo", "5", "--reward-hi", "1", str(tmp_path / "m.json")]
+        assert main(argv) == EXIT_INVALID
+        assert capsys.readouterr().err == "invalid input: reward range 5..1 is empty\n"
+        assert not (tmp_path / "m.json").exists()
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 73 (EX_CANTCREAT) with
+    one line naming it, never as an internal error."""
+
+    def test_check_writes_before_reporting(self, choice_files, capsys):
+        model, query, tmp = choice_files
+        prefix = tmp / "missing" / "run"
+        code = main(["check", str(model), str(query), "--out", str(prefix)])
+        assert code == cli.EXIT_CANTCREAT == 73
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no verdict without its certificate
+        assert captured.err == f"cannot write {prefix}.certificate.json: No such file or directory\n"
+
+    @pytest.mark.parametrize("flags", [["--example", "choice"], ["--random"]])
+    def test_generate(self, tmp_path, capsys, flags):
+        out = tmp_path / "missing" / "m.json"
+        assert main(["generate", *flags, str(out)]) == 73
+        assert capsys.readouterr().err == f"cannot write {out}: No such file or directory\n"
+
+    def test_generate_query(self, tmp_path, capsys):
+        model, query = tmp_path / "m.json", tmp_path / "missing" / "q.json"
+        assert main(["generate", "--example", "choice", str(model), str(query)]) == 73
+        assert capsys.readouterr().err == f"cannot write {query}: No such file or directory\n"
+
+    def test_gadget_sat(self, tmp_path, capsys):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 1 1\n1 0\n")
+        model = tmp_path / "missing" / "m.json"
+        assert main(["gadget-sat", str(cnf), str(model), str(tmp_path / "q.json")]) == 73
+        assert capsys.readouterr().err == f"cannot write {model}: No such file or directory\n"
+
+    def test_simulate_csv(self, choice_files, capsys):
+        model, _, tmp = choice_files
+        strat = tmp / "sigma.json"
+        strat.write_text(S.strategy_to_json(memoryless({"s0": {"b": F(1)}})))
+        csv_path = tmp / "missing" / "runs.csv"
+        argv = ["simulate", str(model), str(strat), "--runs", "20", "--horizon", "5", "--burn-in", "0", "--csv", str(csv_path)]
+        assert main(argv) == 73
+        assert capsys.readouterr().err == f"cannot write {csv_path}: No such file or directory\n"
 
 
 class TestGadgetSat:

@@ -211,3 +211,9 @@ class TestRandomMdp:
             random_mdp(0, 1, F(1, 2), (0, 1), 1, seed=0)
         with pytest.raises(ModelError):
             random_mdp(3, 1, F(2), (0, 1), 1, seed=0)
+
+    def test_empty_reward_range_rejected(self):
+        with pytest.raises(ModelError, match=r"^reward range 5\.\.1 is empty$"):
+            random_mdp(3, 1, F(1, 2), (5, 1), 1, seed=0)
+        # a one-value range is not empty
+        assert random_mdp(3, 1, F(1, 2), (4, 4), 1, seed=0).rewards["s2"] == (F(4),)
