@@ -33,6 +33,14 @@ def choice_files(tmp_path):
     return model, queryf, tmp_path
 
 
+@pytest.fixture
+def gamble_file(choice_files):
+    """A strategy for the choice model that always gambles."""
+    path = choice_files[2] / "gamble.json"
+    path.write_text(S.strategy_to_json(memoryless({"s0": {"b": F(1)}})))
+    return path
+
+
 def _rename(entries, name, old, new):
     """Rename field ``old`` of the entry called ``name`` to ``new``."""
     entry = next(e for e in entries if e["name"] == name)
@@ -369,15 +377,12 @@ class TestSimulate:
         assert csv_path.read_text().startswith("run,payoff")
 
 
-def test_simulate_without_numpy(choice_files, monkeypatch, capsys):
+def test_simulate_without_numpy(choice_files, gamble_file, monkeypatch, capsys):
     # numpy is an optional dependency of the sampler alone: its absence is
     # EX_UNAVAILABLE (69), not an internal error
-    model, _, tmp = choice_files
-    strat = tmp / "sigma.json"
-    strat.write_text(S.strategy_to_json(memoryless({"s0": {"b": F(1)}})))
     monkeypatch.setitem(sys.modules, "numpy", None)
     monkeypatch.delitem(sys.modules, "cvarmdp.simulate", raising=False)
-    assert main(["simulate", str(model), str(strat)]) == 69
+    assert main(["simulate", str(choice_files[0]), str(gamble_file)]) == 69
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "cvarmdp simulate needs numpy, which is not installed\n"
@@ -453,12 +458,11 @@ class TestUnwritableOutput:
         assert main(["gadget-sat", str(cnf), str(model), str(tmp_path / "q.json")]) == 73
         assert capsys.readouterr().err == f"cannot write {model}: No such file or directory\n"
 
-    def test_simulate_csv(self, choice_files, capsys):
+    def test_simulate_csv(self, choice_files, gamble_file, capsys):
         model, _, tmp = choice_files
-        strat = tmp / "sigma.json"
-        strat.write_text(S.strategy_to_json(memoryless({"s0": {"b": F(1)}})))
         csv_path = tmp / "missing" / "runs.csv"
-        argv = ["simulate", str(model), str(strat), "--runs", "20", "--horizon", "5", "--burn-in", "0", "--csv", str(csv_path)]
+        argv = ["simulate", str(model), str(gamble_file), "--runs", "20", "--horizon", "5", "--burn-in", "0"]
+        argv += ["--csv", str(csv_path)]
         assert main(argv) == 73
         assert capsys.readouterr().err == f"cannot write {csv_path}: No such file or directory\n"
 
