@@ -17,7 +17,6 @@ from .model import (
     Verdict,
     induced_chain,
     memoryless,
-    mix_strategies,
     rat,
     validate,
     validate_query,
@@ -27,7 +26,7 @@ from .graphs import mec_decomposition, mec_quotient, cleanup
 from .chain import PayoffLaw, decide_mc, payoff_law_mean, payoff_law_reach
 from .lp import LinearProgram, LpResult, solve_feasibility, solve_optimize
 from .solver import SolverConfig, decide
-from .synthesis import check_strategy, determinize_single_constraint, evaluate
+from .synthesis import check_strategy, evaluate
 from .gadgets import Cnf3, example, random_mdp, sat_reduction
 
 __version__ = "0.1.0"
@@ -44,7 +43,6 @@ __all__ = [
     "Verdict",
     "induced_chain",
     "memoryless",
-    "mix_strategies",
     "rat",
     "validate",
     "validate_query",
@@ -67,7 +65,6 @@ __all__ = [
     "SolverConfig",
     "decide",
     "check_strategy",
-    "determinize_single_constraint",
     "evaluate",
     "Cnf3",
     "example",

@@ -110,7 +110,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--targets", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("model_out")
-    p.add_argument("query_out", nargs="?")
+    p.add_argument("query_out", nargs="?", help="query file (with --example only)")
 
     p = sub.add_parser("gadget-sat", help="encode a DIMACS CNF as a model + query")
     p.add_argument("cnf")
@@ -229,6 +229,9 @@ def _cmd_mec(args) -> int:
 def _cmd_generate(args) -> int:
     from . import gadgets
 
+    if args.query_out and not args.example:
+        print("error: a query file needs --example; --random writes only a model", file=sys.stderr)
+        return EXIT_USAGE
     if args.example:
         mdp, query = gadgets.example(args.example)
         _write(args.model_out, serialize.model_to_json(mdp))

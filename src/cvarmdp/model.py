@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 Rational = Fraction
 
@@ -156,13 +156,6 @@ class StrategySpec:
     @property
     def is_memoryless(self) -> bool:
         return len(self.memory) == 1
-
-    @property
-    def is_deterministic(self) -> bool:
-        dists: List[Mapping] = [self.initial_memory]
-        dists.extend(self.next_move.values())
-        dists.extend(self.memory_update.values())
-        return all(len(normalized(d)) == 1 for d in dists)
 
 
 def memoryless(choices: Mapping[State, Mapping[ActionName, Fraction]]) -> StrategySpec:
@@ -316,39 +309,6 @@ class Verdict:
     @property
     def sat(self) -> bool:
         return self.status == "SAT"
-
-
-def mix_strategies(s1: StrategySpec, s2: StrategySpec, lam: Fraction) -> StrategySpec:
-    """Convex combination: play s1 with probability lam, else s2.
-
-    Memory sets are tagged to stay disjoint; the induced run measure is the
-    lam-mixture of the component measures.
-    """
-    lam = rat(lam)
-    if not ZERO <= lam <= ONE:
-        raise ModelError(f"mixture weight {lam} outside [0,1]")
-
-    def tag(which, m):
-        return (which, m)
-
-    memory = tuple(tag(0, m) for m in s1.memory) + tuple(tag(1, m) for m in s2.memory)
-    initial: Dict = {}
-    for m, p in s1.initial_memory.items():
-        if lam * p != 0:
-            initial[tag(0, m)] = lam * p
-    for m, p in s2.initial_memory.items():
-        if (1 - lam) * p != 0:
-            initial[tag(1, m)] = (1 - lam) * p
-    if not initial:  # degenerate lam with a Dirac component; keep a valid distribution
-        initial = {memory[0]: ONE}
-    next_move: Dict = {}
-    update: Dict = {}
-    for which, strat in ((0, s1), (1, s2)):
-        for (s, m), dist in strat.next_move.items():
-            next_move[(s, tag(which, m))] = dict(dist)
-        for (a, s, m), dist in strat.memory_update.items():
-            update[(a, s, tag(which, m))] = {tag(which, m2): p for m2, p in dist.items()}
-    return StrategySpec(memory=memory, initial_memory=initial, next_move=next_move, memory_update=update)
 
 
 def induced_chain(mdp: Mdp, strategy: StrategySpec) -> MarkovChain:

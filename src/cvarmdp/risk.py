@@ -60,11 +60,6 @@ class FiniteDistribution:
         return f"FiniteDistribution({{{inner}}})"
 
 
-def cdf(d: FiniteDistribution, r) -> Fraction:
-    r = rat(r)
-    return sum((p for v, p in d.atoms.items() if v <= r), ZERO)
-
-
 def expectation(d: FiniteDistribution) -> Fraction:
     return sum((v * p for v, p in d.atoms.items()), ZERO)
 
@@ -109,75 +104,3 @@ def mixture(parts: Sequence[Tuple[Fraction, FiniteDistribution]]) -> FiniteDistr
         for v, p in d.atoms.items():
             atoms[v] = atoms.get(v, ZERO) + rat(w) * p
     return FiniteDistribution(atoms)
-
-
-def dominates(d1: FiniteDistribution, d2: FiniteDistribution) -> bool:
-    """True iff d1 stochastically dominates d2 (CDF of d1 pointwise <= d2's)."""
-    grid = set(d1.atoms) | set(d2.atoms)
-    return all(cdf(d1, r) <= cdf(d2, r) for r in grid)
-
-
-def partition_decompose(
-    parts: Sequence[Tuple[Fraction, FiniteDistribution]], p
-) -> Tuple[List[int], List[Fraction]]:
-    """Split a CVaR computation across a partition of the sample space.
-
-    Given parts ``(w_i, d_i)`` with positive weights summing to 1 and a risk
-    level p, returns the indices of the parts that carry worst-case mass and a
-    per-part risk level ``p_i``, chosen so that
-
-        cvar(mixture, p) == (1/p) * sum_i w_i * p_i * cvar(d_i, p_i)
-
-    holds exactly (the jump mass of the mixture at its VaR is apportioned
-    greedily among the parts that have an atom there).  For p = 0 a single
-    worst-case witness part is returned; for p = 1 every part appears with
-    level 1 and the identity degenerates to mixing expectations.
-    """
-    p = rat(p)
-    weights = [rat(w) for w, _ in parts]
-    if any(w <= 0 for w in weights):
-        raise ModelError("part weights must be positive")
-    if sum(weights, ZERO) != 1:
-        raise ModelError("part weights must sum to 1")
-    if p == 1:
-        return list(range(len(parts))), [ONE] * len(parts)
-    mixed = mixture(parts)
-    if p == 0:
-        v = mixed.min_value
-        for i, (_, d) in enumerate(parts):
-            if d.min_value == v:
-                return [i], [ZERO]
-        raise AssertionError("some part must attain the minimum")
-    v = var(mixed, p)
-    remaining = p - sum((q for x, q in mixed.atoms.items() if x < v), ZERO)
-    selected: List[int] = []
-    levels: List[Fraction] = []
-    for i, (w, d) in enumerate(parts):
-        at_v = d.atoms.get(v, ZERO)
-        share = min(at_v, remaining / weights[i])
-        remaining -= weights[i] * share
-        level = sum((q for x, q in d.atoms.items() if x < v), ZERO) + share
-        if level > 0:
-            selected.append(i)
-            levels.append(level)
-    if remaining != 0:
-        raise AssertionError("jump mass at the quantile not fully apportioned")
-    return selected, levels
-
-
-def partition_recombine(
-    parts: Sequence[Tuple[Fraction, FiniteDistribution]],
-    selected: Sequence[int],
-    levels: Sequence[Fraction],
-    p,
-) -> Fraction:
-    """Evaluate the decomposed CVaR expression produced by partition_decompose."""
-    p = rat(p)
-    if p == 0:
-        (i,) = selected
-        return cvar(parts[i][1], ZERO)
-    total = ZERO
-    for i, level in zip(selected, levels):
-        w = rat(parts[i][0])
-        total += w * level * cvar(parts[i][1], level)
-    return total / p

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .model import (
     Constraint,
@@ -32,7 +32,6 @@ __all__ = [
     "strategy_from_json",
     "verdict_to_json",
     "parse_dimacs",
-    "write_dimacs",
 ]
 
 
@@ -400,10 +399,3 @@ def parse_dimacs(text: str):
     if num_vars is None:
         num_vars = max((abs(l) for cl in clauses for l in cl), default=1)
     return num_vars, tuple(clauses)
-
-
-def write_dimacs(num_vars: int, clauses: Sequence[Sequence[int]]) -> str:
-    lines = [f"p cnf {num_vars} {len(clauses)}"]
-    for clause in clauses:
-        lines.append(" ".join(str(l) for l in clause) + " 0")
-    return "\n".join(lines) + "\n"

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,9 +23,11 @@ __all__ = [
     "empirical_measures",
     "empirical_distribution",
     "samples_csv",
-    "write_samples_csv",
-    "summary_json",
 ]
+
+# RNG streams per sample (see ``sample_payoffs``); changing the count changes
+# every seeded sample.
+BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -120,22 +121,21 @@ def sample_payoffs(
     objective: str,
     cfg: SimConfig,
     dim_index: int = 0,
-    blocks: int = 8,
 ) -> np.ndarray:
     """Simulate ``cfg.runs`` independent runs; one payoff sample each.
 
     Reachability runs stop at absorption (or the horizon, yielding 0 if no
     target was hit); mean-payoff runs average rewards over steps
-    ``burn_in..horizon``.  Runs are partitioned into ``blocks`` whose RNG
-    streams derive from ``(seed, block)``, so results are bit-identical
+    ``burn_in..horizon``.  Runs are partitioned into ``BLOCKS`` blocks whose
+    RNG streams derive from ``(seed, block)``, so results are bit-identical
     regardless of how blocks would be scheduled.
     """
     if objective not in ("reach", "mean"):
         raise ModelError(f"unknown objective {objective!r}")
     mc = induced_chain(mdp, strategy)
     compiled = _compile_chain(mc, dim_index)
-    sizes = [cfg.runs // blocks] * blocks
-    for i in range(cfg.runs % blocks):
+    sizes = [cfg.runs // BLOCKS] * BLOCKS
+    for i in range(cfg.runs % BLOCKS):
         sizes[i] += 1
     parts = []
     for block, size in enumerate(sizes):
@@ -174,33 +174,3 @@ def samples_csv(samples: Sequence[float]) -> str:
     for i, x in enumerate(samples):
         writer.writerow([i, repr(float(x))])
     return out.getvalue()
-
-
-def write_samples_csv(path: str, samples: Sequence[float]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(samples_csv(samples))
-
-
-def summary_json(
-    samples: Sequence[float],
-    cfg: SimConfig,
-    p: Optional[Rational] = None,
-    q: Optional[Rational] = None,
-) -> str:
-    data = {
-        "runs": int(len(samples)),
-        "seed": cfg.seed,
-        "horizon": cfg.horizon,
-        "burn_in": cfg.burn_in,
-        "mean": float(np.mean(samples)),
-        "min": float(np.min(samples)),
-        "max": float(np.max(samples)),
-    }
-    if p is not None and q is not None:
-        e, v, c = empirical_measures(samples, p, q)
-        data["expectation"] = float(e)
-        data["var"] = float(v) if v != float("inf") else "inf"
-        data["cvar"] = float(c)
-        data["p"] = str(p)
-        data["q"] = str(q)
-    return json.dumps(data, indent=2, sort_keys=True)

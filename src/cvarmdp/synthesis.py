@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -11,7 +10,6 @@ from . import lp as lpmod
 from .chain import PayoffLaw, check_constraints, payoff_law_mean, payoff_law_reach
 from .graphs import QuotientMap
 from .model import (
-    Constraint,
     Mdp,
     ModelError,
     Query,
@@ -349,55 +347,3 @@ def _transship(
     g = {a: res.assignment[f"g::{a}"] for a in gvars}
     w = {s: res.assignment[f"w::{s!r}"] for s in wvars}
     return g, w
-
-
-def _measure_value(dist, constraint: Constraint):
-    from . import risk
-
-    if constraint.expectation is not None:
-        return risk.expectation(dist)
-    if constraint.cvar is not None:
-        return risk.cvar(dist, constraint.cvar[0])
-    if constraint.var is not None:
-        return risk.var(dist, constraint.var[0])
-    raise UnsupportedQueryError("constraint carries no measure")
-
-
-def determinize_single_constraint(
-    mdp: Mdp,
-    strategy: StrategySpec,
-    constraint: Constraint,
-    objective: str = "reach",
-    limit: int = 1 << 14,
-) -> StrategySpec:
-    """Round a memoryless randomizing strategy to the best deterministic one
-    over its support; with a single constraint the value cannot decrease,
-    because the randomized law is a convex mixture of the deterministic laws."""
-    if not strategy.is_memoryless:
-        raise UnsupportedQueryError("determinization requires a memoryless strategy")
-    measures = sum(
-        x is not None for x in (constraint.expectation, constraint.cvar, constraint.var)
-    )
-    if measures != 1:
-        raise UnsupportedQueryError("exactly one constraint measure expected")
-    m0 = strategy.memory[0]
-    supports: List[Tuple[State, List[str]]] = []
-    for s in mdp.states:
-        dist = strategy.next_move.get((s, m0))
-        acts = sorted(normalized(dist)) if dist else [_least_action(mdp, s)]
-        supports.append((s, acts))
-    count = 1
-    for _, acts in supports:
-        count *= len(acts)
-        if count > limit:
-            raise UnsupportedQueryError("deterministic support enumeration too large")
-    best = None
-    for combo in itertools.product(*(acts for _, acts in supports)):
-        candidate = memoryless(
-            {s: {a: ONE} for (s, _), a in zip(supports, combo)}
-        )
-        law = evaluate(mdp, candidate, objective)
-        value = _measure_value(law[constraint.dim], constraint)
-        if best is None or value > best[0]:
-            best = (value, candidate)
-    return best[1]

@@ -26,16 +26,14 @@ from cvarmdp.model import (
 from cvarmdp.risk import (
     FiniteDistribution,
     cvar,
-    dominates,
     expectation,
     mixture,
-    partition_decompose,
-    partition_recombine,
     var,
 )
 from cvarmdp.simulate import SimConfig, sample_payoffs
 from cvarmdp.solver import decide
 from cvarmdp.synthesis import check_strategy, evaluate
+from lemmas import dominates, partition_decompose, partition_recombine
 
 
 def _report(n: int, description: str, ok: bool) -> None:

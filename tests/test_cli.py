@@ -413,6 +413,12 @@ class TestGenerate:
         assert code == EXIT_SAT
         S.model_from_json(model.read_text())
 
+    def test_random_with_query_file_is_a_usage_error(self, tmp_path, capsys):
+        model, query = tmp_path / "m.json", tmp_path / "q.json"
+        assert main(["generate", "--random", str(model), str(query)]) == 64
+        assert capsys.readouterr().err == "error: a query file needs --example; --random writes only a model\n"
+        assert not model.exists() and not query.exists()
+
     def test_unknown_example_invalid(self, tmp_path):
         assert main(["generate", "--example", "nope", str(tmp_path / "m.json")]) == EXIT_INVALID
 

@@ -14,11 +14,11 @@ from cvarmdp.model import (
     Verdict,
     induced_chain,
     memoryless,
-    mix_strategies,
     rat,
     validate,
     validate_query,
 )
+from lemmas import mix_strategies
 
 
 def two_state():

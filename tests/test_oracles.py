@@ -1,6 +1,7 @@
 """Differential oracles on random models whose end components may trap runs
 away from the targets: weighted reachability against its mean-payoff
-encoding, and strategy evaluation against a reference product.
+encoding, strategy evaluation against a reference product, and witness laws
+against Monte Carlo samples.
 
 ``gadgets.random_mdp(..., targets=k)`` keeps a path toward the targets from
 every state, so it never builds such a trap.  The generator here starts from
@@ -9,6 +10,7 @@ absorbing targets, so some end components reach no target (cleanup's
 trapping branch) and a negative target reward breaks attraction A2.
 """
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -28,9 +30,9 @@ from cvarmdp.model import (
     Query,
     StrategySpec,
     memoryless,
-    mix_strategies,
 )
 from cvarmdp.risk import FiniteDistribution, cvar, expectation, var
+from cvarmdp.simulate import SimConfig, sample_payoffs
 from cvarmdp.solver import (
     _cleaned_quotient,
     _guess_plan,
@@ -38,10 +40,12 @@ from cvarmdp.solver import (
     _reach_guess_rows,
     _reach_to_mean,
     _x,
+    decide,
     decide_mean_single,
     decide_reach_single,
 )
 from cvarmdp.synthesis import check_strategy, evaluate
+from lemmas import mix_strategies
 
 SEEDS = range(30)
 
@@ -268,6 +272,28 @@ def test_evaluation_matches_the_action_product_reference():
         mc = _action_product(mdp, sigma)
         untargeted_bottoms += any(not comp & mc.targets for comp in bsccs(mc))
     assert untargeted_bottoms  # some runs settle away from every target
+
+
+def test_witness_law_against_monte_carlo():
+    # runs caught in a target-free end component sample 0 at the horizon,
+    # as the exact law counts them
+    cfg = SimConfig(runs=4000, horizon=1000, seed=0, burn_in=0)
+    kinds = set()
+    for seed in SEEDS:
+        m, q = trap_mdp(seed), trap_query(seed)
+        verdict = decide(m, q)
+        if not verdict.sat:
+            continue
+        law = evaluate(m, verdict.witness, "reach")[0]
+        mean = sample_payoffs(m, verdict.witness, "reach", cfg).mean()
+        e = expectation(law)
+        if len(law.atoms) == 1:
+            assert mean == e, seed
+        else:
+            variance = sum((x - e) ** 2 * p for x, p in law.atoms.items())
+            assert abs(mean - float(e)) <= 4 * math.sqrt(variance / cfg.runs), seed
+        kinds.add(len(law.atoms) == 1)
+    assert kinds == {True, False}
 
 
 # ----------------------------------- CVaR row against the split-variable rows

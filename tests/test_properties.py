@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from cvarmdp.risk import (
     FiniteDistribution,
     cvar,
-    dominates,
     expectation,
     mixture,
-    partition_decompose,
-    partition_recombine,
     var,
 )
+from lemmas import dominates, partition_decompose, partition_recombine
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 levels = st.fractions(min_value=0, max_value=1, max_denominator=40)
@@ -119,7 +117,8 @@ class TestMixtureLawProperties:
     @settings(max_examples=120, deadline=None)
     def test_strategy_mixture_matches_distribution_mixture(self, seed, lam):
         from cvarmdp.gadgets import example
-        from cvarmdp.model import memoryless, mix_strategies
+        from cvarmdp.model import memoryless
+        from lemmas import mix_strategies
         from cvarmdp.synthesis import evaluate
 
         mdp, _ = example("choice")

@@ -7,13 +7,11 @@ import pytest
 from cvarmdp.risk import (
     FiniteDistribution,
     cvar,
-    dominates,
     expectation,
     mixture,
-    partition_decompose,
-    partition_recombine,
     var,
 )
+from lemmas import dominates, partition_decompose, partition_recombine
 
 
 def dist(atoms):

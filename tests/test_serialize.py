@@ -8,6 +8,7 @@ from cvarmdp import serialize as S
 from cvarmdp.gadgets import Cnf3, example, sat_reduction
 from cvarmdp.model import ModelError
 from cvarmdp.solver import decide
+from lemmas import write_dimacs
 
 
 class TestModelRoundTrip:
@@ -124,7 +125,7 @@ class TestDimacs:
 
     def test_roundtrip(self):
         nv, clauses = 2, ((1, -2), (2,))
-        text = S.write_dimacs(nv, clauses)
+        text = write_dimacs(nv, clauses)
         assert S.parse_dimacs(text) == (nv, clauses)
 
     def test_feeds_reduction(self):

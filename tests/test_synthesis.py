@@ -13,17 +13,16 @@ from cvarmdp.model import (
     Query,
     induced_chain,
     memoryless,
-    mix_strategies,
 )
 from cvarmdp.risk import cvar, expectation
 from cvarmdp.solver import decide
 from cvarmdp.synthesis import (
     FlowSolution,
-    determinize_single_constraint,
     evaluate,
     mec_constant_strategy,
     two_memory_strategy,
 )
+from lemmas import determinize_single_constraint, is_deterministic, mix_strategies
 
 
 class TestReachFlow:
@@ -110,7 +109,7 @@ class TestDeterminize:
         mixed = memoryless({"s0": {"a": F(1, 2), "b": F(1, 2)}})
         c = Constraint(dim=0, cvar=(F(1, 5), F(0)))
         det = determinize_single_constraint(mdp, mixed, c)
-        assert det.is_deterministic
+        assert is_deterministic(det)
         before = cvar(evaluate(mdp, mixed, "reach")[0], F(1, 5))
         after = cvar(evaluate(mdp, det, "reach")[0], F(1, 5))
         assert after >= before
