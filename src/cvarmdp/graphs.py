@@ -95,7 +95,10 @@ def mec_decomposition(mdp: Mdp) -> MecDecomposition:
 
     Repeatedly remove actions that may leave their current component (or hit
     a state that has no live action left) until stable; the surviving
-    components with at least one live action are the MECs.
+    components with at least one live action are the MECs.  A scan whose
+    removals took out only edges between components, and left every state
+    that had a live action with one, is the last: removing edges between
+    components splits none, so the next scan would remove nothing.
     """
     live: Dict[State, Set[str]] = {s: set(mdp.available.get(s, ())) for s in mdp.states}
     while True:
@@ -108,17 +111,15 @@ def mec_decomposition(mdp: Mdp) -> MecDecomposition:
         for i, comp in enumerate(comps):
             for s in comp:
                 comp_of[s] = i
-        changed = False
+        may_split = False
         for s in mdp.states:
             for a in list(live[s]):
-                for t, p in mdp.delta[a].items():
-                    if p == 0:
-                        continue
-                    if comp_of[t] != comp_of[s] or not live[t]:
-                        live[s].discard(a)
-                        changed = True
-                        break
-        if not changed:
+                succ = [t for t, p in mdp.delta[a].items() if p != 0]
+                if any(comp_of[t] != comp_of[s] or not live[t] for t in succ):
+                    live[s].discard(a)
+                    if not live[s] or any(comp_of[t] == comp_of[s] for t in succ):
+                        may_split = True
+        if not may_split:
             break
     mecs: List[Mec] = []
     for comp in comps:

@@ -2,8 +2,13 @@
 
 Row ``i`` of the tableau is ``rows[i] / dens[i]``: Python ints over one
 positive denominator, kept by integer-preserving elimination (Edmonds 1967,
-Bareiss 1968) and a gcd reduction per changed row.  Pivot choices compare
-integers, so they are those of exact rational arithmetic.  Pivoting is
+Bareiss 1968), which is exact at any scale.  A pivot brings its pivot row to
+lowest terms, because that row multiplies into every row it clears; any
+other row is divided by its gcd only once its denominator has more than
+``REDUCE_BITS`` bits, which bounds the growth of its integers.  Pivot choices
+compare the numerators of one row, or two rows' entries cross-multiplied,
+and points are read as ``Fraction``s, so how far a row is reduced changes no
+pivot and no result: they are those of exact rational arithmetic.  Pivoting is
 Dantzig's rule, falling back to Bland's rule permanently once the objective
 stalls, which guarantees termination on degenerate programs.  The kernel
 ``pivot`` serves the simplex alone: the linear systems of Markov-chain
@@ -26,6 +31,14 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 LE, GE, EQ = "<=", ">=", "=="
 _SENSES = (LE, GE, EQ)
+
+# A row other than the pivot row is divided by its gcd once its denominator
+# has more than this many bits.  Reducing every row after every pivot spends
+# more on gcds than it saves on smaller integers, and never reducing lets the
+# integers of a long run grow without bound.  On the benchmark's LPs, bounds
+# from 64 to 1024 bits and no bound were timed, and 512 was among the fastest
+# on every one.
+REDUCE_BITS = 512
 
 
 @dataclass
@@ -103,23 +116,29 @@ def integer_row(values) -> Tuple[List[int], int]:
 
 
 def pivot(rows: List[List[int]], dens: List[int], r: int, c: int) -> None:
-    """Pivot at (r, c) in place: the pivot row keeps its numerators over the
-    denominator ``|rows[r][c]|`` (the sign moves into the numerators), and
-    every other row with a nonzero entry at ``c`` has it eliminated."""
-    if rows[r][c] < 0:
-        rows[r] = [-x for x in rows[r]]
-    dens[r] = rows[r][c]
-    _reduce(rows, dens, r)
-    support = [j for j, y in enumerate(rows[r]) if y]
+    """Pivot at (r, c) in place: the pivot row is brought to lowest terms
+    over the denominator ``|rows[r][c]|`` (the sign moves into the
+    numerators), and every other row with a nonzero entry at ``c`` has it
+    eliminated."""
+    row = rows[r]
+    g = gcd(*row)
+    if row[c] < 0:
+        g = -g
+    if g != 1:
+        rows[r] = row = [x // g for x in row]
+    dens[r] = row[c]
+    support = [j for j, y in enumerate(row) if y]
     for i in range(len(rows)):
         if rows[i][c] and i != r:
-            _eliminate(rows, dens, i, rows[r], support, c)
+            _eliminate(rows, dens, i, row, support, c)
 
 
 def _eliminate(rows, dens, i, prow, support, c) -> None:
     """Clear entry ``c`` of row ``i`` with ``prow``, whose entry at ``c`` is
     its denominator: ``pd * row - a * prow`` over ``den * pd``, after dividing
-    ``pd`` and ``a`` by their gcd."""
+    ``pd`` and ``a`` by their gcd.  The row is then divided by the gcd of its
+    denominator and numerators if the denominator has more than
+    ``REDUCE_BITS`` bits."""
     g = gcd(prow[c], rows[i][c])
     pd, a = prow[c] // g, rows[i][c] // g
     row = rows[i]
@@ -128,16 +147,11 @@ def _eliminate(rows, dens, i, prow, support, c) -> None:
         dens[i] *= pd
     for j in support:
         row[j] -= a * prow[j]
-    _reduce(rows, dens, i)
-
-
-def _reduce(rows: List[List[int]], dens: List[int], i: int) -> None:
-    """Divide row ``i`` by the gcd of its denominator and numerators."""
     d = dens[i]
-    if d != 1:
-        g = gcd(d, *rows[i])
+    if d.bit_length() > REDUCE_BITS:
+        g = gcd(d, *row)
         if g != 1:
-            rows[i] = [x // g for x in rows[i]]
+            rows[i] = [x // g for x in row]
             dens[i] = d // g
 
 
@@ -347,6 +361,7 @@ class WarmStart:
             width,
         )
         rows, dens, basis = warm.rows, warm.dens, warm.basis
+        supports = [[j for j, y in enumerate(row) if y] for row in rows]
         cost = [0] * width
         slack = tab.width
         for k, (coeffs, sense, rhs) in enumerate(extra):
@@ -358,8 +373,7 @@ class WarmStart:
             dens.append(den)
             for i, b in enumerate(tab.basis):
                 if rows[r][b]:
-                    prow = rows[i]
-                    _eliminate(rows, dens, r, prow, [j for j, y in enumerate(prow) if y], b)
+                    _eliminate(rows, dens, r, rows[i], supports[i], b)
             row = rows[r]
             s = row[slack] if sense != EQ else 0
             if s and (row[width] == 0 or (row[width] > 0) == (s > 0)):

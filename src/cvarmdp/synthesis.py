@@ -48,10 +48,11 @@ def _least_action(mdp: Mdp, s: State) -> str:
 
 
 def _proportional(masses: Mapping[str, Fraction]) -> Optional[Dict[str, Fraction]]:
+    masses = {a: m for a, m in masses.items() if m != 0}
     total = sum(masses.values(), ZERO)
     if total == 0:
         return None
-    return {a: m / total for a, m in masses.items() if m != 0}
+    return {a: m / total for a, m in masses.items()}
 
 
 def _flow_move(mdp: Mdp, y: Mapping[str, Fraction], s: State) -> Dict[str, Fraction]:
@@ -283,7 +284,7 @@ def realize_quotient_flow(
             if a not in actions and a in used
         }
         commit = switch.get(rep, ZERO)
-        total_in = sum((entry[s] for s in members), ZERO)
+        total_in = sum(filter(None, (entry[s] for s in members)), ZERO)
         if total_in == 0:
             continue  # never entered; default moves suffice
         if len(members) <= MEC_LP_LIMIT:

@@ -3,8 +3,10 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import cvarmdp.graphs as graphs
 from cvarmdp.gadgets import random_mdp
 from cvarmdp.graphs import (
+    MecDecomposition,
     bsccs,
     check_attraction,
     cleanup,
@@ -14,6 +16,8 @@ from cvarmdp.graphs import (
     strongly_connected_components,
 )
 from cvarmdp.model import Mdp, validate
+from test_oracles import trap_mdp
+from test_solver import _exit_ring
 
 
 def brute_force_mecs(mdp):
@@ -105,6 +109,83 @@ class TestMecDecomposition:
         for i, (states, _) in enumerate(dec.mecs):
             for s in states:
                 assert dec.state_to_mec[s] == i
+
+
+def full_refinement_mecs(mdp):
+    """Reference: the MEC refinement loop that rescans until a scan removes
+    no action at all."""
+    live = {s: set(mdp.available.get(s, ())) for s in mdp.states}
+    while True:
+        graph = {
+            s: {t for a in live[s] for t, p in mdp.delta[a].items() if p != 0}
+            for s in mdp.states
+        }
+        comp_of = {}
+        comps = strongly_connected_components(graph)
+        for i, comp in enumerate(comps):
+            for s in comp:
+                comp_of[s] = i
+        changed = False
+        for s in mdp.states:
+            for a in list(live[s]):
+                for t, p in mdp.delta[a].items():
+                    if p == 0:
+                        continue
+                    if comp_of[t] != comp_of[s] or not live[t]:
+                        live[s].discard(a)
+                        changed = True
+                        break
+        if not changed:
+            break
+    mecs = []
+    for comp in comps:
+        states = frozenset(s for s in comp if live[s])
+        if states:
+            mecs.append((states, frozenset(a for s in states for a in live[s])))
+    mecs = sorted(mecs, key=lambda m: sorted(map(repr, m[0])))
+    return MecDecomposition(mecs, {s: i for i, (states, _) in enumerate(mecs) for s in states})
+
+
+class TestEarlyStop:
+    """``mec_decomposition`` stops after a scan that removed only edges
+    between components; the full refinement loop is its reference."""
+
+    def _models(self):
+        for seed in range(150):
+            rng = random.Random(f"early-stop:{seed}")
+            n = rng.randint(2, 12)
+            yield random_mdp(
+                n, rng.randint(1, 3), F(1, rng.randint(1, n)), (0, 3), 1, seed=seed,
+                targets=rng.randint(0, min(2, n - 1)),
+            )
+        for seed in range(50):
+            yield trap_mdp(seed)
+
+    def test_same_mecs_as_the_full_refinement(self, monkeypatch):
+        scans = []
+        tarjan = graphs.strongly_connected_components
+        monkeypatch.setattr(graphs, "strongly_connected_components", lambda g: scans.append(1) or tarjan(g))
+        rescanned = 0
+        for mdp in self._models():
+            scans.clear()
+            got, ref = mec_decomposition(mdp), full_refinement_mecs(mdp)
+            assert got.mecs == ref.mecs
+            assert got.state_to_mec == ref.state_to_mec
+            rescanned += len(scans) > 1
+        assert rescanned > 0  # removals inside a component were rescanned
+
+    def test_ring_runs_tarjan_once(self, monkeypatch):
+        calls = []
+        tarjan = graphs.strongly_connected_components
+
+        def spy(graph):
+            calls.append(len(graph))
+            return tarjan(graph)
+
+        monkeypatch.setattr(graphs, "strongly_connected_components", spy)
+        dec = mec_decomposition(_exit_ring(300))
+        assert calls == [300]
+        assert sorted(len(states) for states, _ in dec.mecs) == [1, 1, 298]
 
 
 class TestCleanupAndQuotient:
