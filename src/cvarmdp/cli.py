@@ -48,6 +48,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -72,7 +82,7 @@ def _build_parser() -> _Parser:
     p.add_argument("model")
     p.add_argument("query")
     p.add_argument("--objective", choices=["reach", "mean"], help="override query objective")
-    p.add_argument("--grid", type=int, default=16, help="guess-grid refinement")
+    p.add_argument("--grid", type=_positive_int, default=16, help="guess-grid refinement")
     p.add_argument("--out", help="prefix for witness/certificate JSON (default: query path stem)")
 
     p = sub.add_parser("evaluate", help="exact E/VaR/CVaR of a strategy")

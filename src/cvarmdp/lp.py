@@ -14,6 +14,13 @@ stalls, which guarantees termination on degenerate programs.  The kernel
 ``pivot`` serves the simplex alone: the linear systems of Markov-chain
 evaluation are sparse and have their own elimination, ``chain.solve_linear``.
 
+Phase 1's artificials have no columns, only basis indices, and one that
+leaves the basis is gone for good (Chvatal, *Linear Programming*, 1983,
+ch. 8).  Correctness: every x feasible with all artificials at 0 stays
+feasible once the left ones are fixed at 0, so phase 1 still ends at 0
+exactly when the LP is feasible.  Termination: columns only ever leave;
+after the last one leaves, the LP is fixed and Bland's rule terminates.
+
 A family of feasibility LPs that open with the same rows, such as the guess
 LPs of one quotient, is decided from one ``WarmStart``.  The first member is
 solved from scratch.  Then the shared block is solved once, and each later
@@ -109,12 +116,6 @@ def solve_optimize(lp: LinearProgram) -> LpResult:
     return _solve(lp, optimize=True)
 
 
-def integer_row(values) -> Tuple[List[int], int]:
-    """Rationals as integer numerators over their least common denominator."""
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
 def pivot(rows: List[List[int]], dens: List[int], r: int, c: int) -> None:
     """Pivot at (r, c) in place: the pivot row is brought to lowest terms
     over the denominator ``|rows[r][c]|`` (the sign moves into the
@@ -157,9 +158,9 @@ def _eliminate(rows, dens, i, prow, support, c) -> None:
 
 @dataclass
 class _Tableau:
-    """A canonical tableau after phase 1 and artificial removal: row ``i`` is
-    ``rows[i] / dens[i]`` with the right-hand side at column ``width``, and
-    ``basis[i]`` is its basic column."""
+    """A canonical tableau: row ``i`` is ``rows[i] / dens[i]`` with the
+    right-hand side at column ``width``, and ``basis[i]`` is its basic
+    column, or an artificial's index (``width`` or more), which has none."""
 
     rows: List[List[int]]
     dens: List[int]
@@ -172,17 +173,20 @@ class _Tableau:
         """The basic solution, as values of ``variables``."""
         values = [Fraction(0)] * self.width
         for i, bi in enumerate(self.basis):
-            values[bi] = Fraction(self.rows[i][self.width], self.dens[i])
+            if bi < self.width:  # a basic artificial has no column and is 0
+                values[bi] = Fraction(self.rows[i][self.width], self.dens[i])
         for v, j in self.neg_col.items():
             values[self.col_of[v]] -= values[j]
         return {v: values[self.col_of[v]] for v in variables}
 
 
 def _constraint_row(coeffs, rhs, col_of, neg_col, width) -> Tuple[List[int], int, int]:
-    """The structural numerators and right-hand side of one constraint over
-    its least common denominator, negated when ``rhs < 0``; returns the row,
-    the denominator and that sign."""
-    nums, den = integer_row([rhs, *coeffs.values()])
+    """The structural numerators and right-hand side of one constraint (or of
+    the objective, with ``rhs`` 0) over its least common denominator, negated
+    when ``rhs < 0``; returns the row, the denominator and that sign."""
+    values = [rhs, *coeffs.values()]
+    den = lcm(*(x.denominator for x in values))
+    nums = [x.numerator * (den // x.denominator) for x in values]
     sign = -1 if rhs < 0 else 1
     row = [0] * (width + 1)
     for v, x in zip(coeffs, nums[1:]):
@@ -196,40 +200,37 @@ def _constraint_row(coeffs, rhs, col_of, neg_col, width) -> Tuple[List[int], int
 def _phase1(lp: LinearProgram) -> Tuple[Optional[_Tableau], LpResult]:
     """Phase 1 from an all-artificial basis, then artificial removal; the
     tableau is None when ``lp`` is infeasible."""
-    # column layout: one column per variable, an extra negated column for free
-    # variables, then slack columns, then artificials.
+    # columns: one per variable, an extra negated one per free variable, then
+    # slacks; row i's artificial has no column, only basis index nart_start + i
     col_of = {v: j for j, v in enumerate(lp.variables)}
     neg_col = {v: len(col_of) + k for k, v in enumerate(v for v in lp.variables if v in lp.free)}
     nstruct = len(col_of) + len(neg_col)
-
     nslack = sum(1 for _, sense, _ in lp.constraints if sense != EQ)
-    m = len(lp.constraints)
-    width = nstruct + nslack + m  # artificials occupy the trailing m columns
     nart_start = nstruct + nslack
 
     rows: List[List[int]] = []
     dens: List[int] = []
-    basis = list(range(nart_start, width))
-    slack_idx = nart_start - nslack
-    for i, (coeffs, sense, rhs) in enumerate(lp.constraints):
-        row, den, sign = _constraint_row(coeffs, rhs, col_of, neg_col, width)
+    basis = list(range(nart_start, nart_start + len(lp.constraints)))
+    slack_idx = nstruct
+    for coeffs, sense, rhs in lp.constraints:
+        row, den, sign = _constraint_row(coeffs, rhs, col_of, neg_col, nart_start)
         if sense != EQ:
             row[slack_idx] = sign * den if sense == LE else -sign * den
             slack_idx += 1
-        row[nart_start + i] = den
         rows.append(row)
         dens.append(den)
     stats = LpResult(status="infeasible")
 
     # phase 1: drive the artificial variables to zero
-    _run_simplex(rows, dens, basis, [0] * nart_start + [-1] * m, stats)  # always bounded
+    _phase1_cost(rows, dens, basis, nart_start)
+    _run_simplex(rows, dens, basis, stats)  # always bounded
     if stats.value != 0:
         stats.value = None
         return None, stats
 
-    # remove artificials from the basis, dropping redundant rows
+    # remove artificials from the basis, dropping redundant rows and the cost row
     keep = []
-    for i in range(m):
+    for i in range(len(basis)):
         if basis[i] >= nart_start:
             c = next((j for j in range(nart_start) if rows[i][j] != 0), None)
             if c is None:
@@ -238,12 +239,18 @@ def _phase1(lp: LinearProgram) -> Tuple[Optional[_Tableau], LpResult]:
             basis[i] = c
             stats.pivots += 1
         keep.append(i)
-
-    # truncate artificial columns
-    rows = [rows[i][:nart_start] + [rows[i][width]] for i in keep]
-    dens = [dens[i] for i in keep]
-    basis = [basis[i] for i in keep]
+    rows, dens, basis = [rows[i] for i in keep], [dens[i] for i in keep], [basis[i] for i in keep]
     return _Tableau(rows, dens, basis, col_of, neg_col, nart_start), stats
+
+
+def _phase1_cost(rows, dens, basis, art_start) -> None:
+    """Append the phase-1 reduced-cost row: the sum of the rows whose basic
+    variable is an artificial (index ``art_start`` or more)."""
+    arts = [i for i, b in enumerate(basis) if b >= art_start]
+    den = lcm(*(dens[i] for i in arts))
+    scaled = [(den // dens[i], rows[i]) for i in arts]
+    rows.append([sum(f * row[j] for f, row in scaled) for j in range(art_start + 1)])
+    dens.append(den)
 
 
 def _solve(lp: LinearProgram, optimize: bool) -> LpResult:
@@ -253,12 +260,14 @@ def _solve(lp: LinearProgram, optimize: bool) -> LpResult:
     rows, dens, basis, width = tab.rows, tab.dens, tab.basis, tab.width
 
     if optimize:
-        cost2 = [Fraction(0)] * width
-        for v, c in lp.objective.items():
-            cost2[tab.col_of[v]] += c
-            if v in tab.neg_col:
-                cost2[tab.neg_col[v]] -= c
-        if _run_simplex(rows, dens, basis, cost2, stats) == "unbounded":
+        costrow, den, _ = _constraint_row(lp.objective, 0, tab.col_of, tab.neg_col, width)
+        m = len(basis)
+        rows.append(costrow)
+        dens.append(den)
+        for i, b in enumerate(basis):
+            if rows[m][b]:
+                _eliminate(rows, dens, m, rows[i], [j for j, y in enumerate(rows[i]) if y], b)
+        if _run_simplex(rows, dens, basis, stats) == "unbounded":
             stats.status, stats.value = "unbounded", None
             return stats
         stats.status = "optimal"
@@ -280,12 +289,12 @@ class WarmStart:
     feasible point, every later member is infeasible.  Each later call
     decides ``prog`` from a copy of the tableau (Chvatal, *Linear
     Programming*, 1983, ch. 10): every row after the block gets a slack
-    column (unless it is an equation) and an artificial slot, and its
-    entries in the block's basic columns are cleared.  Where the cleared row leaves its slack
-    nonnegative, the slack becomes basic, with the row negated if its
-    coefficient is negative; every other row is made to have a nonnegative
-    right-hand side and takes its artificial into the basis.  A phase 1
-    over those artificials alone decides ``prog``.
+    column (unless it is an equation), and its entries in the block's basic
+    columns are cleared.  Where the cleared row leaves its slack nonnegative,
+    the slack becomes basic, with the row negated if its coefficient is
+    negative; every other row is made to have a nonnegative right-hand side
+    and its artificial, which has no column, becomes basic.  A phase 1 over
+    those artificials alone decides ``prog``.
 
     An infeasible member is answered from that phase 1.  A feasible one is
     then solved cold, and the point returned is the one ``start=None``
@@ -295,11 +304,10 @@ class WarmStart:
     depend on the order of each state's actions.  ``pivots`` and ``bland``
     count both solves.
 
-    A Farkas vector of an infeasible member, read off the warm phase 1's
-    cost row, weighs the block's rows as they stand in the tableau; mapping
-    it back to the original block rows needs the block's B^-1, which is the
-    artificial columns of the block's phase-1 tableau (dropped here by the
-    artificial removal).
+    B^-1 is in no tableau, cold or warm: a Farkas vector of an infeasible
+    LP, ``lambda = c_B B^-1``, comes from one exact solve ``B^T y = c_B`` on
+    the final phase-1 basis B.  That is enough, because a Farkas vector needs
+    the reduced costs of the structural and slack columns only.
     """
 
     def __init__(self, block: LinearProgram) -> None:
@@ -345,27 +353,17 @@ class WarmStart:
         if tab is None:
             return stats
 
-        # columns: the block's, one slack per appended inequality, one
-        # artificial slot per appended row, then the right-hand side
+        # columns: the block's, one slack per appended inequality, then the
+        # right-hand side; appended row k's artificial is basis index art_start + k
         extra = lp.constraints[len(shared):]
-        nslack = sum(1 for _, sense, _ in extra if sense != EQ)
-        art_start = tab.width + nslack
-        width = art_start + len(extra)
-        pad = [0] * (width - tab.width)
-        warm = _Tableau(
-            [row[: tab.width] + pad + row[tab.width :] for row in tab.rows],
-            list(tab.dens),
-            list(tab.basis),
-            tab.col_of,
-            tab.neg_col,
-            width,
-        )
-        rows, dens, basis = warm.rows, warm.dens, warm.basis
+        art_start = tab.width + sum(1 for _, sense, _ in extra if sense != EQ)
+        pad = [0] * (art_start - tab.width)
+        rows = [row[: tab.width] + pad + row[tab.width :] for row in tab.rows]
+        dens, basis = list(tab.dens), list(tab.basis)
         supports = [[j for j, y in enumerate(row) if y] for row in rows]
-        cost = [0] * width
         slack = tab.width
         for k, (coeffs, sense, rhs) in enumerate(extra):
-            row, den, sign = _constraint_row(coeffs, rhs, tab.col_of, tab.neg_col, width)
+            row, den, sign = _constraint_row(coeffs, rhs, tab.col_of, tab.neg_col, art_start)
             if sense != EQ:
                 row[slack] = sign * den if sense == LE else -sign * den
             r = len(rows)
@@ -376,38 +374,32 @@ class WarmStart:
                     _eliminate(rows, dens, r, rows[i], supports[i], b)
             row = rows[r]
             s = row[slack] if sense != EQ else 0
-            if s and (row[width] == 0 or (row[width] > 0) == (s > 0)):
+            if s and (row[art_start] == 0 or (row[art_start] > 0) == (s > 0)):
                 flip, basic = s < 0, slack
             else:
-                flip, basic = row[width] < 0, art_start + k
+                flip, basic = row[art_start] < 0, art_start + k
             if flip:
-                rows[r] = row = [-x for x in row]
-            if basic >= art_start:
-                row[basic] = dens[r]
-                cost[basic] = -1
+                rows[r] = [-x for x in row]
             basis.append(basic)
             slack += sense != EQ
 
-        if any(cost):
-            _run_simplex(rows, dens, basis, cost, stats)  # always bounded
+        if any(b >= art_start for b in basis):
+            _phase1_cost(rows, dens, basis, art_start)
+            _run_simplex(rows, dens, basis, stats)  # always bounded
             if stats.value != 0:
                 stats.value = None
                 return stats
         stats.status, stats.value = "feasible", None
-        stats.assignment = warm.point(lp.variables)
+        stats.assignment = _Tableau(rows, dens, basis, tab.col_of, tab.neg_col, art_start).point(lp.variables)
         return stats
 
 
-def _run_simplex(rows, dens, basis, cost, stats: LpResult) -> str:
-    """Maximize ``cost · x`` from a canonical basis, with the reduced cost row
-    appended to ``rows``; leaves the objective in ``stats.value``."""
-    m, width = len(basis), len(cost)
-    nums, den = integer_row(cost)
-    rows.append(nums + [0])
-    dens.append(den)
-    for i, b in enumerate(basis):
-        if rows[m][b]:
-            _eliminate(rows, dens, m, rows[i], [j for j, y in enumerate(rows[i]) if y], b)
+def _run_simplex(rows, dens, basis, stats: LpResult) -> str:
+    """Maximize from a canonical basis; the caller appends the reduced-cost
+    row to ``rows``, after the basis rows, and the objective is left in
+    ``stats.value``."""
+    m = len(basis)
+    width = len(rows[m]) - 1
 
     bland = False
     stall = 0

@@ -78,6 +78,15 @@ class TestCheck:
         assert main(["check"]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_below_one_is_a_usage_error(self, choice_files, capsys, grid):
+        model, query, tmp = choice_files
+        assert main(["check", str(model), str(query), "--grid", grid, "--out", str(tmp / "g")]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --grid: must be a positive integer, not {grid}\n")
+        assert not (tmp / "g.certificate.json").exists()
+
     @pytest.mark.parametrize(
         "constraint",
         [

@@ -183,10 +183,14 @@ class TestOracle:
 # --------------------------------------------------------------------------
 # Differential check: the integer-row simplex against the Fraction tableau it
 # replaced.  ``fraction_solve`` is that tableau, kept here as the reference;
-# it returns the result and the (row, column) sequence of every pivot.
+# it returns the result and the (row, column) sequence of every pivot.  It
+# keeps the artificial columns, but by default phase 1 lets only structural
+# and slack columns enter, as the library does, where an artificial that
+# leaves the basis is gone.  ``reenter=True`` is the earlier rule, under which
+# a left artificial could enter again.
 
 
-def fraction_solve(lp, optimize):
+def fraction_solve(lp, optimize, reenter=False):
     from cvarmdp.lp import LpResult
 
     zero, one = F(0), F(1)
@@ -242,11 +246,11 @@ def fraction_solve(lp, optimize):
 
     switched = []
 
-    def run(costrow, width):
+    def run(costrow, width, enter):
         bland, stall, last_obj = False, 0, costrow[width]
-        limit = 2 * (len(rows) + width) + 16
+        limit = 2 * (len(rows) + enter) + 16
         while True:
-            positive = [j for j in range(width) if costrow[j] > 0]
+            positive = [j for j in range(enter) if costrow[j] > 0]
             if not positive:
                 return "optimal"
             c = positive[0] if bland else max(positive, key=lambda j: (costrow[j], -j))
@@ -268,7 +272,7 @@ def fraction_solve(lp, optimize):
                 stall, last_obj = 0, costrow[width]
 
     costrow = init_costrow([zero] * nart_start + [-one] * m)
-    run(costrow, width)
+    run(costrow, width, width if reenter else nart_start)
     if costrow[width] != 0:
         return LpResult("infeasible"), trail, bool(switched)
     keep = []
@@ -290,7 +294,7 @@ def fraction_solve(lp, optimize):
             if v in neg_col:
                 cost2[neg_col[v]] -= c
         costrow = init_costrow(cost2)
-        if run(costrow, width) == "unbounded":
+        if run(costrow, width, width) == "unbounded":
             return LpResult("unbounded"), trail, bool(switched)
         final = "optimal"
     values = [zero] * width
@@ -399,3 +403,99 @@ class TestAgainstFractionTableau:
         seen = {"optimal": 0, "negative": 0}
         res = self._run_both(_near_tie(), True, monkeypatch, seen)
         assert res.value == 10**18 and not res.bland
+
+
+# --------------------------------------------------------------------------
+# Phase 1 keeps its artificial variables implicit: an artificial that leaves
+# the basis has no column to come back through.
+
+
+def _columns(prog):
+    """Structural (a free variable counts twice) plus slack columns."""
+    return len(prog.variables) + len(set(prog.free) & set(prog.variables)) + sum(
+        sense != EQ for _, sense, _ in prog.constraints
+    )
+
+
+def test_artificials_that_leave_do_not_change_any_status_or_optimum(monkeypatch):
+    """The reference under both phase-1 rules, and the library, agree on every
+    status and optimal value of random programs, the cycling examples, and
+    every LP that ``decide`` solves on the named examples and trap seeds."""
+    import cvarmdp.lp as lpmod
+    from cvarmdp import solver
+    from cvarmdp.gadgets import example
+    from cvarmdp.solver import decide
+    from test_oracles import trap_mdp, trap_query
+
+    rng = random.Random("no-reentry")
+    solved = [(prog, True, solve_optimize(prog)) for prog in [_random_lp(rng) for _ in range(200)]]
+    solved += [(prog, True, solve_optimize(prog)) for prog in (_beale(), _chvatal())]
+
+    def record(module, name, optimize):
+        orig = getattr(module, name)
+
+        def wrapped(prog, *args):
+            res = orig(prog, *args)
+            solved.append((prog, optimize, res))
+            return res
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    record(solver, "solve_feasibility", False)
+    record(solver, "solve_optimize", True)
+    record(lpmod, "solve_feasibility", False)  # the transshipment LP's lookup
+    for name in ("choice", "loop", "slow(1/8)", "slow(1/64)", "negative"):
+        decide(*example(name))
+    for seed in range(50):
+        decide(trap_mdp(seed), trap_query(seed))
+    assert len(solved) > 400
+
+    trails_differ = 0
+    for prog, optimize, res in solved:
+        new, new_trail, _ = fraction_solve(prog, optimize)
+        old, old_trail, _ = fraction_solve(prog, optimize, reenter=True)
+        assert (new.status, new.value) == (old.status, old.value), lpmod.dump(prog)
+        assert (res.status, res.assignment, res.value) == (new.status, new.assignment, new.value)
+        trails_differ += new_trail != old_trail
+    assert trails_differ > 0  # the two rules do pivot differently
+
+
+def test_no_tableau_holds_an_artificial_column(monkeypatch):
+    """Every row a pivot sees, the cost row included, has one entry per
+    structural and slack column plus the right-hand side, in a cold solve, in
+    a warm start's block and in a warm phase 1."""
+    import cvarmdp.lp as lpmod
+    from cvarmdp.lp import WarmStart
+
+    widths = []
+    kernel = lpmod.pivot
+
+    def spy(rows, dens, r, c):
+        widths.append({len(row) for row in rows})
+        return kernel(rows, dens, r, c)
+
+    monkeypatch.setattr(lpmod, "pivot", spy)
+    rng = random.Random("integer-rows")
+    split = random.Random("no-artificial-columns")
+    pivots = {"cold": 0, "block": 0, "warm": 0}
+    for _ in range(300):
+        prog = _random_lp(rng)
+        expected = {_columns(prog) + 1}
+        for solve in (solve_optimize, solve_feasibility):
+            widths.clear()
+            solve(prog)
+            assert all(w == expected for w in widths), (widths, expected)
+            pivots["cold"] += len(widths)
+
+        k = split.randint(0, len(prog.constraints) - 1)
+        block = LinearProgram(prog.variables, prog.constraints[:k], free=prog.free)
+        start = WarmStart(block)
+        widths.clear()
+        start._warm(LinearProgram(prog.variables, list(block.constraints), free=prog.free))
+        assert all(w == {_columns(block) + 1} for w in widths), widths
+        pivots["block"] += len(widths)
+        widths.clear()
+        start._warm(prog)
+        assert all(w == expected for w in widths), (widths, expected)
+        pivots["warm"] += len(widths)
+    assert min(pivots.values()) > 0, pivots
