@@ -31,7 +31,10 @@ def main() -> int:
     )
     parser.add_argument("--grid", type=int, default=16)
     args = parser.parse_args()
-    config = SolverConfig(grid=args.grid)
+    try:
+        config = SolverConfig(grid=args.grid)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     failures = []
     for name in args.names:

@@ -56,10 +56,15 @@ class SolverConfig:
     """Settings of the decision procedures.
 
     grid: subdivisions between consecutive candidate thresholds in the
-    multi-dimensional mean-payoff search.
+    multi-dimensional mean-payoff search; a positive integer, anything else
+    raises ``ValueError``.
     """
 
     grid: int = 16
+
+    def __post_init__(self) -> None:
+        if isinstance(self.grid, bool) or not isinstance(self.grid, int) or self.grid < 1:
+            raise ValueError(f"grid must be a positive integer, not {self.grid!r}")
 
 
 def _y(a: str) -> str:
@@ -343,7 +348,9 @@ def decide_mean_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = 
             y = {a: v for a, v in flow.y.items() if a in base.delta}
             switch = {rep: flow.y.get(f"__commit[{i}]", ZERO) for i, rep in enumerate(reps)}
             used = [f if switch[rep] else {} for f, rep in zip(freqs, reps)]
-            strat = realize_quotient_flow(base, qm, y, switch, _inner_moves(base, dec.mecs, used))
+            # built on ``mdp``, not ``base``: the witness lists only the pairs
+            # it reaches, and the check on ``mdp`` stops at its targets
+            strat = realize_quotient_flow(mdp, qm, y, switch, _inner_moves(base, dec.mecs, used))
             yield strat, {"guess": dict(tc), "gains": {repr(r): g for r, g in zip(reps, gains)}}
 
     return _first_certified(mdp, query, candidates())
@@ -494,7 +501,7 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
                 switch = {s: res.assignment.get(f"w::{s!r}", ZERO) for s in mec_states}
                 freqs = [{a: res.assignment.get(f"xa::{a}", ZERO) for a in aa} for _, aa in mecs]
                 inner = _inner_moves(base, mecs, freqs)
-                strat = two_memory_strategy(base, FlowSolution(y=y, x=switch), inner)
+                strat = two_memory_strategy(mdp, FlowSolution(y=y, x=switch), inner)
                 cert = {"guess": guess, "classification": {j: list(cls[j]) for j in cvar_dims}}
                 yield strat, cert
 

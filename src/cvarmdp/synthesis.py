@@ -60,30 +60,20 @@ def _flow_move(mdp: Mdp, y: Mapping[str, Fraction], s: State) -> Dict[str, Fract
     return dist if dist is not None else {_least_action(mdp, s): ONE}
 
 
-def _mec_graph(mdp: Mdp, members: frozenset, actions: frozenset) -> Dict[State, List[Tuple[str, State]]]:
-    out: Dict[State, List[Tuple[str, State]]] = {s: [] for s in members}
-    for s in members:
-        for a in mdp.available[s]:
-            if a in actions:
-                for t, p in mdp.delta[a].items():
-                    if p != 0:
-                        out[s].append((a, t))
-    return out
-
-
 def _routing(mdp: Mdp, members: frozenset, actions: frozenset, goal: Set[State]) -> Dict[State, str]:
     """For each member outside ``goal``, an action moving strictly closer to
     the goal set (distances via backward BFS over the component's actions).
     Ties go to the first route in ``repr`` order of states, so the result
     does not depend on set iteration order."""
-    graph = _mec_graph(mdp, members, actions)
-    dist = {s: 0 for s in goal}
-    frontier = sorted(goal, key=repr)
     preds: Dict[State, List[Tuple[State, str]]] = {s: [] for s in members}
     for s in sorted(members, key=repr):
-        for a, t in graph[s]:
-            if t in preds:
-                preds[t].append((s, a))
+        for a in mdp.available[s]:
+            if a in actions:
+                for t, p in mdp.delta[a].items():
+                    if p != 0:
+                        preds[t].append((s, a))
+    dist = {s: 0 for s in goal}
+    frontier = sorted(goal, key=repr)
     route: Dict[State, str] = {}
     while frontier:
         nxt: List[State] = []
@@ -179,43 +169,70 @@ def _inflow(mdp: Mdp, y: Mapping[str, Fraction]) -> Dict[State, Fraction]:
 def _search_remain(
     mdp: Mdp,
     y: Mapping[str, Fraction],
-    arrival: Mapping[State, Mapping],
+    arrival: Callable[[State], Optional[Mapping]],
     inner: Mapping[State, Mapping[str, Fraction]],
-    tokens: Mapping[object, Mapping[State, Mapping[str, Fraction]]],
+    tokens: Mapping[object, Tuple[State, Mapping[State, str]]],
 ) -> StrategySpec:
     """Search/remain strategy over the completed transient flow ``y``.
 
-    In ``search`` play ``y`` proportionally; every arrival at a state listed
-    in ``arrival`` resamples the memory from that distribution.  In
-    ``remain`` play the per-state ``inner`` moves.  ``tokens`` maps each
-    pending-exit memory ``("exit", a)`` to its per-state moves; taking ``a``
-    resamples the memory on arrival as a search step does, while the routing
-    actions toward ``a`` keep the token.
-    """
-    next_move: Dict[Tuple[State, object], Dict[str, Fraction]] = {}
-    for tok, moves in tokens.items():
-        for s, move in moves.items():
-            next_move[(s, tok)] = dict(move)
-    for s in mdp.states:
-        next_move[(s, SEARCH)] = _flow_move(mdp, y, s)
-        move = inner.get(s)
-        next_move[(s, REMAIN)] = dict(move) if move else {_least_action(mdp, s): ONE}
+    In ``search`` play ``y`` proportionally; every arrival at a state ``t``
+    for which ``arrival(t)`` is not ``None`` resamples the memory from that
+    distribution.  In ``remain`` play the per-state ``inner`` moves.
+    ``tokens`` maps each pending-exit memory ``("exit", a)`` to the state
+    that owns ``a`` and a routing action toward it for the other members of
+    its MEC; taking ``a`` resamples the memory on arrival as a search step
+    does, while the routing actions keep the token.
 
-    update: Dict[Tuple[str, State, object], Dict] = {}
-    for a in mdp.delta:
-        for t, p in mdp.delta[a].items():
-            if p == 0:
+    The strategy lists only the ``(state, memory)`` pairs it reaches: a
+    forward search from the initial memory distribution follows exactly what
+    ``induced_chain`` follows (positive-probability actions, successors and
+    memory outcomes, target pairs absorbing), writes a move for each reached
+    non-target pair and an update for each reached ``(action, successor,
+    memory)`` triple whose update is not the identity.
+    """
+    initial = arrival(mdp.initial) or {SEARCH: ONE}
+    next_move: Dict[Tuple[State, object], Dict[str, Fraction]] = {}
+    update: Dict[Tuple[str, State, object], Mapping] = {}
+    frontier = [(mdp.initial, m) for m, p in initial.items() if p != 0]
+    seen = set(frontier)
+    while frontier:
+        s, m = frontier.pop()
+        if s in mdp.targets:
+            continue
+        if m == SEARCH:
+            move = _flow_move(mdp, y, s)
+        elif m == REMAIN:
+            move = inner.get(s)
+            move = dict(move) if move else {_least_action(mdp, s): ONE}
+        else:
+            owner, route = tokens[m]
+            move = {m[1] if s == owner else route[s]: ONE}
+        next_move[(s, m)] = move
+        for a, pa in move.items():
+            if pa == 0:
                 continue
-            arr = arrival.get(t)
-            if arr is not None:
-                update[(a, t, SEARCH)] = arr
-            tok = ("exit", a)
-            if tok in tokens:
-                update[(a, t, tok)] = arr if arr is not None else {SEARCH: ONE}
+            exit_token = m == ("exit", a)
+            for t, p in mdp.delta[a].items():
+                if p == 0:
+                    continue
+                dist = None
+                if m == SEARCH:
+                    dist = arrival(t)
+                elif exit_token:
+                    dist = arrival(t) or {SEARCH: ONE}
+                if dist is None or dist == {m: ONE}:
+                    reached = [(t, m)]
+                else:
+                    update[(a, t, m)] = dist
+                    reached = [(t, m2) for m2, pu in dist.items() if pu != 0]
+                for key in reached:
+                    if key not in seen:
+                        seen.add(key)
+                        frontier.append(key)
 
     return StrategySpec(
         memory=(SEARCH, REMAIN) + tuple(tokens),
-        initial_memory=arrival.get(mdp.initial, {SEARCH: ONE}),
+        initial_memory=initial,
         next_move=next_move,
         memory_update=update,
     )
@@ -240,8 +257,9 @@ def _switch_arrival(
 def two_memory_strategy(mdp: Mdp, flow: FlowSolution, inner: Mapping[State, Mapping[str, Fraction]]) -> StrategySpec:
     """Search/remain strategy: in ``search`` play the transient flow and on
     arrival at s switch to ``remain`` with probability x_s / inflow(s); in
-    ``remain`` play the per-state inner (recurrent) moves."""
-    return _search_remain(mdp, flow.y, _switch_arrival(mdp, flow.y, flow.x), inner, {})
+    ``remain`` play the per-state inner (recurrent) moves.  Only the
+    ``(state, memory)`` pairs the strategy reaches get a move."""
+    return _search_remain(mdp, flow.y, _switch_arrival(mdp, flow.y, flow.x).get, inner, {})
 
 
 def realize_quotient_flow(
@@ -262,23 +280,27 @@ def realize_quotient_flow(
     completing the flow with an exact transshipment LP over their internal
     actions; larger MECs fall back to a finite-memory construction that
     samples the pending exit on entry and routes to it deterministically.
+    A pending exit is held as the state that owns it plus one routing search
+    toward that state, shared by the exits of one owner; the entry
+    distribution is kept once per MEC.  The strategy lists only the
+    ``(state, memory)`` pairs it reaches.
     """
     dec = qm.decomposition
     used = {a: m for a, m in y.items() if m != 0 and a in mdp.delta}
     entry = _inflow(mdp, used)
 
-    # arrival memory distribution per state of a large MEC, filled in below
-    arrival: Dict[State, Dict] = {}
-    tokens: Dict[object, Dict[State, Dict[str, Fraction]]] = {}
+    # pending-exit memory distribution on entry, per large MEC index
+    mec_arrival: Dict[int, Dict] = {}
+    tokens: Dict[object, Tuple[State, Dict[State, str]]] = {}
     full_y: Dict[str, Fraction] = dict(used)  # completed with internal flows
     stay: Dict[State, Fraction] = {}  # switch masses inside small MECs
 
-    for members, actions in dec.mecs:
+    for i, (members, actions) in enumerate(dec.mecs):
         rep = qm.lift[next(iter(members))]
         if rep in qm.quotient.targets:
             continue
-        exits = {
-            a: used[a]
+        owner = {
+            a: s
             for s in members
             for a in mdp.available[s]
             if a not in actions and a in used
@@ -288,32 +310,32 @@ def realize_quotient_flow(
         if total_in == 0:
             continue  # never entered; default moves suffice
         if len(members) <= MEC_LP_LIMIT:
-            g, w = _transship(mdp, members, actions, entry, exits, commit)
+            g, w = _transship(mdp, members, actions, entry, {a: used[a] for a in owner}, commit)
             for a, m in g.items():
                 if m != 0:
                     full_y[a] = full_y.get(a, ZERO) + m
             stay.update(w)
         else:
-            token_dist = {("exit", a): m / total_in for a, m in exits.items() if m != 0}
+            token_dist = {("exit", a): used[a] / total_in for a in owner}
             if commit != 0:
                 token_dist[REMAIN] = commit / total_in
             if not token_dist:
                 raise ModelError("MEC absorbs flow without exits or switch mass")
-            owner = mdp.action_state()
-            for tok in token_dist:
-                if tok == REMAIN:
-                    continue
-                _, a = tok
-                route = _routing(mdp, members, actions, {owner[a]})
-                tokens[tok] = {
-                    s: {a if s == owner[a] else route[s]: ONE} for s in members
-                }
-            for s in members:
-                arrival[s] = dict(token_dist)
+            routes: Dict[State, Dict[State, str]] = {}
+            for a, s in owner.items():
+                if s not in routes:
+                    routes[s] = _routing(mdp, members, actions, {s})
+                tokens[("exit", a)] = (s, routes[s])
+            mec_arrival[i] = token_dist
 
     # internal actions never leave their MEC, so the completed flow's inflow
     # at a small MEC's member is its entry plus that MEC's own internal flow
-    arrival.update(_switch_arrival(mdp, full_y, stay))
+    switch_arrival = _switch_arrival(mdp, full_y, stay)
+
+    def arrival(t: State) -> Optional[Dict]:
+        dist = switch_arrival.get(t)
+        return dist if dist is not None else mec_arrival.get(dec.mec_of(t))
+
     return _search_remain(mdp, full_y, arrival, inner, tokens)
 
 

@@ -216,6 +216,23 @@ class TestEvaluate:
         assert "6" in out and "5/2" in out
 
 
+    def test_witness_missing_a_reached_pair_is_invalid_input(self, tmp_path, capsys):
+        # a witness lists only the (state, memory) pairs it reaches, so the
+        # evaluation needs every move it lists
+        model, query = tmp_path / "m.json", tmp_path / "q.json"
+        assert main(["generate", "--example", "slow(1/8)", str(model), str(query)]) == EXIT_SAT
+        assert main(["check", str(model), str(query), "--out", str(tmp_path / "w")]) == EXIT_SAT
+        doc = json.loads((tmp_path / "w.witness.json").read_text())
+        assert len(doc["next_move"]) == 4
+        for i, entry in enumerate(doc["next_move"]):
+            strat = tmp_path / "cut.json"
+            strat.write_text(json.dumps(dict(doc, next_move=doc["next_move"][:i] + doc["next_move"][i + 1 :])))
+            capsys.readouterr()
+            assert main(["evaluate", str(model), str(strat), "--objective", "mean"]) == EXIT_INVALID
+            undefined = f"strategy undefined at state {entry['state']!r}, memory {entry['memory']!r}"
+            assert undefined in capsys.readouterr().err
+
+
 class TestStrategyInput:
     @pytest.mark.parametrize(
         "move, problem",

@@ -82,9 +82,9 @@ EXAMPLE_LPS = {
 }
 
 EXAMPLE_WITNESSES = {
-    "choice": "9ce7e8ad2c7d0987bf7e2c84d61d98ab22786dbd86ca51f71124daeaedcb8cc2",
-    "loop": "16007979ffadc2f997b6bbd08a791144722b39e186225e589899c8cdcaf08863",
-    "negative": "66e6c4995c3d2dd2b267227c2b97279ca5ebb2fda794a7090d89abbef80d349b",
+    "choice": "0dc81452e0c934070ec1ceac0c9be64ef7dfc6d3b81e7cc73a104404b20d0577",
+    "loop": "70140b21c095f40c1b08d0e9562a0fa33bd9ee8cb078d6eecf050cc112eae16e",
+    "negative": "b61d2ca6592f014eda2e0a74964b1573ca0f89c5a8f56ba2f1e2a21a12b7a535",
 }
 
 # gain LPs (max and min per MEC and CVaR dimension), then the
@@ -150,5 +150,5 @@ def test_mean_multi_search_remain_witness(lp_log):
         assert all(p != 0 for p in dist.values())
     assert (
         _sha(serialize.strategy_to_json(witness))
-        == "a5b70e472cd0ad7fd068da87a8767d2df6bee207ae830e1adb314e20f905d7d3"
+        == "d6b2da91804fc3012911bec26cad50c5bfb39bc8f15ef033c15a518a41f239b9"
     )

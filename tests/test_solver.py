@@ -1,5 +1,6 @@
 """End-to-end decision procedure tests for reachability and mean payoff."""
 import random
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction as F
@@ -280,6 +281,22 @@ class TestMeanMulti:
         a = decide_mean_single(mdp, query)
         b = decide_mean_multi(mdp, query)
         assert a.status == b.status == "SAT"
+
+    @pytest.mark.parametrize("grid", [-3, 0, True, 2.0, "4"])
+    def test_grid_must_be_a_positive_integer(self, grid):
+        # a grid below 1 used to act as grid 1: this query answered SAT at
+        # grid -3, 0, 1 and 4 alike
+        q = Query(
+            objective="mean",
+            constraints=(
+                Constraint(dim=0, cvar=(F(1, 2), F(2))),
+                Constraint(dim=1, expectation=F(3)),
+            ),
+        )
+        with pytest.raises(ValueError, match=re.escape(f"grid must be a positive integer, not {grid!r}")):
+            decide(self._two_mecs(), q, SolverConfig(grid=grid))
+        for good in (1, 4):
+            assert decide(self._two_mecs(), q, SolverConfig(grid=good)).status == "SAT"
 
     def test_infeasible_cvar_with_spread_gains_is_unknown(self):
         # the t-grid cannot prove UNSAT when MEC gains are spread out

@@ -4,25 +4,42 @@ from fractions import Fraction as F
 
 import pytest
 
+from cvarmdp import solver
 from cvarmdp.chain import reach_probabilities
 from cvarmdp.gadgets import example, random_mdp
 from cvarmdp.graphs import cleanup, mec_decomposition
 from cvarmdp.model import (
     Constraint,
     Mdp,
+    ModelError,
     Query,
+    StrategySpec,
     induced_chain,
     memoryless,
 )
 from cvarmdp.risk import cvar, expectation
 from cvarmdp.solver import decide
 from cvarmdp.synthesis import (
+    MEC_LP_LIMIT,
+    ONE,
+    REMAIN,
+    SEARCH,
+    ZERO,
     FlowSolution,
+    _flow_move,
+    _inflow,
+    _least_action,
+    _routing,
+    _switch_arrival,
+    _transship,
     evaluate,
     mec_constant_strategy,
     two_memory_strategy,
 )
 from lemmas import determinize_single_constraint, is_deterministic, mix_strategies
+from test_acceptance import _big_ring
+from test_oracles import trap_mdp, trap_query
+from test_solver import _exit_ring, reach_query
 
 
 class TestReachFlow:
@@ -167,3 +184,157 @@ class TestConvexityEcho:
                 evaluate(mdp, b, "reach")[0], p
             )
             assert lhs <= rhs
+
+
+# --------------------------------------------------------------- reached pairs
+# The full-table search/remain builder: a move for every state in ``search``
+# and ``remain``, one per member of a large MEC for each pending exit, and an
+# update for every positive-probability transition.  Witnesses are checked
+# against it below.
+
+
+def _full_table(mdp, y, arrival, inner, tokens):
+    next_move = {}
+    for tok, moves in tokens.items():
+        for s, move in moves.items():
+            next_move[(s, tok)] = dict(move)
+    for s in mdp.states:
+        next_move[(s, SEARCH)] = _flow_move(mdp, y, s)
+        move = inner.get(s)
+        next_move[(s, REMAIN)] = dict(move) if move else {_least_action(mdp, s): ONE}
+    update = {}
+    for a in mdp.delta:
+        for t, p in mdp.delta[a].items():
+            if p == 0:
+                continue
+            arr = arrival.get(t)
+            if arr is not None:
+                update[(a, t, SEARCH)] = arr
+            tok = ("exit", a)
+            if tok in tokens:
+                update[(a, t, tok)] = arr if arr is not None else {SEARCH: ONE}
+    return StrategySpec(
+        memory=(SEARCH, REMAIN) + tuple(tokens),
+        initial_memory=arrival.get(mdp.initial, {SEARCH: ONE}),
+        next_move=next_move,
+        memory_update=update,
+    )
+
+
+def _full_two_memory(mdp, flow, inner):
+    return _full_table(mdp, flow.y, _switch_arrival(mdp, flow.y, flow.x), inner, {})
+
+
+def _full_realize(mdp, qm, y, switch, inner):
+    dec = qm.decomposition
+    used = {a: m for a, m in y.items() if m != 0 and a in mdp.delta}
+    entry = _inflow(mdp, used)
+    arrival, tokens = {}, {}
+    full_y = dict(used)
+    stay = {}
+    for members, actions in dec.mecs:
+        rep = qm.lift[next(iter(members))]
+        if rep in qm.quotient.targets:
+            continue
+        exits = {a: used[a] for s in members for a in mdp.available[s] if a not in actions and a in used}
+        commit = switch.get(rep, ZERO)
+        total_in = sum(filter(None, (entry[s] for s in members)), ZERO)
+        if total_in == 0:
+            continue
+        if len(members) <= MEC_LP_LIMIT:
+            g, w = _transship(mdp, members, actions, entry, exits, commit)
+            for a, m in g.items():
+                if m != 0:
+                    full_y[a] = full_y.get(a, ZERO) + m
+            stay.update(w)
+        else:
+            token_dist = {("exit", a): m / total_in for a, m in exits.items() if m != 0}
+            if commit != 0:
+                token_dist[REMAIN] = commit / total_in
+            if not token_dist:
+                raise ModelError("MEC absorbs flow without exits or switch mass")
+            owner = mdp.action_state()
+            for tok in token_dist:
+                if tok == REMAIN:
+                    continue
+                _, a = tok
+                route = _routing(mdp, members, actions, {owner[a]})
+                tokens[tok] = {s: {a if s == owner[a] else route[s]: ONE} for s in members}
+            for s in members:
+                arrival[s] = dict(token_dist)
+    arrival.update(_switch_arrival(mdp, full_y, stay))
+    return _full_table(mdp, full_y, arrival, inner, tokens)
+
+
+def _returning_exit(n: int) -> Mdp:
+    """An n-state ring whose one exit, 10 steps in, reaches the target ``hi``
+    or returns to the ring's start with probability 1/2 each."""
+    ring = [f"c{i}" for i in range(n)]
+    available = {s: (f"fwd{i}",) for i, s in enumerate(ring)}
+    delta = {f"fwd{i}": {ring[(i + 1) % n]: F(1)} for i in range(n)}
+    available[ring[10]] += ("exit",)
+    delta["exit"] = {"hi": F(1, 2), ring[0]: F(1, 2)}
+    available["hi"], delta["stay"] = ("stay",), {"hi": F(1)}
+    rewards = {s: (F(0),) for s in ring}
+    rewards["hi"] = (F(10),)
+    return Mdp(
+        states=tuple(ring) + ("hi",),
+        available=available,
+        delta=delta,
+        initial=ring[0],
+        rewards=rewards,
+        targets=frozenset({"hi"}),
+    )
+
+
+class TestReachedPairsOnly:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every witness ``decide`` builds, with its model and the full-table
+        witness built from the same arguments."""
+        calls = []
+
+        def spy(name, reference):
+            orig = getattr(solver, name)
+
+            def wrapped(mdp, *args):
+                witness = orig(mdp, *args)
+                calls.append((mdp, witness, reference(mdp, *args)))
+                return witness
+
+            monkeypatch.setattr(solver, name, wrapped)
+
+        spy("realize_quotient_flow", _full_realize)
+        spy("two_memory_strategy", _full_two_memory)
+        return calls
+
+    def test_witness_is_the_full_table_on_the_pairs_it_reaches(self, built):
+        ring_query = Query(
+            objective="reach",
+            constraints=(Constraint(dim=0, expectation=F(5), cvar=(F(1, 20), F(0))),),
+        )
+        cases = [example(n) for n in ("choice", "loop", "negative", "slow(1/8)")]
+        cases.append((_exit_ring(300), reach_query(e=8, c=0)))
+        cases += [(_big_ring(1000, seed), ring_query) for seed in (0, 1)]
+        # the exit's return into its MEC redraws the pending exit it already
+        # holds: an identity update, which the witness does not list
+        cases.append((_returning_exit(MEC_LP_LIMIT + 16), reach_query(e=10)))
+        cases += [(trap_mdp(seed), trap_query(seed)) for seed in range(200)]
+        for mdp, query in cases:
+            decide(mdp, query)
+        assert len(built) > 100
+        listed = full = 0
+        for mdp, witness, ref in built:
+            assert witness.memory == ref.memory
+            assert witness.initial_memory == ref.initial_memory
+            for key, move in witness.next_move.items():
+                assert ref.next_move[key] == move
+            for key, dist in witness.memory_update.items():
+                assert ref.memory_update[key] == dist
+                assert dist != {key[2]: ONE}
+            chain = induced_chain(mdp, witness)
+            assert set(witness.next_move) == {st for st in chain.states if st[0] not in mdp.targets}
+            assert chain == induced_chain(mdp, ref)
+            listed += len(witness.next_move)
+            full += len(ref.next_move)
+        assert listed * 5 < full
