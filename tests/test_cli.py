@@ -215,7 +215,6 @@ class TestEvaluate:
         assert code == EXIT_SAT
         assert "6" in out and "5/2" in out
 
-
     def test_witness_missing_a_reached_pair_is_invalid_input(self, tmp_path, capsys):
         # a witness lists only the (state, memory) pairs it reaches, so the
         # evaluation needs every move it lists
