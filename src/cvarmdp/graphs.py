@@ -83,8 +83,16 @@ Mec = Tuple[FrozenSet, FrozenSet]  # (states, actions)
 
 @dataclass
 class MecDecomposition:
+    """The MECs in the order of their members' sorted ``repr``s;
+    ``members[i]`` lists the states of ``mecs[i]`` sorted by ``repr``."""
+
     mecs: List[Mec]
     state_to_mec: Dict[State, int]
+    members: Optional[List[Tuple[State, ...]]] = None
+
+    def __post_init__(self) -> None:
+        if self.members is None:
+            self.members = [tuple(sorted(states, key=repr)) for states, _ in self.mecs]
 
     def mec_of(self, state: State):
         return self.state_to_mec.get(state)
@@ -98,39 +106,55 @@ def mec_decomposition(mdp: Mdp) -> MecDecomposition:
     components with at least one live action are the MECs.  A scan whose
     removals took out only edges between components, and left every state
     that had a live action with one, is the last: removing edges between
-    components splits none, so the next scan would remove nothing.
+    components splits none, so the next scan would remove nothing.  Each
+    action's distribution is read once, into the indices of its
+    positive-probability successors, and every round works on those lists.
     """
-    live: Dict[State, Set[str]] = {s: set(mdp.available.get(s, ())) for s in mdp.states}
+    states, delta = mdp.states, mdp.delta
+    index = {s: i for i, s in enumerate(states)}
+    live = [
+        [(a, [index[t] for t, p in delta[a].items() if p]) for a in mdp.available.get(s, ())]
+        for s in states
+    ]
+    # a state with one action shares that action's successor list
+    graph = {
+        i: acts[0][1] if len(acts) == 1 else [t for _, succ in acts for t in succ]
+        for i, acts in enumerate(live)
+    }
     while True:
-        graph = {
-            s: {t for a in live[s] for t, p in mdp.delta[a].items() if p != 0}
-            for s in mdp.states
-        }
-        comp_of: Dict[State, int] = {}
         comps = strongly_connected_components(graph)
-        for i, comp in enumerate(comps):
-            for s in comp:
-                comp_of[s] = i
+        comp_of = [0] * len(states)
+        for c, comp in enumerate(comps):
+            for i in comp:
+                comp_of[i] = c
         may_split = False
-        for s in mdp.states:
-            for a in list(live[s]):
-                succ = [t for t, p in mdp.delta[a].items() if p != 0]
-                if any(comp_of[t] != comp_of[s] or not live[t] for t in succ):
-                    live[s].discard(a)
-                    if not live[s] or any(comp_of[t] == comp_of[s] for t in succ):
-                        may_split = True
+        for i, acts in enumerate(live):
+            c = comp_of[i]
+            kept = []
+            for act in acts:
+                for t in act[1]:
+                    if comp_of[t] != c or not live[t]:
+                        may_split = may_split or any(comp_of[u] == c for u in act[1])
+                        break
+                else:
+                    kept.append(act)
+            if len(kept) < len(acts):
+                live[i] = kept
+                graph[i] = [t for _, succ in kept for t in succ]
+                may_split = may_split or not kept
         if not may_split:
             break
-    mecs: List[Mec] = []
+    found = []
     for comp in comps:
-        states = frozenset(s for s in comp if live[s])
-        if not states:
-            continue
-        actions = frozenset(a for s in states for a in live[s])
-        mecs.append((states, actions))
-    mecs_sorted = sorted(mecs, key=lambda m: sorted(map(repr, m[0])))
-    state_to_mec = {s: i for i, (states, _) in enumerate(mecs_sorted) for s in states}
-    return MecDecomposition(mecs=mecs_sorted, state_to_mec=state_to_mec)
+        members = sorted((states[i] for i in comp if live[i]), key=repr)
+        if members:
+            found.append((tuple(members), frozenset(a for i in comp for a, _ in live[i])))
+    found.sort(key=lambda mec: list(map(repr, mec[0])))
+    return MecDecomposition(
+        mecs=[(frozenset(members), actions) for members, actions in found],
+        state_to_mec={s: k for k, (members, _) in enumerate(found) for s in members},
+        members=[members for members, _ in found],
+    )
 
 
 def reachable_states(mdp: Mdp, start: State) -> Set[State]:
@@ -161,30 +185,34 @@ def backward_reachable(graph: Mapping[Hashable, Iterable[Hashable]], goal: Itera
     return seen
 
 
-def states_reaching(mdp: Mdp, goal: Set[State]) -> Set[State]:
-    """All states with a path into ``goal`` (goal included)."""
-    graph = {
-        s: [t for a in mdp.available.get(s, ()) for t, p in mdp.delta[a].items() if p != 0]
-        for s in mdp.states
-    }
-    return backward_reachable(graph, goal)
-
-
 def cleanup(mdp: Mdp, decomp: Optional[MecDecomposition] = None) -> Mdp:
     """Convert every MEC that cannot reach the targets into a zero-reward
     absorbing target.  Afterwards targets are reachable from every state.
 
     ``decomp`` is ``mdp``'s MEC decomposition when the caller has it;
     ``None`` computes it.  The result is ``mdp`` itself when no MEC changes.
+
+    Reachability is decided on the graph with every MEC collapsed to one
+    node and its MEC actions left out.  That is exact because MECs are
+    maximal: an action of a MEC state that is not a MEC action leaves the
+    MEC with positive probability (otherwise the MEC plus that action would
+    be a larger end component), and a MEC action never does.  So a MEC
+    reaches the targets iff one of its non-MEC actions does, and a MEC
+    holding a target is the target's own node.
     """
-    can_reach = states_reaching(mdp, set(mdp.targets))
     decomp = decomp or mec_decomposition(mdp)
-    doomed: Set[State] = set()
-    for states, _ in decomp.mecs:
-        if states & set(mdp.targets):
-            continue
-        if not states & can_reach:
-            doomed.update(states)
+    n = len(decomp.mecs)
+    node = {s: decomp.state_to_mec.get(s, n + i) for i, s in enumerate(mdp.states)}
+    graph: Dict[int, List[int]] = {}
+    for s in mdp.states:
+        k = node[s]
+        internal = decomp.mecs[k][1] if k < n else ()
+        succ = graph.setdefault(k, [])
+        for a in mdp.available.get(s, ()):
+            if a not in internal:
+                succ.extend(node[t] for t, p in mdp.delta[a].items() if p)
+    can_reach = backward_reachable(graph, {node[t] for t in mdp.targets})
+    doomed = [s for k, states in enumerate(decomp.members) if k not in can_reach for s in states]
     if not doomed:
         return mdp
     d = mdp.dim
@@ -218,7 +246,7 @@ class QuotientMap:
 
 
 def mec_quotient(mdp: Mdp) -> QuotientMap:
-    """Collapse each MEC to its lexicographically least member state.
+    """Collapse each MEC to its least member by ``repr``.
 
     Internal actions disappear; actions with mass outside the MEC are kept
     and re-targeted through the lift map.  Representatives of target MECs
@@ -227,11 +255,10 @@ def mec_quotient(mdp: Mdp) -> QuotientMap:
     decomp = mec_decomposition(mdp)
     lift: Dict[State, State] = {}
     reps: List[State] = []
-    for states, _ in decomp.mecs:
-        rep = min(states, key=repr)
-        reps.append(rep)
-        for s in states:
-            lift[s] = rep
+    for members in decomp.members:
+        reps.append(members[0])
+        for s in members:
+            lift[s] = members[0]
     for s in mdp.states:
         lift.setdefault(s, s)
 
@@ -243,10 +270,10 @@ def mec_quotient(mdp: Mdp) -> QuotientMap:
         if idx is None:
             acts = list(mdp.available.get(s, ()))
         else:
-            mec_states, mec_actions = decomp.mecs[idx]
+            mec_actions = decomp.mecs[idx][1]
             acts = [
                 a
-                for t in sorted(mec_states, key=repr)
+                for t in decomp.members[idx]
                 for a in mdp.available.get(t, ())
                 if a not in mec_actions
             ]
@@ -282,7 +309,7 @@ def check_attraction(mdp: Mdp, decomp: Optional[MecDecomposition] = None) -> str
     ``decomp`` is ``mdp``'s MEC decomposition, computed when ``None``.
     """
     decomp = decomp or mec_decomposition(mdp)
-    a1 = all(states & set(mdp.targets) for states, _ in decomp.mecs)
+    a1 = all(not states.isdisjoint(mdp.targets) for states, _ in decomp.mecs)
     a2 = all(r >= 0 for t in mdp.targets for r in mdp.rewards[t])
     if a1 and a2:
         return "both"

@@ -24,6 +24,25 @@ class ModelError(ValueError):
     """Raised for structurally broken models or strategies."""
 
 
+RESERVED_PREFIX = "__"
+
+
+def reserved_action_problems(actions) -> List[str]:
+    """One problem for each action name that starts with ``RESERVED_PREFIX``.
+
+    The decision procedures add actions named with that prefix to the
+    models they build (cleanup traps, MEC quotients, the mean-payoff
+    abstraction), so an input action named the same would be overwritten.
+    ``validate`` accepts such names, since those built models are valid
+    MDPs; ``decide`` and ``serialize.model_from_json`` reject them.
+    """
+    return [
+        f"action {a!r} starts with the reserved prefix {RESERVED_PREFIX!r}"
+        for a in actions
+        if isinstance(a, str) and a.startswith(RESERVED_PREFIX)
+    ]
+
+
 class UnsupportedQueryError(ValueError):
     """Raised when a query falls outside the implemented decision procedures."""
 

@@ -19,6 +19,7 @@ from .model import (
     StrategySpec,
     Verdict,
     rat,
+    reserved_action_problems,
     validate,
     validate_query,
 )
@@ -178,9 +179,9 @@ def model_from_json(text: str) -> Mdp:
         rewards=rewards,
         targets=frozenset(targets),
     )
-    report = validate(mdp)
-    if not report.ok:
-        raise ModelError("; ".join(report.problems))
+    problems = validate(mdp).problems + reserved_action_problems(delta)
+    if problems:
+        raise ModelError("; ".join(problems))
     return mdp
 
 

@@ -36,6 +36,7 @@ from .model import (
     State,
     UnsupportedQueryError,
     Verdict,
+    reserved_action_problems,
     validate_query,
 )
 from .synthesis import (
@@ -509,10 +510,14 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
 
 
 def decide(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
-    """Dispatch a query to the matching decision procedure."""
-    report = validate_query(query, mdp.dim)
-    if not report.ok:
-        raise ModelError("; ".join(report.problems))
+    """Dispatch a query to the matching decision procedure.
+
+    Raises ``ModelError`` for an invalid query and for an action named with
+    the prefix ``__``, which the procedures reserve for their own actions.
+    """
+    problems = reserved_action_problems(mdp.delta) + validate_query(query, mdp.dim).problems
+    if problems:
+        raise ModelError("; ".join(problems))
     single = mdp.dim == 1
     if query.objective == "reach":
         return (decide_reach_single if single else decide_reach_multi)(mdp, query, config)

@@ -138,6 +138,16 @@ class TestCheck:
         assert code == EXIT_INVALID
         assert capsys.readouterr().err.startswith("invalid input:")
 
+    def test_reserved_action_name_is_invalid_input(self, tmp_path, capsys):
+        model, query = tmp_path / "m.json", tmp_path / "q.json"
+        assert main(["generate", "--example", "choice", str(model), str(query)]) == EXIT_SAT
+        doc = json.loads(model.read_text())
+        doc["actions"][0]["name"] = "__commit[0]"
+        model.write_text(json.dumps(doc))
+        code = main(["check", str(model), str(query), "--out", str(tmp_path / "r")])
+        assert code == EXIT_INVALID
+        assert "action '__commit[0]' starts with the reserved prefix '__'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "constraints, message",
         [

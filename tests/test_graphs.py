@@ -1,12 +1,14 @@
 """Graph-analysis tests: SCCs, MEC decomposition (vs. brute force), quotients."""
 import itertools
 import random
+from collections.abc import Mapping
 from fractions import Fraction as F
 
 import cvarmdp.graphs as graphs
 from cvarmdp.gadgets import random_mdp
 from cvarmdp.graphs import (
     MecDecomposition,
+    backward_reachable,
     bsccs,
     check_attraction,
     cleanup,
@@ -186,6 +188,104 @@ class TestEarlyStop:
         dec = mec_decomposition(_exit_ring(300))
         assert calls == [300]
         assert sorted(len(states) for states, _ in dec.mecs) == [1, 1, 298]
+
+
+class _CountingRow(Mapping):
+    """A transition row that counts how often its ``items()`` is read."""
+
+    def __init__(self, row):
+        self.row, self.reads = row, 0
+
+    def __getitem__(self, key):
+        return self.row[key]
+
+    def __iter__(self):
+        return iter(self.row)
+
+    def __len__(self):
+        return len(self.row)
+
+    def items(self):
+        self.reads += 1
+        return self.row.items()
+
+
+def test_each_row_is_read_once_per_decomposition(monkeypatch):
+    # ``a`` leaves the component {s0, s1} from inside it, so a second round runs
+    rows = {
+        "a": _CountingRow({"s0": F(1, 2), "s2": F(1, 2)}),
+        "b": _CountingRow({"s1": F(1)}),
+        "d": _CountingRow({"s0": F(1)}),
+        "e": _CountingRow({"s2": F(1)}),
+    }
+    mdp = Mdp(
+        states=("s0", "s1", "s2"),
+        available={"s0": ("a", "b"), "s1": ("d",), "s2": ("e",)},
+        delta=rows,
+        initial="s0",
+        rewards={s: (F(0),) for s in ("s0", "s1", "s2")},
+    )
+    scans = []
+    tarjan = graphs.strongly_connected_components
+    monkeypatch.setattr(graphs, "strongly_connected_components", lambda g: scans.append(1) or tarjan(g))
+    dec = mec_decomposition(mdp)
+    assert len(scans) == 2
+    assert sorted(sorted(actions) for _, actions in dec.mecs) == [["b", "d"], ["e"]]
+    assert {a: row.reads for a, row in rows.items()} == {a: 1 for a in rows}
+
+
+def full_model_cleanup(mdp):
+    """Reference: the cleanup that decides which MECs reach the targets on
+    the full model, without collapsing the MECs."""
+    graph = {
+        s: [t for a in mdp.available.get(s, ()) for t, p in mdp.delta[a].items() if p != 0]
+        for s in mdp.states
+    }
+    can_reach = backward_reachable(graph, set(mdp.targets))
+    doomed = set()
+    for states, _ in mec_decomposition(mdp).mecs:
+        if not states & set(mdp.targets) and not states & can_reach:
+            doomed.update(states)
+    if not doomed:
+        return mdp
+    available, delta, rewards = dict(mdp.available), dict(mdp.delta), dict(mdp.rewards)
+    for s in doomed:
+        for a in mdp.available.get(s, ()):
+            delta.pop(a, None)
+        available[s] = (f"__stay[{s!r}]",)
+        delta[f"__stay[{s!r}]"] = {s: F(1)}
+        rewards[s] = tuple(F(0) for _ in range(mdp.dim))
+    return Mdp(
+        states=mdp.states,
+        available=available,
+        delta=delta,
+        initial=mdp.initial,
+        rewards=rewards,
+        targets=mdp.targets | frozenset(doomed),
+    )
+
+
+def test_cleanup_matches_the_full_model_reference():
+    def models():
+        for seed in range(400):
+            rng = random.Random(f"cleanup:{seed}")
+            n = rng.randint(2, 12)
+            yield random_mdp(
+                n, rng.randint(1, 3), F(1, rng.randint(1, n)), (0, 3), 1, seed=seed,
+                targets=rng.randint(0, min(2, n - 1)),
+            )
+        for seed in range(200):
+            yield trap_mdp(seed)
+        yield _exit_ring(300)
+
+    changed = 0
+    for mdp in models():
+        got, ref = cleanup(mdp), full_model_cleanup(mdp)
+        assert got == ref
+        if ref is mdp:
+            assert got is mdp
+        changed += got is not mdp
+    assert changed >= 100
 
 
 class TestCleanupAndQuotient:

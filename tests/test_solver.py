@@ -11,6 +11,7 @@ from cvarmdp.gadgets import example, random_mdp
 from cvarmdp.model import (
     Constraint,
     Mdp,
+    ModelError,
     Query,
     UnsupportedQueryError,
     memoryless,
@@ -215,6 +216,34 @@ class TestMeanSingle:
             assert verdict.status == "SAT"
             ok, _, details = check_strategy(mdp, verdict.witness, query)
             assert ok, details
+
+    @staticmethod
+    def _win_or_lose(go="go", win="stay_win"):
+        """``go`` leads from s0 to a reward-10 loop ``win``, ``stop`` to a
+        reward-0 loop; the loops are MECs 1 and 0."""
+        return Mdp(
+            states=("s0", "win", "lose"),
+            available={"s0": (go, "stop"), "win": (win,), "lose": ("stay_lose",)},
+            delta={go: {"win": F(1)}, "stop": {"lose": F(1)}, win: {"win": F(1)}, "stay_lose": {"lose": F(1)}},
+            initial="s0",
+            rewards={"s0": (F(0),), "win": (F(10),), "lose": (F(0),)},
+        )
+
+    def test_win_or_lose_is_sat(self):
+        assert decide(self._win_or_lose(), reach_query(e=5, objective="mean")).status == "SAT"
+
+    @pytest.mark.parametrize(
+        "names",
+        # the abstraction's own __commit[0] (to MEC 0) used to replace the
+        # user's action, giving UNSAT; __commit[1] as the loop of MEC 1 made
+        # the internal flow completion infeasible
+        [{"go": "__commit[0]"}, {"win": "__commit[1]"}],
+        ids=["wrong-unsat", "infeasible-completion"],
+    )
+    def test_reserved_action_name_is_rejected(self, names):
+        (name,) = names.values()
+        with pytest.raises(ModelError, match=re.escape(f"action {name!r} starts with the reserved prefix '__'")):
+            decide(self._win_or_lose(**names), reach_query(e=5, objective="mean"))
 
     def test_mec_gain(self):
         mdp, _ = example("loop")
