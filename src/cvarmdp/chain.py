@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Container, Dict, FrozenSet, List, Set, Tuple
 
 from . import risk
-from .graphs import backward_reachable, bsccs, chain_graph, strongly_connected_components
+from .graphs import backward_reachable, bsccs, chain_graph, scc_indices
 from .model import MarkovChain, Query, State, Verdict
 
 ZERO = Fraction(0)
@@ -31,32 +31,40 @@ def solve_linear(a: List[Dict[int, Fraction]], b: List[List[Fraction]]) -> List[
     A block-triangular determinant is the product of its blocks', so a
     singular block means a singular system.
     """
-    n = len(a)
-    m = len(b[0]) if n else 0
-    graph = {i: [j for j in row if j != i] for i, row in enumerate(a)}
-    x: List[List[Fraction]] = [[]] * n
-    for comp in strongly_connected_components(graph):
-        rhs = {}
-        for i in comp:
-            r = list(b[i])
-            for j, aij in a[i].items():
-                if j not in comp:
-                    xj = x[j]
-                    r = [r[k] - aij * xj[k] for k in range(m)]
-            rhs[i] = r
+    succ = [[j for j in row if j != i] for i, row in enumerate(a)]
+    x: List[List[Fraction]] = [[]] * len(a)
+    for comp in scc_indices(succ):
         if len(comp) == 1:
             (i,) = comp
             d = a[i].get(i, ZERO)
             if d == 0:
                 raise ValueError("singular linear system")
-            x[i] = rhs[i] if d == 1 else [v / d for v in rhs[i]]
+            r = _folded(a[i], b[i], x, comp)
+            x[i] = r if d == 1 else [v / d for v in r]
         else:
             block = sorted(comp)
             local = {j: k for k, j in enumerate(block)}
             rows = [{local[j]: v for j, v in a[i].items() if j in local} for i in block]
-            for i, row in zip(block, _solve_block(rows, [rhs[i] for i in block])):
+            rhs = [_folded(a[i], b[i], x, local) for i in block]
+            for i, row in zip(block, _solve_block(rows, rhs)):
                 x[i] = row
     return x
+
+
+def _folded(
+    row: Dict[int, Fraction], b: List[Fraction], x: List[List[Fraction]], inside: Container[int]
+) -> List[Fraction]:
+    """``b`` minus ``row[j] * x[j]`` for every solved unknown ``j`` of
+    ``row`` outside the block ``inside``; zero entries of ``x[j]`` are
+    skipped and a coefficient of -1 is an addition."""
+    r = list(b)
+    for j, aij in row.items():
+        if j not in inside:
+            neg = aij == -1
+            for k, v in enumerate(x[j]):
+                if v:
+                    r[k] = r[k] + v if neg else r[k] - aij * v
+    return r
 
 
 def _solve_block(a: List[Dict[int, Fraction]], b: List[List[Fraction]]) -> List[List[Fraction]]:
@@ -184,9 +192,9 @@ def _absorbed(mc: MarkovChain, sinks: Set[State]) -> Dict[State, Fraction]:
     b = [[ZERO] for _ in transient]
     for i, s in enumerate(transient):
         for t, p in mc.delta[s].items():
-            if p != 0 and t in index:
+            if t in index and p:
                 row = a[index[t]]
-                row[i] = row.get(i, ZERO) - p
+                row[i] = row[i] - p if i in row else -p
     result = {t: ZERO for t in sinks}
     for s, mu in mc.initial_distribution.items():
         if s in index:

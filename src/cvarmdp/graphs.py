@@ -1,4 +1,8 @@
-"""SCC/BSCC detection, MEC decomposition, MEC quotient, and model cleanup."""
+"""SCC/BSCC detection, MEC decomposition, MEC quotient, and model cleanup.
+
+There is one Tarjan kernel, ``scc_indices``, on graphs whose nodes are the
+indices ``0..n-1``; ``strongly_connected_components`` maps any successor map
+onto it."""
 
 from __future__ import annotations
 
@@ -12,56 +16,72 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def strongly_connected_components(graph: Mapping[Hashable, Iterable[Hashable]]) -> List[Set[Hashable]]:
-    """Tarjan's algorithm, iterative (explicit stack).
+def scc_indices(succ: List[List[int]]) -> List[List[int]]:
+    """Tarjan's algorithm (Tarjan, "Depth-first search and linear graph
+    algorithms", SIAM J. Computing 1972), iterative, on the graph whose node
+    ``i`` has the successors ``succ[i]``, every one in ``0..len(succ)-1``.
 
-    Components come out in reverse topological order of the condensation.
+    Roots are taken in index order and successors in list order.  Components
+    come out in reverse topological order of the condensation.
     """
-    index: Dict[Hashable, int] = {}
-    lowlink: Dict[Hashable, int] = {}
-    on_stack: Set[Hashable] = set()
-    stack: List[Hashable] = []
-    components: List[Set[Hashable]] = []
+    n = len(succ)
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: List[int] = []
+    components: List[List[int]] = []
     counter = 0
-
-    for root in graph:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(graph.get(root, ())))]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
             node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = lowlink[succ] = counter
+            for w in it:
+                if index[w] < 0:
+                    index[w] = lowlink[w] = counter
                     counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(graph.get(succ, ()))))
-                    advanced = True
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                comp: Set[Hashable] = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                components.append(comp)
+                if on_stack[w] and index[w] < lowlink[node]:
+                    lowlink[node] = index[w]
+            else:
+                work.pop()
+                low = lowlink[node]
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
+                if low == index[node]:
+                    k = len(stack) - 1
+                    while stack[k] != node:
+                        k -= 1
+                    comp = stack[k:]
+                    del stack[k:]
+                    for w in comp:
+                        on_stack[w] = False
+                    components.append(comp)
     return components
+
+
+def strongly_connected_components(graph: Mapping[Hashable, Iterable[Hashable]]) -> List[Set[Hashable]]:
+    """The SCCs of a successor map, in ``scc_indices`` order.
+
+    Nodes are numbered in key order, then nodes that appear only as
+    successors in the order they are first met; such a node has no
+    successors.
+    """
+    ids: Dict[Hashable, int] = {v: i for i, v in enumerate(graph)}
+    succ = [[ids.setdefault(w, len(ids)) for w in graph[v]] for v in graph]
+    succ.extend([] for _ in range(len(ids) - len(succ)))
+    nodes = list(ids)
+    return [{nodes[i] for i in comp} for comp in scc_indices(succ)]
 
 
 def chain_graph(mc: MarkovChain) -> Dict[State, List[State]]:
@@ -117,12 +137,9 @@ def mec_decomposition(mdp: Mdp) -> MecDecomposition:
         for s in states
     ]
     # a state with one action shares that action's successor list
-    graph = {
-        i: acts[0][1] if len(acts) == 1 else [t for _, succ in acts for t in succ]
-        for i, acts in enumerate(live)
-    }
+    graph = [acts[0][1] if len(acts) == 1 else [t for _, succ in acts for t in succ] for acts in live]
     while True:
-        comps = strongly_connected_components(graph)
+        comps = scc_indices(graph)
         comp_of = [0] * len(states)
         for c, comp in enumerate(comps):
             for i in comp:

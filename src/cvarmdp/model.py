@@ -330,6 +330,13 @@ class Verdict:
         return self.status == "SAT"
 
 
+def _sums_to_one(dist: Mapping) -> bool:
+    if len(dist) == 1:
+        (p,) = dist.values()
+        return p == 1
+    return sum(dist.values()) == 1
+
+
 def induced_chain(mdp: Mdp, strategy: StrategySpec) -> MarkovChain:
     """Product of an MDP with a finite-memory strategy.
 
@@ -338,37 +345,66 @@ def induced_chain(mdp: Mdp, strategy: StrategySpec) -> MarkovChain:
     Target pairs are absorbing and need no move, because the payoff is
     decided on arrival.  Rewards and target flags are lifted from the state
     component.
+
+    Raises ``ModelError`` when the strategy cannot be played from a reached
+    non-target pair: it has no move there, its move does not sum to 1 or
+    puts positive mass on an action not available at the state, or a memory
+    update it takes does not sum to 1.
     """
-    initial = {(mdp.initial, m): pm for m, pm in normalized(strategy.initial_memory).items()}
-    delta: Dict = {}
+    available, delta, targets = mdp.available, mdp.delta, mdp.targets
+    next_move, updates = strategy.next_move, strategy.memory_update
+    initial = {(mdp.initial, m): pm for m, pm in strategy.initial_memory.items() if pm}
+    rows: Dict = {}
     frontier = list(initial)
     seen = set(frontier)
     while frontier:
-        s, m = frontier.pop()
-        if s in mdp.targets:
-            delta[(s, m)] = {(s, m): ONE}
+        pair = frontier.pop()
+        s, m = pair
+        if s in targets:
+            rows[pair] = {pair: ONE}
             continue
-        move = strategy.next_move.get((s, m))
+        move = next_move.get(pair)
         if move is None:
             raise ModelError(f"strategy undefined at state {s!r}, memory {m!r}")
+        if not _sums_to_one(move):
+            raise ModelError(f"next_move({s!r},{m!r}) does not sum to 1")
+        acts = available.get(s, ())
         row: Dict = {}
-        for a, pa in normalized(move).items():
-            for s2, pt in normalized(mdp.delta[a]).items():
-                for m2, pu in normalized(strategy.update_dist(a, s2, m)).items():
-                    key = (s2, m2)
-                    row[key] = row.get(key, ZERO) + pa * pt * pu
-                    if key not in seen:
-                        seen.add(key)
-                        frontier.append(key)
-        delta[(s, m)] = row
+        for a, pa in move.items():
+            if not pa:
+                continue
+            if a not in acts:
+                raise ModelError(f"next_move({s!r},{m!r}) uses unavailable action {a!r}")
+            for s2, p in delta[a].items():
+                if not p:
+                    continue
+                if pa != 1:
+                    p = pa * p
+                # (s, m) is expanded once, so each update is summed once
+                update = updates.get((a, s2, m))
+                if update is None:
+                    key = (s2, m)
+                    row[key] = row[key] + p if key in row else p
+                    continue
+                if not _sums_to_one(update):
+                    raise ModelError(f"memory_update{(a, s2, m)!r} does not sum to 1")
+                for m2, pu in update.items():
+                    if pu:
+                        key = (s2, m2)
+                        q = p if pu == 1 else p * pu
+                        row[key] = row[key] + q if key in row else q
+        rows[pair] = row
+        for key in row:
+            if key not in seen:
+                seen.add(key)
+                frontier.append(key)
 
     states = tuple(sorted(seen, key=repr))
     rewards = {st: mdp.rewards[st[0]] for st in states}
-    targets = frozenset(st for st in states if st[0] in mdp.targets)
     return MarkovChain(
         states=states,
-        delta=delta,
+        delta=rows,
         initial_distribution=initial,
         rewards=rewards,
-        targets=targets,
+        targets=frozenset(st for st in states if st[0] in targets),
     )

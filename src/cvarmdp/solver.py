@@ -99,10 +99,16 @@ def _reach_block(m: Mdp) -> LinearProgram:
     return prog
 
 
-def _reach_guess_rows(
-    m: Mdp, query: Query, tc: Mapping[int, Fraction], tv: Mapping[int, Fraction]
-) -> List[Tuple[Dict[str, Fraction], str, Fraction]]:
-    """The constraint rows of the flow LP for fixed threshold guesses.
+Row = Tuple[Dict[str, Fraction], str, Fraction]
+
+
+def _reach_row_table(
+    m: Mdp, query: Query, tc_lists: Mapping[int, Sequence[Fraction]], tv: Mapping[int, Fraction]
+) -> List[Tuple[Optional[int], Dict[Optional[Fraction], Row]]]:
+    """The constraint rows of the flow LP for every threshold guess, each
+    built once, in row order: ``(j, {t: row})`` for the CVaR row of dimension
+    j at each candidate threshold t of ``tc_lists[j]``, ``(None, {None:
+    row})`` for a VaR or expectation row, which no guess changes.
 
     A CVaR constraint (p, c) on dimension j at guessed threshold t is the one
     row  sum_{r_s[j] < t} (r_s[j] - t) x_s >= p (c - t),  i.e.
@@ -119,19 +125,27 @@ def _reach_guess_rows(
       (whose threshold is at most t), so its feasible guesses stay feasible.
     """
     targets = [(_x(s), m.rewards[s]) for s in sorted(m.targets, key=repr)]
-    rows = []
+    table: List[Tuple[Optional[int], Dict[Optional[Fraction], Row]]] = []
     for c in sorted(query.constraints, key=lambda c: c.dim):
         j = c.dim
-        if c.cvar is not None and j in tc:
+        if c.cvar is not None and j in tc_lists:
             p, cbound = c.cvar
-            t = tc[j]
-            rows.append(({x: r[j] - t for x, r in targets if r[j] < t}, ">=", p * (cbound - t)))
+            table.append((j, {
+                t: ({x: r[j] - t for x, r in targets if r[j] < t}, ">=", p * (cbound - t))
+                for t in tc_lists[j]
+            }))
         if c.var is not None:
             q, _ = c.var
-            rows.append(({x: ONE for x, r in targets if r[j] < tv[j]}, "<=", q))
+            table.append((None, {None: ({x: ONE for x, r in targets if r[j] < tv[j]}, "<=", q)}))
         if c.expectation is not None:
-            rows.append(({x: r[j] for x, r in targets if r[j] != 0}, ">=", c.expectation))
-    return rows
+            table.append((None, {None: ({x: r[j] for x, r in targets if r[j] != 0}, ">=", c.expectation)}))
+    return table
+
+
+def _reach_guess_rows(m: Mdp, query: Query, tc: Mapping[int, Fraction], tv: Mapping[int, Fraction]) -> List[Row]:
+    """The constraint rows of the flow LP for the threshold guesses ``tc``."""
+    table = _reach_row_table(m, query, {j: [t] for j, t in tc.items()}, tv)
+    return [rows[tc.get(j)] for j, rows in table]
 
 
 def _guess_plan(m: Mdp, query: Query):
@@ -192,9 +206,10 @@ def _iter_feasible(m: Mdp, query: Query) -> Iterator[Tuple[Dict[int, Fraction], 
     dims = sorted(tc_lists)
     block = _reach_block(m)
     start = WarmStart(block)
+    table = _reach_row_table(m, query, tc_lists, tv)
     for combo in itertools.product(*(tc_lists[j] for j in dims)):
         tc = dict(zip(dims, combo))
-        rows = _reach_guess_rows(m, query, tc, tv)
+        rows = [by_t[tc.get(j)] for j, by_t in table]
         res = solve_feasibility(LinearProgram(block.variables, block.constraints + rows), start)
         if res.ok:
             yield tc, _extract_flow(m, res.assignment)
@@ -406,7 +421,7 @@ def _mean_multi_guess_rows(
     guess: Mapping[int, Fraction],
     cls: Mapping[int, Sequence[str]],
     terms: Sequence[Sequence[Tuple[str, Tuple[Fraction, ...]]]],
-) -> List[Tuple[Dict[str, Fraction], str, Fraction]]:
+) -> List[Row]:
     """The constraint rows of the multi-dimensional mean-payoff LP for one
     VaR guess and MEC classification (one 'eq' MEC per CVaR dimension), over
     the ``_mec_terms`` table."""

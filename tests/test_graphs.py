@@ -165,26 +165,27 @@ class TestEarlyStop:
 
     def test_same_mecs_as_the_full_refinement(self, monkeypatch):
         scans = []
-        tarjan = graphs.strongly_connected_components
-        monkeypatch.setattr(graphs, "strongly_connected_components", lambda g: scans.append(1) or tarjan(g))
+        tarjan = graphs.scc_indices
+        monkeypatch.setattr(graphs, "scc_indices", lambda g: scans.append(1) or tarjan(g))
         rescanned = 0
         for mdp in self._models():
             scans.clear()
-            got, ref = mec_decomposition(mdp), full_refinement_mecs(mdp)
+            got = mec_decomposition(mdp)
+            rescanned += len(scans) > 1
+            ref = full_refinement_mecs(mdp)
             assert got.mecs == ref.mecs
             assert got.state_to_mec == ref.state_to_mec
-            rescanned += len(scans) > 1
         assert rescanned > 0  # removals inside a component were rescanned
 
     def test_ring_runs_tarjan_once(self, monkeypatch):
         calls = []
-        tarjan = graphs.strongly_connected_components
+        tarjan = graphs.scc_indices
 
         def spy(graph):
             calls.append(len(graph))
             return tarjan(graph)
 
-        monkeypatch.setattr(graphs, "strongly_connected_components", spy)
+        monkeypatch.setattr(graphs, "scc_indices", spy)
         dec = mec_decomposition(_exit_ring(300))
         assert calls == [300]
         assert sorted(len(states) for states, _ in dec.mecs) == [1, 1, 298]
@@ -226,8 +227,8 @@ def test_each_row_is_read_once_per_decomposition(monkeypatch):
         rewards={s: (F(0),) for s in ("s0", "s1", "s2")},
     )
     scans = []
-    tarjan = graphs.strongly_connected_components
-    monkeypatch.setattr(graphs, "strongly_connected_components", lambda g: scans.append(1) or tarjan(g))
+    tarjan = graphs.scc_indices
+    monkeypatch.setattr(graphs, "scc_indices", lambda g: scans.append(1) or tarjan(g))
     dec = mec_decomposition(mdp)
     assert len(scans) == 2
     assert sorted(sorted(actions) for _, actions in dec.mecs) == [["b", "d"], ["e"]]
