@@ -217,26 +217,26 @@ def reach_probabilities(mc: MarkovChain) -> Dict[State, Fraction]:
     return _absorbed(mc, set(mc.targets))
 
 
-def payoff_law_reach(mc: MarkovChain) -> PayoffLaw:
-    """Distribution of the reward of the first target visited; mass that never
-    reaches a target counts as value 0."""
-    probs = reach_probabilities(mc)
-    d = mc.dim
+def _law(dim: int, outcomes: List[Tuple[Fraction, Tuple[Fraction, ...]]]) -> PayoffLaw:
+    """The per-dimension law of ``(probability, value vector)`` outcomes;
+    the mass they leave short of 1 counts as value 0."""
+    outcomes = [(p, v) for p, v in outcomes if p != 0]
+    residual = 1 - sum((p for p, _ in outcomes), ZERO)
     marginals = []
-    for j in range(d):
+    for j in range(dim):
         atoms: Dict[Fraction, Fraction] = {}
-        total = ZERO
-        for t, p in probs.items():
-            if p == 0:
-                continue
-            v = mc.rewards[t][j]
-            atoms[v] = atoms.get(v, ZERO) + p
-            total += p
-        residual = 1 - total
+        for p, v in outcomes:
+            atoms[v[j]] = atoms.get(v[j], ZERO) + p
         if residual != 0:
             atoms[ZERO] = atoms.get(ZERO, ZERO) + residual
         marginals.append(risk.FiniteDistribution(atoms))
     return PayoffLaw(marginals)
+
+
+def payoff_law_reach(mc: MarkovChain) -> PayoffLaw:
+    """Distribution of the reward of the first target visited; mass that never
+    reaches a target counts as value 0."""
+    return _law(mc.dim, [(p, mc.rewards[t]) for t, p in reach_probabilities(mc).items()])
 
 
 def bscc_mean_payoff(mc: MarkovChain) -> List[Tuple[FrozenSet, Tuple[Fraction, ...]]]:
@@ -274,15 +274,7 @@ def payoff_law_mean(mc: MarkovChain) -> PayoffLaw:
     BSCC's expected gain, so the law is the absorption law over BSCCs."""
     gains = bscc_mean_payoff(mc)
     probs = _absorbed(mc, {s for comp, _ in gains for s in comp})
-    marginals = []
-    for j in range(mc.dim):
-        atoms: Dict[Fraction, Fraction] = {}
-        for comp, gain in gains:
-            mass = sum((probs[s] for s in comp), ZERO)
-            if mass != 0:
-                atoms[gain[j]] = atoms.get(gain[j], ZERO) + mass
-        marginals.append(risk.FiniteDistribution(atoms))
-    return PayoffLaw(marginals)
+    return _law(mc.dim, [(sum((probs[s] for s in comp), ZERO), gain) for comp, gain in gains])
 
 
 def check_constraints(law: PayoffLaw, query: Query) -> Tuple[bool, List[dict]]:

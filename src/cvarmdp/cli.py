@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 from . import serialize
 from .graphs import mec_decomposition
-from .model import ModelError, Query, Rational, UnsupportedQueryError, strategy_problems
+from .model import ModelError, Rational, UnsupportedQueryError, strategy_problems
 from .risk import cvar, expectation, var
 from .solver import SolverConfig, decide
 from .synthesis import check_strategy, evaluate
@@ -81,7 +81,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check", help="decide a query; write witness + certificate")
     p.add_argument("model")
     p.add_argument("query")
-    p.add_argument("--objective", choices=["reach", "mean"], help="override query objective")
     p.add_argument("--grid", type=_positive_int, default=16, help="guess-grid refinement")
     p.add_argument("--out", help="prefix for witness/certificate JSON (default: query path stem)")
 
@@ -145,8 +144,6 @@ def _fmt(x) -> str:
 def _cmd_check(args) -> int:
     mdp = serialize.model_from_json(_read(args.model))
     query = serialize.query_from_json(_read(args.query))
-    if args.objective:
-        query = Query(objective=args.objective, constraints=query.constraints)
     verdict = decide(mdp, query, SolverConfig(grid=args.grid))
     if verdict.sat:
         # independent re-verification before reporting SAT
@@ -204,22 +201,12 @@ def _cmd_simulate(args) -> int:
     strategy = _read_strategy(args.strategy, mdp)
     law = evaluate(mdp, strategy, args.objective)
     cfg = SimConfig(runs=args.runs, horizon=args.horizon, seed=args.seed, burn_in=args.burn_in)
-    rows = [["dim", "E", f"VaR@{args.q}", f"CVaR@{args.p}", "E~", "VaR~", "CVaR~"]]
+    rows = _measure_rows(law, args.p, args.q)
+    rows[0] += ["E~", "VaR~", "CVaR~"]
     for j in range(law.dim):
-        dist = law[j]
         samples = sample_payoffs(mdp, strategy, args.objective, cfg, dim_index=j)
         e, v, c = empirical_measures(samples, args.p, args.q)
-        rows.append(
-            [
-                str(j),
-                _fmt(expectation(dist)),
-                _fmt(var(dist, args.q)),
-                _fmt(cvar(dist, args.p)),
-                f"{float(e):.6g}",
-                "inf" if v == float("inf") else f"{float(v):.6g}",
-                f"{float(c):.6g}",
-            ]
-        )
+        rows[j + 1] += [f"{float(x):.6g}" for x in (e, v, c)]  # an infinite VaR prints "inf"
         if args.csv and j == 0:
             _write(args.csv, samples_csv(samples))
     _print_table(rows)

@@ -108,11 +108,7 @@ class MecDecomposition:
 
     mecs: List[Mec]
     state_to_mec: Dict[State, int]
-    members: Optional[List[Tuple[State, ...]]] = None
-
-    def __post_init__(self) -> None:
-        if self.members is None:
-            self.members = [tuple(sorted(states, key=repr)) for states, _ in self.mecs]
+    members: List[Tuple[State, ...]]
 
     def mec_of(self, state: State):
         return self.state_to_mec.get(state)

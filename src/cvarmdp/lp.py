@@ -1,4 +1,5 @@
-"""Exact rational linear programming via a two-phase dense-tableau simplex.
+"""Exact rational linear programming over nonnegative variables via a
+two-phase dense-tableau simplex.
 
 Row ``i`` of the tableau is ``rows[i] / dens[i]``: Python ints over one
 positive denominator, kept by integer-preserving elimination (Edmonds 1967,
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 LE, GE, EQ = "<=", ">=", "=="
 _SENSES = (LE, GE, EQ)
@@ -50,12 +51,11 @@ REDUCE_BITS = 512
 
 @dataclass
 class LinearProgram:
-    """A maximization LP over named variables, nonnegative unless listed free."""
+    """A maximization LP over named nonnegative variables."""
 
     variables: List[str] = field(default_factory=list)
     constraints: List[Tuple[Dict[str, Fraction], str, Fraction]] = field(default_factory=list)
     objective: Optional[Dict[str, Fraction]] = None
-    free: FrozenSet[str] = frozenset()
 
     def add(self, coeffs: Mapping[str, Fraction], sense: str, rhs: Fraction) -> None:
         if sense not in _SENSES:
@@ -88,8 +88,6 @@ def dump(lp: LinearProgram) -> str:
     else:
         lines.append("feasibility")
     lines.append(f"variables ({len(lp.variables)}): " + ", ".join(lp.variables))
-    if lp.free:
-        lines.append("free: " + ", ".join(sorted(lp.free)))
     for coeffs, sense, rhs in lp.constraints:
         terms = " + ".join(f"{c}*{v}" for v, c in sorted(coeffs.items()))
         lines.append(f"  {terms or '0'} {sense} {rhs}")
@@ -166,7 +164,6 @@ class _Tableau:
     dens: List[int]
     basis: List[int]
     col_of: Dict[str, int]
-    neg_col: Dict[str, int]
     width: int
 
     def point(self, variables: List[str]) -> Dict[str, Fraction]:
@@ -175,12 +172,10 @@ class _Tableau:
         for i, bi in enumerate(self.basis):
             if bi < self.width:  # a basic artificial has no column and is 0
                 values[bi] = Fraction(self.rows[i][self.width], self.dens[i])
-        for v, j in self.neg_col.items():
-            values[self.col_of[v]] -= values[j]
-        return {v: values[self.col_of[v]] for v in variables}
+        return dict(zip(variables, values))
 
 
-def _constraint_row(coeffs, rhs, col_of, neg_col, width) -> Tuple[List[int], int, int]:
+def _constraint_row(coeffs, rhs, col_of, width) -> Tuple[List[int], int, int]:
     """The structural numerators and right-hand side of one constraint (or of
     the objective, with ``rhs`` 0) over its least common denominator, negated
     when ``rhs < 0``; returns the row, the denominator and that sign."""
@@ -191,8 +186,6 @@ def _constraint_row(coeffs, rhs, col_of, neg_col, width) -> Tuple[List[int], int
     row = [0] * (width + 1)
     for v, x in zip(coeffs, nums[1:]):
         row[col_of[v]] = sign * x
-        if v in neg_col:
-            row[neg_col[v]] = -sign * x
     row[width] = sign * nums[0]
     return row, den, sign
 
@@ -200,20 +193,18 @@ def _constraint_row(coeffs, rhs, col_of, neg_col, width) -> Tuple[List[int], int
 def _phase1(lp: LinearProgram) -> Tuple[Optional[_Tableau], LpResult]:
     """Phase 1 from an all-artificial basis, then artificial removal; the
     tableau is None when ``lp`` is infeasible."""
-    # columns: one per variable, an extra negated one per free variable, then
-    # slacks; row i's artificial has no column, only basis index nart_start + i
+    # columns: one per variable, then slacks; row i's artificial has no
+    # column, only basis index nart_start + i
     col_of = {v: j for j, v in enumerate(lp.variables)}
-    neg_col = {v: len(col_of) + k for k, v in enumerate(v for v in lp.variables if v in lp.free)}
-    nstruct = len(col_of) + len(neg_col)
     nslack = sum(1 for _, sense, _ in lp.constraints if sense != EQ)
-    nart_start = nstruct + nslack
+    nart_start = len(col_of) + nslack
 
     rows: List[List[int]] = []
     dens: List[int] = []
     basis = list(range(nart_start, nart_start + len(lp.constraints)))
-    slack_idx = nstruct
+    slack_idx = len(col_of)
     for coeffs, sense, rhs in lp.constraints:
-        row, den, sign = _constraint_row(coeffs, rhs, col_of, neg_col, nart_start)
+        row, den, sign = _constraint_row(coeffs, rhs, col_of, nart_start)
         if sense != EQ:
             row[slack_idx] = sign * den if sense == LE else -sign * den
             slack_idx += 1
@@ -240,7 +231,7 @@ def _phase1(lp: LinearProgram) -> Tuple[Optional[_Tableau], LpResult]:
             stats.pivots += 1
         keep.append(i)
     rows, dens, basis = [rows[i] for i in keep], [dens[i] for i in keep], [basis[i] for i in keep]
-    return _Tableau(rows, dens, basis, col_of, neg_col, nart_start), stats
+    return _Tableau(rows, dens, basis, col_of, nart_start), stats
 
 
 def _phase1_cost(rows, dens, basis, art_start) -> None:
@@ -260,7 +251,7 @@ def _solve(lp: LinearProgram, optimize: bool) -> LpResult:
     rows, dens, basis, width = tab.rows, tab.dens, tab.basis, tab.width
 
     if optimize:
-        costrow, den, _ = _constraint_row(lp.objective, 0, tab.col_of, tab.neg_col, width)
+        costrow, den, _ = _constraint_row(lp.objective, 0, tab.col_of, width)
         m = len(basis)
         rows.append(costrow)
         dens.append(den)
@@ -333,7 +324,6 @@ class WarmStart:
         shared = self.block.constraints
         if (
             lp.variables != self.block.variables
-            or lp.free != self.block.free
             or len(lp.constraints) < len(shared)
             or any(a is not b for a, b in zip(lp.constraints, shared))
         ):
@@ -363,7 +353,7 @@ class WarmStart:
         supports = [[j for j, y in enumerate(row) if y] for row in rows]
         slack = tab.width
         for k, (coeffs, sense, rhs) in enumerate(extra):
-            row, den, sign = _constraint_row(coeffs, rhs, tab.col_of, tab.neg_col, art_start)
+            row, den, sign = _constraint_row(coeffs, rhs, tab.col_of, art_start)
             if sense != EQ:
                 row[slack] = sign * den if sense == LE else -sign * den
             r = len(rows)
@@ -390,7 +380,7 @@ class WarmStart:
                 stats.value = None
                 return stats
         stats.status, stats.value = "feasible", None
-        stats.assignment = _Tableau(rows, dens, basis, tab.col_of, tab.neg_col, art_start).point(lp.variables)
+        stats.assignment = _Tableau(rows, dens, basis, tab.col_of, art_start).point(lp.variables)
         return stats
 
 

@@ -109,9 +109,6 @@ class Mdp:
     def actions(self) -> List[ActionName]:
         return [a for s in self.states for a in self.available.get(s, ())]
 
-    def action_state(self) -> Dict[ActionName, State]:
-        return {a: s for s in self.states for a in self.available.get(s, ())}
-
     def successors(self, state: State) -> set:
         out = set()
         for a in self.available.get(state, ()):
@@ -168,13 +165,6 @@ class StrategySpec:
     memory_update: Mapping[Tuple[ActionName, State, Hashable], Mapping[Hashable, Fraction]] = field(
         default_factory=dict
     )
-
-    def update_dist(self, action: ActionName, state: State, mem: Hashable) -> Mapping:
-        return self.memory_update.get((action, state, mem), {mem: ONE})
-
-    @property
-    def is_memoryless(self) -> bool:
-        return len(self.memory) == 1
 
 
 def memoryless(choices: Mapping[State, Mapping[ActionName, Fraction]]) -> StrategySpec:
@@ -347,9 +337,10 @@ def induced_chain(mdp: Mdp, strategy: StrategySpec) -> MarkovChain:
     component.
 
     Raises ``ModelError`` when the strategy cannot be played from a reached
-    non-target pair: it has no move there, its move does not sum to 1 or
-    puts positive mass on an action not available at the state, or a memory
-    update it takes does not sum to 1.
+    non-target pair: it has no move there, its move does not sum to 1, has a
+    negative entry or puts positive mass on an action not available at the
+    state, or a memory update it takes does not sum to 1 or has a negative
+    entry.
     """
     available, delta, targets = mdp.available, mdp.delta, mdp.targets
     next_move, updates = strategy.next_move, strategy.memory_update
@@ -375,10 +366,13 @@ def induced_chain(mdp: Mdp, strategy: StrategySpec) -> MarkovChain:
                 continue
             if a not in acts:
                 raise ModelError(f"next_move({s!r},{m!r}) uses unavailable action {a!r}")
+            scaled = pa != 1
+            if scaled and pa < 0:
+                raise ModelError(f"next_move({s!r},{m!r}): negative probability {pa} at {a!r}")
             for s2, p in delta[a].items():
                 if not p:
                     continue
-                if pa != 1:
+                if scaled:
                     p = pa * p
                 # (s, m) is expanded once, so each update is summed once
                 update = updates.get((a, s2, m))
@@ -390,6 +384,9 @@ def induced_chain(mdp: Mdp, strategy: StrategySpec) -> MarkovChain:
                     raise ModelError(f"memory_update{(a, s2, m)!r} does not sum to 1")
                 for m2, pu in update.items():
                     if pu:
+                        if pu < 0:
+                            key = (a, s2, m)
+                            raise ModelError(f"memory_update{key!r}: negative probability {pu} at {m2!r}")
                         key = (s2, m2)
                         q = p if pu == 1 else p * pu
                         row[key] = row[key] + q if key in row else q

@@ -45,10 +45,6 @@ class FiniteDistribution:
     def min_value(self) -> Fraction:
         return min(self.atoms)
 
-    @property
-    def max_value(self) -> Fraction:
-        return max(self.atoms)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteDistribution) and self.atoms == other.atoms
 

@@ -40,7 +40,6 @@ from .model import (
     validate_query,
 )
 from .synthesis import (
-    FlowSolution,
     check_strategy,
     flow_rows,
     mec_constant_strategy,
@@ -142,12 +141,6 @@ def _reach_row_table(
     return table
 
 
-def _reach_guess_rows(m: Mdp, query: Query, tc: Mapping[int, Fraction], tv: Mapping[int, Fraction]) -> List[Row]:
-    """The constraint rows of the flow LP for the threshold guesses ``tc``."""
-    table = _reach_row_table(m, query, {j: [t] for j, t in tc.items()}, tv)
-    return [rows[tc.get(j)] for j, rows in table]
-
-
 def _guess_plan(m: Mdp, query: Query):
     """Candidate thresholds per dimension over the quotient's target rewards.
 
@@ -175,7 +168,8 @@ def _guess_plan(m: Mdp, query: Query):
     return True, tc_lists, tv
 
 
-def _extract_flow(m: Mdp, assignment: Mapping[str, Fraction]) -> FlowSolution:
+def _extract_flow(m: Mdp, assignment: Mapping[str, Fraction]) -> Tuple[Dict, Dict]:
+    """The action masses ``y`` and target masses ``x`` of a flow LP's point."""
     y = {}
     x = {}
     for s in m.states:
@@ -184,13 +178,13 @@ def _extract_flow(m: Mdp, assignment: Mapping[str, Fraction]) -> FlowSolution:
         else:
             for a in m.available[s]:
                 y[a] = assignment.get(_y(a), ZERO)
-    return FlowSolution(y=y, x=x)
+    return y, x
 
 
-def _iter_feasible(m: Mdp, query: Query) -> Iterator[Tuple[Dict[int, Fraction], FlowSolution]]:
-    """Enumerate threshold guesses in ascending order, yielding feasible flows
-    over the states reachable from the initial state; every guess LP is
-    decided from one warm start on the flow block."""
+def _iter_feasible(m: Mdp, query: Query) -> Iterator[Tuple[Dict, Dict, Dict]]:
+    """Enumerate threshold guesses in ascending order, yielding ``(tc, y, x)``
+    for each feasible flow over the states reachable from the initial state;
+    every guess LP is decided from one warm start on the flow block."""
     keep = reachable_states(m, m.initial)
     m = replace(
         m,
@@ -212,7 +206,7 @@ def _iter_feasible(m: Mdp, query: Query) -> Iterator[Tuple[Dict[int, Fraction], 
         rows = [by_t[tc.get(j)] for j, by_t in table]
         res = solve_feasibility(LinearProgram(block.variables, block.constraints + rows), start)
         if res.ok:
-            yield tc, _extract_flow(m, res.assignment)
+            yield (tc, *_extract_flow(m, res.assignment))
 
 
 def _cleaned_quotient(mdp: Mdp, qm: QuotientMap) -> QuotientMap:
@@ -266,11 +260,8 @@ def _decide_reach(mdp: Mdp, query: Query, config: Optional[SolverConfig], decide
         return decide_mean(mmdp, mquery, config)
     qm = _cleaned_quotient(mdp, qm)
     candidates = (
-        (
-            realize_quotient_flow(mdp, qm, flow.y, {}, {}),
-            {"guess": dict(tc), "flow": {"y": flow.y, "x": flow.x}},
-        )
-        for tc, flow in _iter_feasible(qm.quotient, query)
+        (realize_quotient_flow(mdp, qm, y, {}, {}), {"guess": dict(tc), "flow": {"y": y, "x": x}})
+        for tc, y, x in _iter_feasible(qm.quotient, query)
     )
     return _first_certified(mdp, query, candidates)
 
@@ -305,14 +296,25 @@ def _mec_gain_flow(mdp: Mdp, mec, j: int, minimize: bool = False):
     return sign * res.value, {a: res.assignment[f"f::{a}"] for a in acts}
 
 
+@dataclass(frozen=True)
+class _Gain:
+    """The abstraction's fresh target for MEC ``i``, equal to no input state.
+    Its ``repr`` is that of ``("__gain", i)``, which names no other LP
+    variable: only targets get one, and these are the only targets."""
+
+    i: int
+
+    def __repr__(self) -> str:
+        return repr(("__gain", self.i))
+
+
 def _inner_moves(mdp: Mdp, mecs, freqs: Sequence[Mapping[str, Fraction]]) -> Dict[State, Dict]:
     """Moves of the memoryless strategies that realise the action frequencies
     ``freqs[i]`` inside ``mecs[i]``, for every MEC that carries frequency mass."""
     inner: Dict[State, Dict] = {}
     for mec, freq in zip(mecs, freqs):
         if sum(freq.values(), ZERO) != 0:
-            for (s, _mm), dist in mec_constant_strategy(mdp, mec, freq).next_move.items():
-                inner[s] = dict(dist)
+            inner.update(mec_constant_strategy(mdp, mec, freq))
     return inner
 
 
@@ -336,7 +338,7 @@ def decide_mean_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = 
     # abstraction: committing to a MEC reaches a fresh target worth its gain
     q = qm.quotient
     reps = qm.representatives
-    fstates = [("__gain", i) for i in range(len(reps))]
+    fstates = [_Gain(i) for i in range(len(reps))]
     available = {s: tuple(q.available[s]) for s in q.states}
     delta = {a: dict(row) for a, row in q.delta.items()}
     rewards = dict(q.rewards)
@@ -360,9 +362,9 @@ def decide_mean_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = 
     qa = _cleaned_quotient(abstraction, mec_quotient(abstraction))
 
     def candidates():
-        for tc, flow in _iter_feasible(qa.quotient, reach_query):
-            y = {a: v for a, v in flow.y.items() if a in base.delta}
-            switch = {rep: flow.y.get(f"__commit[{i}]", ZERO) for i, rep in enumerate(reps)}
+        for tc, flow, _ in _iter_feasible(qa.quotient, reach_query):
+            y = {a: v for a, v in flow.items() if a in base.delta}
+            switch = {rep: flow.get(f"__commit[{i}]", ZERO) for i, rep in enumerate(reps)}
             used = [f if switch[rep] else {} for f, rep in zip(freqs, reps)]
             # built on ``mdp``, not ``base``: the witness lists only the pairs
             # it reaches, and the check on ``mdp`` stops at its targets
@@ -517,7 +519,7 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
                 switch = {s: res.assignment.get(f"w::{s!r}", ZERO) for s in mec_states}
                 freqs = [{a: res.assignment.get(f"xa::{a}", ZERO) for a in aa} for _, aa in mecs]
                 inner = _inner_moves(base, mecs, freqs)
-                strat = two_memory_strategy(mdp, FlowSolution(y=y, x=switch), inner)
+                strat = two_memory_strategy(mdp, y, switch, inner)
                 cert = {"guess": guess, "classification": {j: list(cls[j]) for j in cvar_dims}}
                 yield strat, cert
 

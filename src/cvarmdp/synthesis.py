@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -17,7 +16,6 @@ from .model import (
     StrategySpec,
     UnsupportedQueryError,
     induced_chain,
-    memoryless,
     normalized,
 )
 
@@ -32,15 +30,6 @@ REMAIN = "remain"
 # pending-exit memory there.  The LP is dense, so larger MECs take the
 # pending-exit construction, which costs one routing search per exit.
 MEC_LP_LIMIT = 64
-
-
-@dataclass
-class FlowSolution:
-    """LP flow values: transient action masses and recurrent/switch state
-    masses."""
-
-    y: Dict[str, Fraction] = field(default_factory=dict)
-    x: Dict[State, Fraction] = field(default_factory=dict)
 
 
 def _least_action(mdp: Mdp, s: State) -> str:
@@ -90,10 +79,11 @@ def _routing(mdp: Mdp, members: frozenset, actions: frozenset, goal: Set[State])
     return route
 
 
-def mec_constant_strategy(mdp: Mdp, mec, frequencies: Mapping[str, Fraction]) -> StrategySpec:
-    """A strategy inside a MEC realizing the given recurrent action
-    frequencies: positive-frequency states randomize proportionally, the
-    rest route deterministically toward the support."""
+def mec_constant_strategy(mdp: Mdp, mec, frequencies: Mapping[str, Fraction]) -> Dict[State, Dict]:
+    """The moves, per state, of a memoryless strategy inside a MEC realizing
+    the given recurrent action frequencies: positive-frequency states
+    randomize proportionally, the rest route deterministically toward the
+    support."""
     members, actions = mec
     choices: Dict[State, Dict[str, Fraction]] = {}
     support: Set[State] = set()
@@ -108,7 +98,7 @@ def mec_constant_strategy(mdp: Mdp, mec, frequencies: Mapping[str, Fraction]) ->
     route = _routing(mdp, members, actions, support)
     for s in members - support:
         choices[s] = {route[s]: ONE}
-    return memoryless(choices)
+    return choices
 
 
 def evaluate(mdp: Mdp, strategy: StrategySpec, objective: str) -> PayoffLaw:
@@ -254,12 +244,13 @@ def _switch_arrival(
     return arrival
 
 
-def two_memory_strategy(mdp: Mdp, flow: FlowSolution, inner: Mapping[State, Mapping[str, Fraction]]) -> StrategySpec:
-    """Search/remain strategy: in ``search`` play the transient flow and on
-    arrival at s switch to ``remain`` with probability x_s / inflow(s); in
-    ``remain`` play the per-state inner (recurrent) moves.  Only the
-    ``(state, memory)`` pairs the strategy reaches get a move."""
-    return _search_remain(mdp, flow.y, _switch_arrival(mdp, flow.y, flow.x).get, inner, {})
+def two_memory_strategy(mdp: Mdp, y: Mapping, switch: Mapping, inner: Mapping) -> StrategySpec:
+    """Search/remain strategy: in ``search`` play the transient flow ``y``
+    and on arrival at s switch to ``remain`` with probability
+    ``switch[s] / inflow(s)``; in ``remain`` play the per-state ``inner``
+    moves.  Only the ``(state, memory)`` pairs the strategy reaches get a
+    move."""
+    return _search_remain(mdp, y, _switch_arrival(mdp, y, switch).get, inner, {})
 
 
 def realize_quotient_flow(

@@ -177,7 +177,7 @@ def determinize_single_constraint(
     """Round a memoryless randomizing strategy to the best deterministic one
     over its support; with a single constraint the value cannot decrease,
     because the randomized law is a convex mixture of the deterministic laws."""
-    if not strategy.is_memoryless:
+    if len(strategy.memory) != 1:
         raise UnsupportedQueryError("determinization requires a memoryless strategy")
     measures = sum(
         x is not None for x in (constraint.expectation, constraint.cvar, constraint.var)

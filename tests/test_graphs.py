@@ -29,7 +29,7 @@ def brute_force_mecs(mdp):
     successors stay inside) and whose underlying graph is strongly connected.
     Feasible only for tiny models.
     """
-    owner = mdp.action_state()
+    owner = {a: s for s in mdp.states for a in mdp.available[s]}
     all_actions = list(mdp.delta)
     ecs = []
     for r in range(1, len(all_actions) + 1):
@@ -145,7 +145,11 @@ def full_refinement_mecs(mdp):
         if states:
             mecs.append((states, frozenset(a for s in states for a in live[s])))
     mecs = sorted(mecs, key=lambda m: sorted(map(repr, m[0])))
-    return MecDecomposition(mecs, {s: i for i, (states, _) in enumerate(mecs) for s in states})
+    return MecDecomposition(
+        mecs,
+        {s: i for i, (states, _) in enumerate(mecs) for s in states},
+        [tuple(sorted(states, key=repr)) for states, _ in mecs],
+    )
 
 
 class TestEarlyStop:

@@ -8,8 +8,8 @@ import pytest
 from cvarmdp.lp import EQ, GE, LE, LinearProgram, dump, solve_feasibility, solve_optimize
 
 
-def lp(variables, rows, objective=None, free=()):
-    prog = LinearProgram(variables=list(variables), free=set(free))
+def lp(variables, rows, objective=None):
+    prog = LinearProgram(variables=list(variables))
     for coeffs, sense, rhs in rows:
         prog.add({v: F(c) for v, c in coeffs.items()}, sense, F(rhs))
     if objective:
@@ -17,11 +17,11 @@ def lp(variables, rows, objective=None, free=()):
     return prog
 
 
-def brute_force_max(variables, rows, objective, free=()):
+def brute_force_max(variables, rows, objective):
     """Oracle: enumerate basic solutions of the constraint system.
 
     Solves every square subsystem of the tight-constraint candidates
-    (constraints-as-equalities plus x_i = 0 for non-free variables) and keeps
+    (constraints-as-equalities plus x_i = 0 for every variable) and keeps
     the best feasible solution.  Exponential; fine below ~6 variables.
     """
     from cvarmdp.chain import solve_linear
@@ -31,9 +31,8 @@ def brute_force_max(variables, rows, objective, free=()):
     for coeffs, sense, rhs in rows:
         eqs.append(([F(coeffs.get(v, 0)) for v in variables], sense, F(rhs)))
     planes = [(row, rhs) for row, sense, rhs in eqs]
-    for i, v in enumerate(variables):
-        if v not in free:
-            planes.append(([F(int(j == i)) for j in range(n)], F(0)))
+    for i in range(n):
+        planes.append(([F(int(j == i)) for j in range(n)], F(0)))
     best = None
     for combo in itertools.combinations(range(len(planes)), n):
         a = [planes[i][0] for i in combo]
@@ -43,7 +42,7 @@ def brute_force_max(variables, rows, objective, free=()):
         except ValueError:
             continue  # singular subsystem: no vertex
         point = [x[j][0] for j in range(n)]
-        if any(point[j] < 0 for j, v in enumerate(variables) if v not in free):
+        if any(x < 0 for x in point):
             continue
         feasible = True
         for row, sense, rhs in eqs:
@@ -89,18 +88,6 @@ class TestBasics:
     def test_unbounded(self):
         prog = lp(["x"], [({"x": 1}, GE, 0)], objective={"x": 1})
         assert solve_optimize(prog).status == "unbounded"
-
-    def test_free_variable_goes_negative(self):
-        prog = lp(
-            ["x"],
-            [({"x": 1}, GE, -5), ({"x": 1}, LE, -2)],
-            objective={"x": -1},
-            free={"x"},
-        )
-        res = solve_optimize(prog)
-        assert res.status == "optimal"
-        assert res.assignment["x"] == -5
-        assert res.value == 5
 
     def test_add_checks_the_current_variable_list(self):
         prog = LinearProgram(variables=["a", "b"])
@@ -195,13 +182,8 @@ def fraction_solve(lp, optimize, reenter=False):
 
     zero, one = F(0), F(1)
     trail = []
-    col_of, neg_col = {}, {}
-    for v in lp.variables:
-        col_of[v] = len(col_of) + len(neg_col)
-    for v in lp.variables:
-        if v in lp.free:
-            neg_col[v] = len(col_of) + len(neg_col)
-    nstruct = len(col_of) + len(neg_col)
+    col_of = {v: j for j, v in enumerate(lp.variables)}
+    nstruct = len(col_of)
     nslack = sum(1 for _, sense, _ in lp.constraints if sense != EQ)
     m = len(lp.constraints)
     width = nstruct + nslack + m
@@ -212,8 +194,6 @@ def fraction_solve(lp, optimize, reenter=False):
         row = [zero] * (width + 1)
         for v, c in coeffs.items():
             row[col_of[v]] += c
-            if v in neg_col:
-                row[neg_col[v]] -= c
         if sense != EQ:
             row[slack_idx] = one if sense == LE else -one
             slack_idx += 1
@@ -291,8 +271,6 @@ def fraction_solve(lp, optimize, reenter=False):
         cost2 = [zero] * width
         for v, c in lp.objective.items():
             cost2[col_of[v]] += c
-            if v in neg_col:
-                cost2[neg_col[v]] -= c
         costrow = init_costrow(cost2)
         if run(costrow, width, width) == "unbounded":
             return LpResult("unbounded"), trail, bool(switched)
@@ -300,7 +278,7 @@ def fraction_solve(lp, optimize, reenter=False):
     values = [zero] * width
     for i, bi in enumerate(basis):
         values[bi] = rows[i][width]
-    assignment = {v: values[col_of[v]] - (values[neg_col[v]] if v in neg_col else 0) for v in lp.variables}
+    assignment = {v: values[col_of[v]] for v in lp.variables}
     value = sum((c * assignment[v] for v, c in lp.objective.items()), zero) if optimize else None
     return LpResult(final, assignment, value), trail, bool(switched)
 
@@ -308,7 +286,6 @@ def fraction_solve(lp, optimize, reenter=False):
 def _random_lp(rng):
     n = rng.randint(1, 6)
     variables = [f"v{i}" for i in range(n)]
-    free = {v for v in variables if rng.random() < 0.25}
 
     def coeff():
         return F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 5]))
@@ -325,7 +302,7 @@ def _random_lp(rng):
         rows.insert(rng.randint(0, len(rows)), (combo, EQ, k1 * b1 + k2 * b2))
         rows.append((dict(c1), EQ, b1))
     objective = {v: coeff() for v in variables}
-    return lp(variables, rows, objective=objective, free=free)
+    return lp(variables, rows, objective=objective)
 
 
 def _beale():
@@ -411,18 +388,15 @@ class TestAgainstFractionTableau:
 
 
 def _columns(prog):
-    """Structural (a free variable counts twice) plus slack columns."""
-    return len(prog.variables) + len(set(prog.free) & set(prog.variables)) + sum(
-        sense != EQ for _, sense, _ in prog.constraints
-    )
+    """Structural plus slack columns."""
+    return len(prog.variables) + sum(sense != EQ for _, sense, _ in prog.constraints)
 
 
-def test_artificials_that_leave_do_not_change_any_status_or_optimum(monkeypatch):
+def test_artificials_that_leave_do_not_change_any_status_or_optimum(on_lp):
     """The reference under both phase-1 rules, and the library, agree on every
     status and optimal value of random programs, the cycling examples, and
     every LP that ``decide`` solves on the named examples and trap seeds."""
     import cvarmdp.lp as lpmod
-    from cvarmdp import solver
     from cvarmdp.gadgets import example
     from cvarmdp.solver import decide
     from test_oracles import trap_mdp, trap_query
@@ -430,20 +404,7 @@ def test_artificials_that_leave_do_not_change_any_status_or_optimum(monkeypatch)
     rng = random.Random("no-reentry")
     solved = [(prog, True, solve_optimize(prog)) for prog in [_random_lp(rng) for _ in range(200)]]
     solved += [(prog, True, solve_optimize(prog)) for prog in (_beale(), _chvatal())]
-
-    def record(module, name, optimize):
-        orig = getattr(module, name)
-
-        def wrapped(prog, *args):
-            res = orig(prog, *args)
-            solved.append((prog, optimize, res))
-            return res
-
-        monkeypatch.setattr(module, name, wrapped)
-
-    record(solver, "solve_feasibility", False)
-    record(solver, "solve_optimize", True)
-    record(lpmod, "solve_feasibility", False)  # the transshipment LP's lookup
+    on_lp(lambda *call: solved.append(call))
     for name in ("choice", "loop", "slow(1/8)", "slow(1/64)", "negative"):
         decide(*example(name))
     for seed in range(50):
@@ -488,10 +449,10 @@ def test_no_tableau_holds_an_artificial_column(monkeypatch):
             pivots["cold"] += len(widths)
 
         k = split.randint(0, len(prog.constraints) - 1)
-        block = LinearProgram(prog.variables, prog.constraints[:k], free=prog.free)
+        block = LinearProgram(prog.variables, prog.constraints[:k])
         start = WarmStart(block)
         widths.clear()
-        start._warm(LinearProgram(prog.variables, list(block.constraints), free=prog.free))
+        start._warm(LinearProgram(prog.variables, list(block.constraints)))
         assert all(w == {_columns(block) + 1} for w in widths), widths
         pivots["block"] += len(widths)
         widths.clear()

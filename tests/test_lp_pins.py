@@ -13,7 +13,6 @@ from fractions import Fraction as F
 import pytest
 
 import cvarmdp.lp as lpmod
-import cvarmdp.solver as solver
 from cvarmdp import serialize
 from cvarmdp.gadgets import example
 from cvarmdp.model import Constraint, Mdp, Query
@@ -25,21 +24,9 @@ def _sha(text: str) -> str:
 
 
 @pytest.fixture
-def lp_log(monkeypatch):
+def lp_log(on_lp):
     log = []
-
-    def record(module, name):
-        orig = getattr(module, name)
-
-        def wrapped(prog, *args, **kwargs):
-            log.append(_sha(lpmod.dump(prog)))
-            return orig(prog, *args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapped)
-
-    record(solver, "solve_feasibility")
-    record(solver, "solve_optimize")
-    record(lpmod, "solve_feasibility")  # the transshipment LP's lookup
+    on_lp(lambda prog, optimize, res: log.append(_sha(lpmod.dump(prog))))
     return log
 
 

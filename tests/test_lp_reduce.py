@@ -11,7 +11,6 @@ import random
 import pytest
 
 import cvarmdp.lp as lpmod
-from cvarmdp import solver
 from cvarmdp.gadgets import example
 from cvarmdp.lp import solve_feasibility, solve_optimize
 from cvarmdp.serialize import verdict_to_json
@@ -39,23 +38,10 @@ def _outcome(res):
 
 
 @pytest.fixture
-def lp_log(monkeypatch):
+def lp_log(on_lp):
     """The outcome of every LP that ``decide`` solves, in order."""
     log = []
-
-    def record(module, name):
-        orig = getattr(module, name)
-
-        def wrapped(*args, **kwargs):
-            res = orig(*args, **kwargs)
-            log.append(_outcome(res))
-            return res
-
-        monkeypatch.setattr(module, name, wrapped)
-
-    record(solver, "solve_feasibility")
-    record(solver, "solve_optimize")
-    record(lpmod, "solve_feasibility")  # the transshipment LP's lookup
+    on_lp(lambda prog, optimize, res: log.append(_outcome(res)))
     return log
 
 

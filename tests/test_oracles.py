@@ -37,7 +37,7 @@ from cvarmdp.solver import (
     _cleaned_quotient,
     _guess_plan,
     _reach_block,
-    _reach_guess_rows,
+    _reach_row_table,
     _reach_to_mean,
     _x,
     decide,
@@ -161,7 +161,7 @@ def _action_product(mdp: Mdp, sigma: StrategySpec) -> MarkovChain:
             continue
         row = delta[st] = {}
         for s2, pt in mdp.delta[a].items():
-            for m2, pu in sigma.update_dist(a, s2, m).items():
+            for m2, pu in sigma.memory_update.get((a, s2, m), {m: F(1)}).items():
                 for a2, pa in move(s2, m2).items():
                     if pt * pu * pa:
                         key = (s2, m2, a2)
@@ -302,7 +302,8 @@ def test_witness_law_against_monte_carlo():
 def _reach_lp(m: Mdp, query: Query, tc, tv) -> LinearProgram:
     """The solver's flow LP for one threshold guess: its block plus its guess rows."""
     block = _reach_block(m)
-    return LinearProgram(block.variables, block.constraints + _reach_guess_rows(m, query, tc, tv))
+    table = _reach_row_table(m, query, {j: [t] for j, t in tc.items()}, tv)
+    return LinearProgram(block.variables, block.constraints + [by_t[tc.get(j)] for j, by_t in table])
 
 
 def _split_variable_lp(m: Mdp, query: Query, tc, tv) -> LinearProgram:

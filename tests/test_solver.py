@@ -245,6 +245,25 @@ class TestMeanSingle:
         with pytest.raises(ModelError, match=re.escape(f"action {name!r} starts with the reserved prefix '__'")):
             decide(self._win_or_lose(**names), reach_query(e=5, objective="mean"))
 
+    @pytest.mark.parametrize(
+        "name",
+        # the abstraction's gain state of MEC 0 (MEC 1) used to share the
+        # user's state, giving UNSAT (an infeasible internal flow completion)
+        [("__gain", 0), ("__gain", 1)],
+        ids=["wrong-unsat", "infeasible-completion"],
+    )
+    def test_state_name_is_not_reserved(self, name):
+        m = self._win_or_lose()
+        r = lambda s: name if s == "win" else s
+        renamed = Mdp(
+            states=tuple(map(r, m.states)),
+            available={r(s): acts for s, acts in m.available.items()},
+            delta={a: {r(t): p for t, p in row.items()} for a, row in m.delta.items()},
+            initial=m.initial,
+            rewards={r(s): v for s, v in m.rewards.items()},
+        )
+        assert decide(renamed, reach_query(e=5, objective="mean")).status == "SAT"
+
     def test_mec_gain(self):
         mdp, _ = example("loop")
         dec = mec_decomposition(mdp)

@@ -25,7 +25,6 @@ from cvarmdp.synthesis import (
     REMAIN,
     SEARCH,
     ZERO,
-    FlowSolution,
     _flow_move,
     _inflow,
     _least_action,
@@ -85,7 +84,7 @@ class TestMecConstant:
         # rewards live on the state, so any split keeps the same mean payoff;
         # check the strategy plays the requested proportions
         (mec,) = mec_decomposition(mdp).mecs
-        sigma = mec_constant_strategy(mdp, mec, {"hi": F(1, 3), "lo": F(2, 3)})
+        sigma = memoryless(mec_constant_strategy(mdp, mec, {"hi": F(1, 3), "lo": F(2, 3)}))
         move = sigma.next_move[("s", sigma.memory[0])]
         assert move == {"hi": F(1, 3), "lo": F(2, 3)}
 
@@ -99,7 +98,7 @@ class TestMecConstant:
             rewards={"a": (F(2),), "b": (F(0),)},
         )
         (mec,) = mec_decomposition(mdp).mecs
-        sigma = mec_constant_strategy(mdp, mec, {"aa": F(1)})
+        sigma = memoryless(mec_constant_strategy(mdp, mec, {"aa": F(1)}))
         law = evaluate(mdp, sigma, "mean")[0]
         assert law.atoms == {F(2): F(1)}
 
@@ -115,9 +114,8 @@ class TestTwoMemory:
 
     def test_switch_mass_exceeding_inflow_rejected(self):
         mdp, _ = example("loop")
-        flow = FlowSolution(y={"b": F(1)}, x={"s0": F(2)})
         with pytest.raises(Exception):
-            two_memory_strategy(mdp, flow, {"s0": {"a": F(1)}})
+            two_memory_strategy(mdp, {"b": F(1)}, {"s0": F(2)}, {"s0": {"a": F(1)}})
 
 
 class TestDeterminize:
@@ -221,8 +219,8 @@ def _full_table(mdp, y, arrival, inner, tokens):
     )
 
 
-def _full_two_memory(mdp, flow, inner):
-    return _full_table(mdp, flow.y, _switch_arrival(mdp, flow.y, flow.x), inner, {})
+def _full_two_memory(mdp, y, switch, inner):
+    return _full_table(mdp, y, _switch_arrival(mdp, y, switch), inner, {})
 
 
 def _full_realize(mdp, qm, y, switch, inner):
@@ -253,7 +251,7 @@ def _full_realize(mdp, qm, y, switch, inner):
                 token_dist[REMAIN] = commit / total_in
             if not token_dist:
                 raise ModelError("MEC absorbs flow without exits or switch mass")
-            owner = mdp.action_state()
+            owner = {a: s for s in mdp.states for a in mdp.available[s]}
             for tok in token_dist:
                 if tok == REMAIN:
                     continue

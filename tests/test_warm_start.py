@@ -37,7 +37,7 @@ def _warm_and_cold(prog: LinearProgram, start: WarmStart):
 
 def _meets(prog: LinearProgram, point) -> bool:
     """Every row and sign constraint of ``prog`` holds exactly at ``point``."""
-    if any(point[v] < 0 for v in prog.variables if v not in prog.free):
+    if any(point[v] < 0 for v in prog.variables):
         return False
     for coeffs, sense, rhs in prog.constraints:
         lhs = sum((c * point[v] for v, c in coeffs.items()), F(0))
@@ -58,11 +58,11 @@ def test_random_programs_split_anywhere_keep_their_status():
         k = split.randint(0, len(prog.constraints))
         seen["empty block"] += k == 0
         seen["no extra rows"] += k == len(prog.constraints)
-        start = WarmStart(LinearProgram(prog.variables, prog.constraints[:k], free=prog.free))
+        start = WarmStart(LinearProgram(prog.variables, prog.constraints[:k]))
         # a second member with the rows after the block reversed; the first
         # member again shows the block's tableau was left as it was
         reversed_tail = prog.constraints[:k] + prog.constraints[k:][::-1]
-        other = LinearProgram(prog.variables, reversed_tail, free=prog.free)
+        other = LinearProgram(prog.variables, reversed_tail)
         for member in (prog, other, prog):
             seen[_warm_and_cold(member, start).status] += 1
     assert min(seen.values()) > 0, seen
@@ -77,7 +77,7 @@ def test_a_program_that_does_not_open_with_the_block_rows_is_refused():
     for prog in (
         LinearProgram(block.variables, equal_rows + list(guess)),
         LinearProgram(["x", "y", "z"], block.constraints + list(guess)),
-        LinearProgram(block.variables, [], free=frozenset()),
+        LinearProgram(block.variables, []),
     ):
         with pytest.raises(ValueError, match="block rows"):
             solve_feasibility(prog, start)

@@ -88,7 +88,7 @@ def reference_induced_chain(mdp: Mdp, strategy: StrategySpec) -> MarkovChain:
         row: Dict = {}
         for a, pa in normalized(strategy.next_move[(s, m)]).items():
             for s2, pt in normalized(mdp.delta[a]).items():
-                for m2, pu in normalized(strategy.update_dist(a, s2, m)).items():
+                for m2, pu in normalized(strategy.memory_update.get((a, s2, m), {m: ONE})).items():
                     key = (s2, m2)
                     row[key] = row.get(key, ZERO) + pa * pt * pu
                     if key not in seen:
@@ -328,6 +328,31 @@ def test_check_accepts_zero_mass_on_an_action_of_another_state():
 def test_check_rejects_a_move_that_does_not_sum_to_one(move):
     with pytest.raises(ModelError, match="does not sum to 1"):
         check_strategy(_lose_or_win(), memoryless({"s0": move}), E5)
+
+
+def test_check_rejects_a_negative_move_entry():
+    # s0 chooses between lo and hi; the move sums to 1
+    mdp = Mdp(
+        states=("s0", "lo", "hi"),
+        available={"s0": ("lose", "win"), "lo": ("stay_lo",), "hi": ("stay_hi",)},
+        delta={"lose": {"lo": ONE}, "win": {"hi": ONE}, "stay_lo": {"lo": ONE}, "stay_hi": {"hi": ONE}},
+        initial="s0",
+        rewards={"s0": (ZERO,), "lo": (ZERO,), "hi": (F(10),)},
+        targets=frozenset({"lo", "hi"}),
+    )
+    with pytest.raises(ModelError, match=r"next_move\('s0','m'\): negative probability -1/2 at 'lose'"):
+        check_strategy(mdp, memoryless({"s0": {"win": F(3, 2), "lose": F(-1, 2)}}), E5)
+
+
+def test_check_rejects_a_negative_memory_update_entry():
+    strat = StrategySpec(
+        memory=("a", "b"),
+        initial_memory={"a": ONE},
+        next_move={("s0", "a"): {"lose": ONE}},
+        memory_update={("lose", "lo", "a"): {"a": F(3, 2), "b": F(-1, 2)}},
+    )
+    with pytest.raises(ModelError, match=r"memory_update\('lose', 'lo', 'a'\): negative probability -1/2 at 'b'"):
+        check_strategy(_lose_or_win(), strat, E5)
 
 
 @pytest.mark.parametrize("update", [{"a": F(1, 2)}, {"a": F(1, 2), "b": F(1, 3)}])
