@@ -51,7 +51,8 @@ REDUCE_BITS = 512
 
 @dataclass
 class LinearProgram:
-    """A maximization LP over named nonnegative variables."""
+    """A maximization LP over named nonnegative variables; a solve raises
+    ``ValueError`` when a name is listed twice."""
 
     variables: List[str] = field(default_factory=list)
     constraints: List[Tuple[Dict[str, Fraction], str, Fraction]] = field(default_factory=list)
@@ -196,6 +197,9 @@ def _phase1(lp: LinearProgram) -> Tuple[Optional[_Tableau], LpResult]:
     # columns: one per variable, then slacks; row i's artificial has no
     # column, only basis index nart_start + i
     col_of = {v: j for j, v in enumerate(lp.variables)}
+    if len(col_of) != len(lp.variables):
+        repeat = next(v for j, v in enumerate(lp.variables) if col_of[v] != j)
+        raise ValueError(f"variable {repeat!r} named twice")
     nslack = sum(1 for _, sense, _ in lp.constraints if sense != EQ)
     nart_start = len(col_of) + nslack
 

@@ -336,7 +336,8 @@ def induced_chain(mdp: Mdp, strategy: StrategySpec) -> MarkovChain:
     decided on arrival.  Rewards and target flags are lifted from the state
     component.
 
-    Raises ``ModelError`` when the strategy cannot be played from a reached
+    Raises ``ModelError`` when the initial memory does not sum to 1 or has a
+    negative entry, or when the strategy cannot be played from a reached
     non-target pair: it has no move there, its move does not sum to 1, has a
     negative entry or puts positive mass on an action not available at the
     state, or a memory update it takes does not sum to 1 or has a negative
@@ -344,6 +345,11 @@ def induced_chain(mdp: Mdp, strategy: StrategySpec) -> MarkovChain:
     """
     available, delta, targets = mdp.available, mdp.delta, mdp.targets
     next_move, updates = strategy.next_move, strategy.memory_update
+    if not _sums_to_one(strategy.initial_memory):
+        raise ModelError("initial_memory does not sum to 1")
+    for m, pm in strategy.initial_memory.items():
+        if pm < 0:
+            raise ModelError(f"initial_memory: negative probability {pm} at {m!r}")
     initial = {(mdp.initial, m): pm for m, pm in strategy.initial_memory.items() if pm}
     rows: Dict = {}
     frontier = list(initial)

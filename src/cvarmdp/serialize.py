@@ -269,8 +269,8 @@ def _term_key(x: Any) -> str:
     return json.dumps(_enc_term(x), sort_keys=True)
 
 
-def strategy_to_json(strategy: StrategySpec) -> str:
-    doc = {
+def _strategy_doc(strategy: StrategySpec) -> dict:
+    return {
         "memory": [_enc_term(m) for m in strategy.memory],
         "initial_memory": [
             [_enc_term(m), _rat_str(p)]
@@ -302,7 +302,10 @@ def strategy_to_json(strategy: StrategySpec) -> str:
             )
         ],
     }
-    return _dumps(doc)
+
+
+def strategy_to_json(strategy: StrategySpec) -> str:
+    return _dumps(_strategy_doc(strategy))
 
 
 def strategy_from_json(text: str) -> StrategySpec:
@@ -348,7 +351,7 @@ def _audit(obj: Any) -> Any:
 def verdict_to_json(verdict: Verdict) -> str:
     doc = {
         "status": verdict.status,
-        "witness": json.loads(strategy_to_json(verdict.witness)) if verdict.witness else None,
+        "witness": _strategy_doc(verdict.witness) if verdict.witness else None,
         "certificate": _audit(verdict.certificate),
     }
     return _dumps(doc)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .graphs import (
     QuotientMap,
@@ -101,13 +101,15 @@ def _reach_block(m: Mdp) -> LinearProgram:
 Row = Tuple[Dict[str, Fraction], str, Fraction]
 
 
-def _reach_row_table(
-    m: Mdp, query: Query, tc_lists: Mapping[int, Sequence[Fraction]], tv: Mapping[int, Fraction]
-) -> List[Tuple[Optional[int], Dict[Optional[Fraction], Row]]]:
-    """The constraint rows of the flow LP for every threshold guess, each
-    built once, in row order: ``(j, {t: row})`` for the CVaR row of dimension
-    j at each candidate threshold t of ``tc_lists[j]``, ``(None, {None:
-    row})`` for a VaR or expectation row, which no guess changes.
+def _reach_guesses(m: Mdp, query: Query) -> Iterator[Tuple[Dict[int, Fraction], List[Row]]]:
+    """Every threshold guess of the flow LP over ``m``'s target rewards, in
+    ascending order: ``(tc, rows)``, the guessed CVaR threshold of each CVaR
+    dimension and the guess's constraint rows.  Each row is built once, as an
+    option of its table entry, and a guess picks one option per entry: a
+    CVaR row per candidate threshold, the one VaR row at the least target
+    reward that reaches the VaR bound, an expectation row.  A VaR or CVaR
+    bound above every target reward leaves its entry, and so the product of
+    guesses, empty: no strategy can meet it.
 
     A CVaR constraint (p, c) on dimension j at guessed threshold t is the one
     row  sum_{r_s[j] < t} (r_s[j] - t) x_s >= p (c - t),  i.e.
@@ -124,67 +126,45 @@ def _reach_row_table(
       (whose threshold is at most t), so its feasible guesses stay feasible.
     """
     targets = [(_x(s), m.rewards[s]) for s in sorted(m.targets, key=repr)]
-    table: List[Tuple[Optional[int], Dict[Optional[Fraction], Row]]] = []
+    # per table entry, its options (CVaR dimension or None, threshold, row)
+    table: List[List[Tuple[Optional[int], Optional[Fraction], Row]]] = []
     for c in sorted(query.constraints, key=lambda c: c.dim):
         j = c.dim
-        if c.cvar is not None and j in tc_lists:
-            p, cbound = c.cvar
-            table.append((j, {
-                t: ({x: r[j] - t for x, r in targets if r[j] < t}, ">=", p * (cbound - t))
-                for t in tc_lists[j]
-            }))
-        if c.var is not None:
-            q, _ = c.var
-            table.append((None, {None: ({x: ONE for x, r in targets if r[j] < tv[j]}, "<=", q)}))
-        if c.expectation is not None:
-            table.append((None, {None: ({x: r[j] for x, r in targets if r[j] != 0}, ">=", c.expectation)}))
-    return table
-
-
-def _guess_plan(m: Mdp, query: Query):
-    """Candidate thresholds per dimension over the quotient's target rewards.
-
-    Returns (ok, cvar candidate lists, var thresholds); ok=False means some
-    VaR bound exceeds every target reward, which no strategy can satisfy.
-    """
-    tc_lists: Dict[int, List[Fraction]] = {}
-    tv: Dict[int, Fraction] = {}
-    for c in query.constraints:
-        j = c.dim
-        cands = sorted({m.rewards[t][j] for t in m.targets})
-        if c.var is not None:
-            _, v = c.var
-            above = [t for t in cands if t >= v]
-            if not above:
-                return False, {}, {}
-            tv[j] = above[0]
+        cands = sorted({r[j] for _, r in targets})
+        tv = [t for t in cands if c.var is not None and t >= c.var[1]][:1]
         if c.cvar is not None:
-            lo = c.cvar[1]  # CVaR is a sub-threshold average, so t >= c is forced
-            if c.var is not None and c.cvar[0] == c.var[0]:
-                lo = max(lo, tv[j])  # the maximiser VaR_p is then at least v
-            tc_lists[j] = [t for t in cands if t >= lo]
-            if not tc_lists[j]:
-                return False, {}, {}
-    return True, tc_lists, tv
+            p, cbound = c.cvar
+            lo = cbound  # CVaR is a sub-threshold average, so t >= c is forced
+            if tv and p == c.var[0]:
+                lo = max(lo, tv[0])  # the maximiser VaR_p is then at least v
+            table.append([
+                (j, t, ({x: r[j] - t for x, r in targets if r[j] < t}, ">=", p * (cbound - t)))
+                for t in cands if t >= lo
+            ])
+        if c.var is not None:
+            q = c.var[0]
+            table.append([(None, None, ({x: ONE for x, r in targets if r[j] < t}, "<=", q)) for t in tv])
+        if c.expectation is not None:
+            table.append([(None, None, ({x: r[j] for x, r in targets if r[j] != 0}, ">=", c.expectation))])
+    for combo in itertools.product(*table):
+        yield {j: t for j, t, _ in combo if j is not None}, [row for _, _, row in combo]
 
 
-def _extract_flow(m: Mdp, assignment: Mapping[str, Fraction]) -> Tuple[Dict, Dict]:
-    """The action masses ``y`` and target masses ``x`` of a flow LP's point."""
-    y = {}
-    x = {}
-    for s in m.states:
-        if s in m.targets:
-            x[s] = assignment.get(_x(s), ZERO)
-        else:
-            for a in m.available[s]:
-                y[a] = assignment.get(_y(a), ZERO)
-    return y, x
+def _feasible(block: LinearProgram, guesses: Iterable[Tuple[object, List[Row]]]) -> Iterator:
+    """``(guess, point)`` for each ``(guess, rows)`` of ``guesses`` whose LP,
+    ``block`` followed by ``rows``, is feasible; every guess LP is decided
+    from one warm start on the block."""
+    start = WarmStart(block)
+    for guess, rows in guesses:
+        res = solve_feasibility(LinearProgram(block.variables, block.constraints + rows), start)
+        if res.ok:
+            yield guess, res.assignment
 
 
 def _iter_feasible(m: Mdp, query: Query) -> Iterator[Tuple[Dict, Dict, Dict]]:
     """Enumerate threshold guesses in ascending order, yielding ``(tc, y, x)``
-    for each feasible flow over the states reachable from the initial state;
-    every guess LP is decided from one warm start on the flow block."""
+    for each feasible flow over the states reachable from the initial state:
+    the guess, the action masses ``y`` and the target masses ``x``."""
     keep = reachable_states(m, m.initial)
     m = replace(
         m,
@@ -194,19 +174,10 @@ def _iter_feasible(m: Mdp, query: Query) -> Iterator[Tuple[Dict, Dict, Dict]]:
         rewards={s: m.rewards[s] for s in keep},
         targets=m.targets & keep,
     )
-    ok, tc_lists, tv = _guess_plan(m, query)
-    if not ok:
-        return
-    dims = sorted(tc_lists)
-    block = _reach_block(m)
-    start = WarmStart(block)
-    table = _reach_row_table(m, query, tc_lists, tv)
-    for combo in itertools.product(*(tc_lists[j] for j in dims)):
-        tc = dict(zip(dims, combo))
-        rows = [by_t[tc.get(j)] for j, by_t in table]
-        res = solve_feasibility(LinearProgram(block.variables, block.constraints + rows), start)
-        if res.ok:
-            yield (tc, *_extract_flow(m, res.assignment))
+    for tc, point in _feasible(_reach_block(m), _reach_guesses(m, query)):
+        y = {a: point[_y(a)] for s in m.states if s not in m.targets for a in m.available[s]}
+        x = {s: point[_x(s)] for s in m.states if s in m.targets}
+        yield tc, y, x
 
 
 def _cleaned_quotient(mdp: Mdp, qm: QuotientMap) -> QuotientMap:
@@ -503,25 +474,21 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
     exhaustive = all(gmin[i, j] == gmax[i, j] for i in range(n) for j in cvar_dims)
     mec_states = [s for s in base.states if dec.mec_of(s) is not None]
     terms = _mec_terms(base, dec)
-    block = _mean_multi_block(base, dec)
-    start = WarmStart(block)
 
-    def candidates():
+    def guesses():
         for cls_combo in itertools.product(options, repeat=len(cvar_dims)):
             cls = dict(zip(cvar_dims, cls_combo))
             for t_combo in itertools.product(*(grids[j] for j in cvar_dims)):
                 guess = dict(zip(cvar_dims, t_combo))
-                rows = _mean_multi_guess_rows(query, guess, cls, terms)
-                res = solve_feasibility(LinearProgram(block.variables, block.constraints + rows), start)
-                if not res.ok:
-                    continue
-                y = {a: res.assignment.get(_y(a), ZERO) for a in base.actions}
-                switch = {s: res.assignment.get(f"w::{s!r}", ZERO) for s in mec_states}
-                freqs = [{a: res.assignment.get(f"xa::{a}", ZERO) for a in aa} for _, aa in mecs]
-                inner = _inner_moves(base, mecs, freqs)
-                strat = two_memory_strategy(mdp, y, switch, inner)
-                cert = {"guess": guess, "classification": {j: list(cls[j]) for j in cvar_dims}}
-                yield strat, cert
+                yield (guess, cls), _mean_multi_guess_rows(query, guess, cls, terms)
+
+    def candidates():
+        for (guess, cls), point in _feasible(_mean_multi_block(base, dec), guesses()):
+            y = {a: point[_y(a)] for a in base.actions}
+            switch = {s: point[f"w::{s!r}"] for s in mec_states}
+            freqs = [{a: point[f"xa::{a}"] for a in aa} for _, aa in mecs]
+            strat = two_memory_strategy(mdp, y, switch, _inner_moves(base, mecs, freqs))
+            yield strat, {"guess": guess, "classification": {j: list(cls[j]) for j in cvar_dims}}
 
     return _first_certified(mdp, query, candidates(), exhaustive)
 

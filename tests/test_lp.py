@@ -98,6 +98,14 @@ class TestBasics:
             prog.add({"b": 1}, LE, 1)
         assert solve_feasibility(prog).ok
 
+    def test_repeated_variable_name_is_rejected(self):
+        # a repeat would shift "x" onto a slack column: x >= 2 came back infeasible
+        prog = lp(["x", "x"], [({"x": 1}, GE, 2)], objective={"x": -1})
+        for solve in (solve_feasibility, solve_optimize):
+            with pytest.raises(ValueError, match="variable 'x' named twice"):
+                solve(prog)
+        assert solve_optimize(lp(["x"], [({"x": 1}, GE, 2)], objective={"x": -1})).value == -2
+
     def test_dump_is_plain_text(self):
         prog = lp(["x"], [({"x": 1}, LE, 1)], objective={"x": 1})
         text = dump(prog)

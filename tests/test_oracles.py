@@ -9,7 +9,6 @@ a target-free random model and adds exits from a few states into two
 absorbing targets, so some end components reach no target (cleanup's
 trapping branch) and a negative target reward breaks attraction A2.
 """
-import itertools
 import math
 import os
 import random
@@ -35,9 +34,8 @@ from cvarmdp.risk import FiniteDistribution, cvar, expectation, var
 from cvarmdp.simulate import SimConfig, sample_payoffs
 from cvarmdp.solver import (
     _cleaned_quotient,
-    _guess_plan,
     _reach_block,
-    _reach_row_table,
+    _reach_guesses,
     _reach_to_mean,
     _x,
     decide,
@@ -299,21 +297,21 @@ def test_witness_law_against_monte_carlo():
 # ----------------------------------- CVaR row against the split-variable rows
 
 
-def _reach_lp(m: Mdp, query: Query, tc, tv) -> LinearProgram:
+def _reach_lp(m: Mdp, rows) -> LinearProgram:
     """The solver's flow LP for one threshold guess: its block plus its guess rows."""
     block = _reach_block(m)
-    table = _reach_row_table(m, query, {j: [t] for j, t in tc.items()}, tv)
-    return LinearProgram(block.variables, block.constraints + [by_t[tc.get(j)] for j, by_t in table])
+    return LinearProgram(block.variables, block.constraints + rows)
 
 
-def _split_variable_lp(m: Mdp, query: Query, tc, tv) -> LinearProgram:
+def _split_variable_lp(m: Mdp, query: Query, tc) -> LinearProgram:
     """Reference encoding of each CVaR constraint (p, c) at threshold t: split
     parts u_s <= x_s of the targets worth exactly t top the mass below t up
     to exactly p, and that tail's value is at least p*c.  A VaR row at the
     CVaR level is left out; the "= p" row implies it."""
     same = {c.dim for c in query.constraints if c.cvar and c.var and c.cvar[0] == c.var[0]}
     rest = tuple(replace(c, cvar=None, var=None if c.dim in same else c.var) for c in query.constraints)
-    prog = _reach_lp(m, replace(query, constraints=rest), {}, tv)
+    ((_, rows),) = _reach_guesses(m, replace(query, constraints=rest))
+    prog = _reach_lp(m, rows)
     for c in query.constraints:
         if c.cvar is None:
             continue
@@ -371,13 +369,10 @@ def _cvar_row_instances():
 def test_cvar_row_against_the_split_variable_encoding():
     same_level = instances = 0
     for m, query in _cvar_row_instances():
-        ok, tc_lists, tv = _guess_plan(m, query)
-        dims = sorted(tc_lists)
         new_any = ref_any = False
-        for combo in itertools.product(*(tc_lists[j] for j in dims)) if ok else ():
-            tc = dict(zip(dims, combo))
-            new = solve_feasibility(_reach_lp(m, query, tc, tv))
-            ref = solve_feasibility(_split_variable_lp(m, query, tc, tv))
+        for tc, rows in _reach_guesses(m, query):
+            new = solve_feasibility(_reach_lp(m, rows))
+            ref = solve_feasibility(_split_variable_lp(m, query, tc))
             assert new.ok or not ref.ok, (query, tc)
             new_any, ref_any = new_any or new.ok, ref_any or ref.ok
             if not new.ok:

@@ -76,6 +76,15 @@ class TestReachSingle:
         assert decide(mdp, reach_query(v=5)).status == "SAT"
         assert decide(mdp, reach_query(v=10, q=F(1, 20))).status == "UNSAT"
 
+    @pytest.mark.parametrize("bounds", [{"v": 11}, {"c": 11}, {"c": 2, "v": 11}, {"e": 1, "c": 11}])
+    def test_bound_above_every_target_reward_solves_no_lp(self, on_lp, bounds):
+        # the targets are worth 0, 5 and 10: no threshold guess exists
+        solved = []
+        on_lp(lambda *call: solved.append(call))
+        mdp, _ = example("choice")
+        assert decide(mdp, reach_query(**bounds)).status == "UNSAT"
+        assert solved == []
+
     def test_choice_expectation_only_picks_gamble(self):
         mdp, _ = example("choice")
         verdict = decide(mdp, reach_query(e=9))

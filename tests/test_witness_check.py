@@ -365,3 +365,39 @@ def test_check_rejects_a_memory_update_that_does_not_sum_to_one(update):
     )
     with pytest.raises(ModelError, match=r"memory_update\('lose', 'lo', 'a'\) does not sum to 1"):
         check_strategy(_lose_or_win(), strat, E5)
+
+
+def _always_minus_five() -> Mdp:
+    """Every run goes from ``s0`` to the target ``lo``, worth -5."""
+    return Mdp(
+        states=("s0", "lo"),
+        available={"s0": ("go",), "lo": ("stay",)},
+        delta={"go": {"lo": ONE}, "stay": {"lo": ONE}},
+        initial="s0",
+        rewards={"s0": (ZERO,), "lo": (F(-5),)},
+        targets=frozenset({"lo"}),
+    )
+
+
+E_MINUS3 = Query("reach", (Constraint(0, expectation=F(-3)),))
+
+
+def _two_memories(initial_memory) -> StrategySpec:
+    return StrategySpec(
+        memory=("m", "n"),
+        initial_memory=initial_memory,
+        next_move={("s0", "m"): {"go": ONE}, ("s0", "n"): {"go": ONE}},
+    )
+
+
+@pytest.mark.parametrize("initial", [{"m": F(1, 2)}, {}])
+def test_check_rejects_an_initial_memory_that_does_not_sum_to_one(initial):
+    # the missing mass would count as payoff 0 and meet E >= -3
+    with pytest.raises(ModelError, match="initial_memory does not sum to 1"):
+        check_strategy(_always_minus_five(), _two_memories(initial), E_MINUS3)
+
+
+def test_check_rejects_a_negative_initial_memory_entry():
+    strat = _two_memories({"m": F(3, 2), "n": F(-1, 2)})
+    with pytest.raises(ModelError, match="initial_memory: negative probability -1/2 at 'n'"):
+        check_strategy(_always_minus_five(), strat, E_MINUS3)
