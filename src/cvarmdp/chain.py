@@ -14,7 +14,7 @@ from typing import Container, Dict, FrozenSet, List, Set, Tuple
 
 from . import risk
 from .graphs import backward_reachable, bsccs, chain_graph, scc_indices
-from .model import MarkovChain, Query, State, Verdict
+from .model import MarkovChain, ModelError, Query, State, Verdict, validate_query
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -304,7 +304,11 @@ def check_constraints(law: PayoffLaw, query: Query) -> Tuple[bool, List[dict]]:
 
 def decide_mc(mc: MarkovChain, query: Query) -> Verdict:
     """Decide a query on a Markov chain by computing the exact law and
-    checking each dimension's measures directly."""
+    checking each dimension's measures directly; an invalid query raises
+    ``ModelError``."""
+    problems = validate_query(query, mc.dim).problems
+    if problems:
+        raise ModelError("; ".join(problems))
     law = payoff_law_reach(mc) if query.objective == "reach" else payoff_law_mean(mc)
     ok, details = check_constraints(law, query)
     certificate = {

@@ -1,4 +1,6 @@
-"""SCC/BSCC detection, MEC decomposition, MEC quotient, and model cleanup.
+"""SCC/BSCC detection, MEC decomposition and MEC quotient; end components
+are classified (``check_attraction``) and trapped (``cleanup``) on the
+quotient, so one decomposition serves a reachability decision.
 
 There is one Tarjan kernel, ``scc_indices``, on graphs whose nodes are the
 indices ``0..n-1``; ``strongly_connected_components`` maps any successor map
@@ -6,9 +8,9 @@ onto it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Set, Tuple
 
 from .model import MarkovChain, Mdp, State
 
@@ -198,58 +200,6 @@ def backward_reachable(graph: Mapping[Hashable, Iterable[Hashable]], goal: Itera
     return seen
 
 
-def cleanup(mdp: Mdp, decomp: Optional[MecDecomposition] = None) -> Mdp:
-    """Convert every MEC that cannot reach the targets into a zero-reward
-    absorbing target.  Afterwards targets are reachable from every state.
-
-    ``decomp`` is ``mdp``'s MEC decomposition when the caller has it;
-    ``None`` computes it.  The result is ``mdp`` itself when no MEC changes.
-
-    Reachability is decided on the graph with every MEC collapsed to one
-    node and its MEC actions left out.  That is exact because MECs are
-    maximal: an action of a MEC state that is not a MEC action leaves the
-    MEC with positive probability (otherwise the MEC plus that action would
-    be a larger end component), and a MEC action never does.  So a MEC
-    reaches the targets iff one of its non-MEC actions does, and a MEC
-    holding a target is the target's own node.
-    """
-    decomp = decomp or mec_decomposition(mdp)
-    n = len(decomp.mecs)
-    node = {s: decomp.state_to_mec.get(s, n + i) for i, s in enumerate(mdp.states)}
-    graph: Dict[int, List[int]] = {}
-    for s in mdp.states:
-        k = node[s]
-        internal = decomp.mecs[k][1] if k < n else ()
-        succ = graph.setdefault(k, [])
-        for a in mdp.available.get(s, ()):
-            if a not in internal:
-                succ.extend(node[t] for t, p in mdp.delta[a].items() if p)
-    can_reach = backward_reachable(graph, {node[t] for t in mdp.targets})
-    doomed = [s for k, states in enumerate(decomp.members) if k not in can_reach for s in states]
-    if not doomed:
-        return mdp
-    d = mdp.dim
-    zero = tuple(ZERO for _ in range(d))
-    available = dict(mdp.available)
-    delta = dict(mdp.delta)
-    rewards = dict(mdp.rewards)
-    for s in doomed:
-        for a in mdp.available.get(s, ()):
-            delta.pop(a, None)
-        loop = f"__stay[{s!r}]"
-        available[s] = (loop,)
-        delta[loop] = {s: ONE}
-        rewards[s] = zero
-    return Mdp(
-        states=mdp.states,
-        available=available,
-        delta=delta,
-        initial=mdp.initial,
-        rewards=rewards,
-        targets=mdp.targets | frozenset(doomed),
-    )
-
-
 @dataclass
 class QuotientMap:
     quotient: Mdp
@@ -313,17 +263,49 @@ def mec_quotient(mdp: Mdp) -> QuotientMap:
     return QuotientMap(quotient=quotient, lift=lift, representatives=reps, decomposition=decomp)
 
 
-def check_attraction(mdp: Mdp, decomp: Optional[MecDecomposition] = None) -> str:
-    """Classify a reachability instance: 'A1', 'A2', 'both', or 'neither'.
+def cleanup(qm: QuotientMap) -> QuotientMap:
+    """Turn every representative of ``qm``'s quotient that cannot reach a
+    target into a zero-reward absorbing target.  Afterwards targets are
+    reachable from every quotient state.
+
+    The result shares ``qm``'s lift, representatives and decomposition; it
+    is ``qm`` itself when nothing is trapped.  Only representatives need
+    trapping: the states that reach no target are closed under successors,
+    so they hold an end component, and every end component lies inside a
+    MEC.  The quotient keeps exactly the actions that may leave a MEC, so a
+    MEC reaches the targets iff its representative does in the quotient.
+    """
+    q = qm.quotient
+    graph = {s: q.successors(s) for s in q.states}
+    can_reach = backward_reachable(graph, q.targets)
+    trapped = [s for s in qm.representatives if s not in can_reach]
+    if not trapped:
+        return qm
+    available, delta, rewards = dict(q.available), dict(q.delta), dict(q.rewards)
+    zero = tuple(ZERO for _ in range(q.dim))
+    for s in trapped:
+        for a in q.available[s]:
+            del delta[a]
+        loop = f"__stay[{s!r}]"
+        available[s] = (loop,)
+        delta[loop] = {s: ONE}
+        rewards[s] = zero
+    quotient = replace(q, available=available, delta=delta, rewards=rewards, targets=q.targets | frozenset(trapped))
+    return replace(qm, quotient=quotient)
+
+
+def check_attraction(qm: QuotientMap) -> str:
+    """Classify a reachability instance by its MEC quotient ``qm``: 'A1',
+    'A2', 'both', or 'neither'.
 
     A1: targets are reached almost surely under every strategy; with
-    absorbing targets this holds iff every MEC contains a target.
+    absorbing targets this holds iff every MEC contains a target, that is,
+    iff every representative is a quotient target.
     A2: every target reward is non-negative (in every dimension).
-    ``decomp`` is ``mdp``'s MEC decomposition, computed when ``None``.
     """
-    decomp = decomp or mec_decomposition(mdp)
-    a1 = all(not states.isdisjoint(mdp.targets) for states, _ in decomp.mecs)
-    a2 = all(r >= 0 for t in mdp.targets for r in mdp.rewards[t])
+    q = qm.quotient
+    a1 = q.targets.issuperset(qm.representatives)
+    a2 = all(r >= 0 for t in q.targets for r in q.rewards[t])
     if a1 and a2:
         return "both"
     if a1:

@@ -176,19 +176,33 @@ class _Tableau:
         return dict(zip(variables, values))
 
 
-def _constraint_row(coeffs, rhs, col_of, width) -> Tuple[List[int], int, int]:
-    """The structural numerators and right-hand side of one constraint (or of
-    the objective, with ``rhs`` 0) over its least common denominator, negated
-    when ``rhs < 0``; returns the row, the denominator and that sign."""
+def _row_name(k: Optional[int]) -> str:
+    return "objective" if k is None else f"constraint {k}"
+
+
+def _constraint_row(k, coeffs, sense, rhs, col_of, width, slack) -> Tuple[List[int], int]:
+    """Constraint ``k`` (``None``: the objective, with sense ``EQ`` and
+    ``rhs`` 0) over its least common denominator, negated when ``rhs < 0``:
+    its structural numerators, its slack's at column ``slack`` unless it is
+    an equation, and the right-hand side at column ``width``.  Returns the
+    row and the denominator; an unknown sense or variable raises
+    ``ValueError`` naming the constraint."""
+    if sense not in _SENSES:
+        raise ValueError(f"{_row_name(k)}: unknown sense {sense!r}")
     values = [rhs, *coeffs.values()]
     den = lcm(*(x.denominator for x in values))
     nums = [x.numerator * (den // x.denominator) for x in values]
     sign = -1 if rhs < 0 else 1
     row = [0] * (width + 1)
-    for v, x in zip(coeffs, nums[1:]):
-        row[col_of[v]] = sign * x
+    try:
+        for v, x in zip(coeffs, nums[1:]):
+            row[col_of[v]] = sign * x
+    except KeyError:
+        raise ValueError(f"{_row_name(k)}: unknown variable {v!r}") from None
+    if sense != EQ:
+        row[slack] = sign * den if sense == LE else -sign * den
     row[width] = sign * nums[0]
-    return row, den, sign
+    return row, den
 
 
 def _phase1(lp: LinearProgram) -> Tuple[Optional[_Tableau], LpResult]:
@@ -207,11 +221,9 @@ def _phase1(lp: LinearProgram) -> Tuple[Optional[_Tableau], LpResult]:
     dens: List[int] = []
     basis = list(range(nart_start, nart_start + len(lp.constraints)))
     slack_idx = len(col_of)
-    for coeffs, sense, rhs in lp.constraints:
-        row, den, sign = _constraint_row(coeffs, rhs, col_of, nart_start)
-        if sense != EQ:
-            row[slack_idx] = sign * den if sense == LE else -sign * den
-            slack_idx += 1
+    for k, (coeffs, sense, rhs) in enumerate(lp.constraints):
+        row, den = _constraint_row(k, coeffs, sense, rhs, col_of, nart_start, slack_idx)
+        slack_idx += sense != EQ
         rows.append(row)
         dens.append(den)
     stats = LpResult(status="infeasible")
@@ -255,7 +267,7 @@ def _solve(lp: LinearProgram, optimize: bool) -> LpResult:
     rows, dens, basis, width = tab.rows, tab.dens, tab.basis, tab.width
 
     if optimize:
-        costrow, den, _ = _constraint_row(lp.objective, 0, tab.col_of, width)
+        costrow, den = _constraint_row(None, lp.objective, EQ, 0, tab.col_of, width, None)
         m = len(basis)
         rows.append(costrow)
         dens.append(den)
@@ -357,9 +369,7 @@ class WarmStart:
         supports = [[j for j, y in enumerate(row) if y] for row in rows]
         slack = tab.width
         for k, (coeffs, sense, rhs) in enumerate(extra):
-            row, den, sign = _constraint_row(coeffs, rhs, tab.col_of, art_start)
-            if sense != EQ:
-                row[slack] = sign * den if sense == LE else -sign * den
+            row, den = _constraint_row(len(shared) + k, coeffs, sense, rhs, tab.col_of, art_start, slack)
             r = len(rows)
             rows.append(row)
             dens.append(den)

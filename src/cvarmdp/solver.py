@@ -1,16 +1,16 @@
 """Decision procedures for expectation/VaR/CVaR lower-bound queries on MDPs.
 
-Reachability: after cleanup and MEC quotienting, satisfiability is a flow LP
-once the value-at-risk thresholds are guessed; the guesses range over target
-rewards at or above the CVaR bound, and each CVaR constraint is one
-Rockafellar-Uryasev row at its guessed threshold.  Mean payoff reduces to
-reachability over per-MEC optimal gains (single dimension) or to a
-classification-guessing LP over recurrent frequencies, swept over a threshold
-grid that starts at the CVaR bound (multi dimension, {E, CVaR} only).  The
-guess LPs of one model share their flow rows, which are built once and
-solved once as the block of an ``lp.WarmStart``; each guess appends only its
-own rows.  Every SAT verdict carries a witness strategy that has been
-re-checked by exact evaluation.
+Reachability: on the MEC quotient, with every representative that reaches
+no target trapped, satisfiability is a flow LP once the value-at-risk
+thresholds are guessed; the guesses range over target rewards at or above
+the CVaR bound, and each CVaR constraint is one Rockafellar-Uryasev row at
+its guessed threshold.  Mean payoff reduces to reachability over per-MEC
+optimal gains (single dimension) or to a classification-guessing LP over
+recurrent frequencies, swept over a threshold grid that starts at the CVaR
+bound (multi dimension, {E, CVaR} only).  The guess LPs of one model share
+their flow rows, which are built once and solved once as the block of an
+``lp.WarmStart``; each guess appends only its own rows.  Every SAT verdict
+carries a witness strategy that has been re-checked by exact evaluation.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .graphs import (
-    QuotientMap,
     check_attraction,
     cleanup,
     mec_decomposition,
@@ -180,16 +179,6 @@ def _iter_feasible(m: Mdp, query: Query) -> Iterator[Tuple[Dict, Dict, Dict]]:
         yield tc, y, x
 
 
-def _cleaned_quotient(mdp: Mdp, qm: QuotientMap) -> QuotientMap:
-    """The MEC quotient of ``cleanup(mdp)``, given ``mdp``'s quotient ``qm``.
-
-    Only a cleanup that traps some MEC changes the model, and only then is
-    the cleaned model decomposed again.
-    """
-    clean = cleanup(mdp, qm.decomposition)
-    return qm if clean is mdp else mec_quotient(clean)
-
-
 def _first_certified(mdp: Mdp, query: Query, candidates, exhaustive: bool = True) -> Verdict:
     """The verdict of a guess enumeration.
 
@@ -226,10 +215,10 @@ def _decide_reach(mdp: Mdp, query: Query, config: Optional[SolverConfig], decide
     if query.objective != "reach":
         raise UnsupportedQueryError("reachability procedure got a non-reach query")
     qm = mec_quotient(mdp)
-    if check_attraction(mdp, qm.decomposition) == "neither":
+    if check_attraction(qm) == "neither":
         mmdp, mquery = _reach_to_mean(mdp, query)
         return decide_mean(mmdp, mquery, config)
-    qm = _cleaned_quotient(mdp, qm)
+    qm = cleanup(qm)
     candidates = (
         (realize_quotient_flow(mdp, qm, y, {}, {}), {"guess": dict(tc), "flow": {"y": y, "x": x}})
         for tc, y, x in _iter_feasible(qm.quotient, query)
@@ -330,7 +319,7 @@ def decide_mean_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = 
         targets=frozenset(fstates),
     )
     reach_query = replace(query, objective="reach")
-    qa = _cleaned_quotient(abstraction, mec_quotient(abstraction))
+    qa = cleanup(mec_quotient(abstraction))
 
     def candidates():
         for tc, flow, _ in _iter_feasible(qa.quotient, reach_query):

@@ -262,8 +262,8 @@ def realize_quotient_flow(
 ) -> StrategySpec:
     """Turn a quotient-level flow into a strategy on the un-quotiented MDP.
 
-    ``qm`` may quotient ``cleanup(mdp)`` rather than ``mdp``; MECs whose
-    representative is a quotient target get no flow and keep default moves.
+    ``qm`` may be ``cleanup(mec_quotient(mdp))``; MECs whose representative
+    is a quotient target get no flow and keep default moves.
     ``y`` gives masses for the quotient's actions (each owned by an original
     state); ``switch`` gives per-MEC-representative masses that stop searching
     and stay in the MEC forever, where ``inner`` then prescribes the moves.

@@ -13,7 +13,7 @@ import numpy as np
 
 from cvarmdp.chain import decide_mc
 from cvarmdp.gadgets import Cnf3, example, random_mdp, sat_reduction
-from cvarmdp.graphs import cleanup
+from cvarmdp.graphs import cleanup, mec_quotient
 from cvarmdp.lp import solve_optimize
 from cvarmdp.model import (
     Constraint,
@@ -267,9 +267,9 @@ def test_criterion_8_oracle_cross_checks():
     rng = random.Random(88)
     n = 100_000
     for trial in range(100):
-        mdp = cleanup(
-            random_mdp(rng.randint(2, 6), 2, F(1, 2), (0, 6), 1, seed=trial, targets=1)
-        )
+        mdp = random_mdp(rng.randint(2, 6), 2, F(1, 2), (0, 6), 1, seed=trial, targets=1)
+        qm = mec_quotient(mdp)
+        assert cleanup(qm) is qm  # every state reaches the target
         choices = {}
         for s in mdp.states:
             if s in mdp.targets:

@@ -15,7 +15,7 @@ from cvarmdp.chain import (
     solve_linear,
 )
 from cvarmdp.graphs import strongly_connected_components
-from cvarmdp.model import Constraint, MarkovChain, Query
+from cvarmdp.model import Constraint, MarkovChain, ModelError, Query
 from cvarmdp.risk import cvar, expectation, var
 
 
@@ -244,6 +244,20 @@ class TestDecideMc:
             objective="reach", constraints=(Constraint(dim=0, expectation=F(19, 2)),)
         )
         assert decide_mc(mc, q_bad).status == "UNSAT"
+
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            # a misspelt objective got the mean-payoff law and a verdict
+            (Query(objective="raech", constraints=(Constraint(dim=0, expectation=F(1)),)), "unknown objective 'raech'"),
+            # a dimension the chain lacks raised IndexError
+            (Query(objective="reach", constraints=(Constraint(dim=1, expectation=F(1)),)), "dimension 1 outside 0..0"),
+        ],
+    )
+    def test_invalid_query_raises_model_error(self, query, message):
+        mc = chain({"s": {"t": 1}, "t": {"t": 1}}, "s", {"t": 2}, targets={"t"})
+        with pytest.raises(ModelError, match=message):
+            decide_mc(mc, query)
 
     def test_law_certificate_matches_measures(self):
         mc = chain(

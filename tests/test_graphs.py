@@ -2,6 +2,7 @@
 import itertools
 import random
 from collections.abc import Mapping
+from dataclasses import replace
 from fractions import Fraction as F
 
 import cvarmdp.graphs as graphs
@@ -270,61 +271,79 @@ def full_model_cleanup(mdp):
     )
 
 
-def test_cleanup_matches_the_full_model_reference():
-    def models():
-        for seed in range(400):
-            rng = random.Random(f"cleanup:{seed}")
-            n = rng.randint(2, 12)
-            yield random_mdp(
-                n, rng.randint(1, 3), F(1, rng.randint(1, n)), (0, 3), 1, seed=seed,
-                targets=rng.randint(0, min(2, n - 1)),
-            )
-        for seed in range(200):
-            yield trap_mdp(seed)
-        yield _exit_ring(300)
+def full_model_attraction(mdp):
+    """Reference: the attraction class read from the full model's MECs and
+    target rewards."""
+    a1 = all(states & mdp.targets for states, _ in mec_decomposition(mdp).mecs)
+    a2 = all(r >= 0 for t in mdp.targets for r in mdp.rewards[t])
+    return {(True, True): "both", (True, False): "A1", (False, True): "A2", (False, False): "neither"}[a1, a2]
 
+
+def cleanup_models():
+    for seed in range(400):
+        rng = random.Random(f"cleanup:{seed}")
+        n = rng.randint(2, 12)
+        yield random_mdp(
+            n, rng.randint(1, 3), F(1, rng.randint(1, n)), (0, 3), 1, seed=seed,
+            targets=rng.randint(0, min(2, n - 1)),
+        )
+    for seed in range(200):
+        yield trap_mdp(seed)
+    yield _exit_ring(300)
+
+
+def test_cleanup_matches_the_full_model_reference():
     changed = 0
-    for mdp in models():
-        got, ref = cleanup(mdp), full_model_cleanup(mdp)
-        assert got == ref
-        if ref is mdp:
-            assert got is mdp
-        changed += got is not mdp
+    for mdp in cleanup_models():
+        qm = mec_quotient(mdp)
+        got, ref = cleanup(qm), full_model_cleanup(mdp)
+        trapped = got.quotient.targets - qm.quotient.targets
+        assert trapped == {qm.lift[s] for s in ref.targets - mdp.targets}
+        assert (got is qm) == (ref is mdp)
+        assert (got.lift, got.representatives, got.decomposition) == (qm.lift, qm.representatives, qm.decomposition)
+        for s in trapped:
+            assert got.quotient.available[s] == (f"__stay[{s!r}]",)
+            assert got.quotient.rewards[s] == (F(0),)
+        # every representative without an exit is now a target or trapped
+        assert validate(got.quotient).ok
+        changed += got is not qm
     assert changed >= 100
+
+
+def test_check_attraction_matches_the_full_model_reference():
+    # each model, and its copy with every reward negated: the cleanup models
+    # alone have no negative target reward where every MEC holds a target
+    classes = set()
+    for mdp in cleanup_models():
+        negated = replace(mdp, rewards={s: tuple(-r for r in v) for s, v in mdp.rewards.items()})
+        for m in (mdp, negated):
+            got = check_attraction(mec_quotient(m))
+            assert got == full_model_attraction(m)
+            classes.add(got)
+    assert classes == {"A1", "A2", "both", "neither"}
 
 
 class TestCleanupAndQuotient:
     def test_cleanup_makes_every_mec_hit_targets_or_stay(self):
         for seed in range(20):
-            mdp = random_mdp(6, 2, F(1, 3), (0, 5), 1, seed=seed, targets=2)
-            clean = cleanup(mdp)
-            assert validate(clean).ok
-            # all original target states survive as targets
-            assert mdp.targets <= clean.targets
-
-    def test_given_decomposition_gives_the_same_results(self):
-        changed, classes = set(), set()
-        for seed in range(20):
-            # without targets every MEC is trapped, so cleanup changes the model
-            mdp = random_mdp(6, 2, F(1, 3), (-2, 5), 1, seed=seed, targets=2 * (seed % 2))
-            dec = mec_decomposition(mdp)
-            assert cleanup(mdp, dec) == cleanup(mdp), f"seed {seed}"
-            assert check_attraction(mdp, dec) == check_attraction(mdp), f"seed {seed}"
-            changed.add(cleanup(mdp) is not mdp)
-            classes.add(check_attraction(mdp))
-        assert changed == {True, False}
-        assert len(classes) > 1
+            for mdp in (random_mdp(6, 2, F(1, 3), (0, 5), 1, seed=seed, targets=2), trap_mdp(seed)):
+                qm = mec_quotient(mdp)
+                clean = cleanup(qm).quotient
+                assert validate(clean).ok
+                # all quotient targets survive as targets, and reach themselves
+                assert qm.quotient.targets <= clean.targets
+                graph = {s: clean.successors(s) for s in clean.states}
+                assert backward_reachable(graph, clean.targets) == set(clean.states)
 
     def test_quotient_collapses_mecs_to_representatives(self):
         mdp = random_mdp(8, 2, F(1, 3), (0, 5), 1, seed=5, targets=2)
-        clean = cleanup(mdp)
-        qm = mec_quotient(clean)
+        qm = cleanup(mec_quotient(mdp))
         dec = mec_decomposition(qm.quotient)
         # every MEC in the quotient is a singleton
         assert all(len(states) == 1 for states, _ in dec.mecs)
         assert validate(qm.quotient).ok
-        # lift maps every clean state to its representative
-        for s in clean.states:
+        # lift maps every state to its representative
+        for s in mdp.states:
             assert qm.lift[s] in qm.quotient.states
 
     def test_bsccs_of_chain(self):
@@ -361,13 +380,13 @@ class TestAttraction:
         )
 
     def test_all_mecs_hit_targets(self):
-        assert check_attraction(self._mdp({"t", "u"}, False)) in ("A1", "both")
+        assert check_attraction(mec_quotient(self._mdp({"t", "u"}, False))) in ("A1", "both")
 
     def test_nonnegative_rewards(self):
-        assert check_attraction(self._mdp({"t"}, False)) in ("A2", "both")
+        assert check_attraction(mec_quotient(self._mdp({"t"}, False))) in ("A2", "both")
 
     def test_neither(self):
-        assert check_attraction(self._mdp({"t"}, True)) == "neither"
+        assert check_attraction(mec_quotient(self._mdp({"t"}, True))) == "neither"
 
 
 class TestReachability:

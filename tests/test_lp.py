@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cvarmdp.lp import EQ, GE, LE, LinearProgram, dump, solve_feasibility, solve_optimize
+from cvarmdp.lp import EQ, GE, LE, LinearProgram, WarmStart, dump, solve_feasibility, solve_optimize
 
 
 def lp(variables, rows, objective=None):
@@ -105,6 +105,30 @@ class TestBasics:
             with pytest.raises(ValueError, match="variable 'x' named twice"):
                 solve(prog)
         assert solve_optimize(lp(["x"], [({"x": 1}, GE, 2)], objective={"x": -1})).value == -2
+
+    def test_constructor_rows_are_checked_by_the_solver(self):
+        # "=<" was read as ">=": x >= -2 came back feasible at x = 0
+        for message, rows in (
+            ("constraint 0: unknown sense '=<'", [({"x": F(1)}, "=<", F(-2))]),
+            ("constraint 1: unknown variable 'y'", [({"x": F(1)}, LE, F(1)), ({"y": F(1)}, GE, F(1))]),
+        ):
+            prog = LinearProgram(["x"], rows, {"x": F(1)})
+            for solve in (solve_feasibility, solve_optimize):
+                with pytest.raises(ValueError, match=message):
+                    solve(prog)
+        with pytest.raises(ValueError, match="objective: unknown variable 'z'"):
+            solve_optimize(lp(["x"], [({"x": 1}, LE, 1)], objective={"z": 1}))
+
+    def test_warm_start_checks_the_rows_it_appends(self):
+        block = lp(["x"], [({"x": 1}, LE, 1)])
+        start = WarmStart(block)
+        assert solve_feasibility(LinearProgram(block.variables, block.constraints), start).ok
+        for row, message in (
+            (({"x": F(1)}, "=<", F(-2)), "constraint 1: unknown sense '=<'"),
+            (({"y": F(1)}, GE, F(1)), "constraint 1: unknown variable 'y'"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                solve_feasibility(LinearProgram(block.variables, block.constraints + [row]), start)
 
     def test_dump_is_plain_text(self):
         prog = lp(["x"], [({"x": 1}, LE, 1)], objective={"x": 1})

@@ -33,7 +33,6 @@ from cvarmdp.model import (
 from cvarmdp.risk import FiniteDistribution, cvar, expectation, var
 from cvarmdp.simulate import SimConfig, sample_payoffs
 from cvarmdp.solver import (
-    _cleaned_quotient,
     _reach_block,
     _reach_guesses,
     _reach_to_mean,
@@ -90,10 +89,10 @@ def trap_query(seed: int) -> Query:
 
 
 def test_generator_reaches_trapping_and_no_attraction():
-    models = [trap_mdp(seed) for seed in SEEDS]
-    assert any(cleanup(m) is not m for m in models)
-    assert any(check_attraction(m) == "neither" for m in models)
-    assert any(check_attraction(m) != "neither" for m in models)
+    quotients = [mec_quotient(trap_mdp(seed)) for seed in SEEDS]
+    assert any(cleanup(qm) is not qm for qm in quotients)
+    assert any(check_attraction(qm) == "neither" for qm in quotients)
+    assert any(check_attraction(qm) != "neither" for qm in quotients)
 
 
 def test_reach_agrees_with_its_mean_payoff_encoding():
@@ -349,8 +348,8 @@ def _cvar_row_instances():
     for seed in range(100):
         m = trap_mdp(seed)
         qm = mec_quotient(m)
-        if check_attraction(m, qm.decomposition) != "neither":
-            q = _cleaned_quotient(m, qm).quotient
+        if check_attraction(qm) != "neither":
+            q = cleanup(qm).quotient
             rewards = sorted(r for (r,) in (q.rewards[t] for t in q.targets))
             bound = rng.choice(rewards) + F(rng.randint(-2, 1), 2)
             mean_bound = rng.choice(rewards) if rng.random() < 0.3 else None

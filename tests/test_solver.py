@@ -534,7 +534,8 @@ class TestLargeModels:
 
 def _trapped_mec() -> Mdp:
     """Half the mass of ``go`` falls into a two-state MEC that never reaches
-    the target, so cleanup turns that MEC into zero-reward targets."""
+    the target, so cleanup turns its representative in the MEC quotient
+    into a zero-reward target."""
     return Mdp(
         states=("s", "t", "m1", "m2"),
         available={"s": ("go",), "t": ("stay",), "m1": ("a1",), "m2": ("a2",)},
@@ -576,7 +577,7 @@ class TestOneDecompositionPerModel:
         [
             (lambda: example("choice"), 1),
             (lambda: (_exit_ring(12), reach_query(e=8, c=0)), 1),
-            (lambda: (_trapped_mec(), reach_query(e=1)), 2),
+            (lambda: (_trapped_mec(), reach_query(e=1)), 1),
             (lambda: example("loop"), 2),
             # reachability without attraction: the input, then the mean
             # procedure's model and its abstraction

@@ -7,7 +7,7 @@ import pytest
 from cvarmdp import solver
 from cvarmdp.chain import reach_probabilities
 from cvarmdp.gadgets import example, random_mdp
-from cvarmdp.graphs import cleanup, mec_decomposition
+from cvarmdp.graphs import cleanup, mec_decomposition, mec_quotient
 from cvarmdp.model import (
     Constraint,
     Mdp,
@@ -47,8 +47,9 @@ class TestReachFlow:
         rng = random.Random(13)
         checked = 0
         for seed in range(30):
-            mdp = random_mdp(rng.randint(3, 6), 2, F(1, 2), (0, 4), 1, seed=seed, targets=2)
-            clean = cleanup(mdp)
+            clean = random_mdp(rng.randint(3, 6), 2, F(1, 2), (0, 4), 1, seed=seed, targets=2)
+            qm = mec_quotient(clean)
+            assert cleanup(qm) is qm  # every state reaches a target
             choices = {}
             for s in clean.states:
                 if s in clean.targets:
@@ -140,8 +141,9 @@ class TestDeterminize:
     def test_dominance_on_random_small_mdps(self):
         rng = random.Random(31)
         for seed in range(15):
-            mdp = random_mdp(3, 2, F(2, 3), (0, 5), 1, seed=seed, targets=1)
-            clean = cleanup(mdp)
+            clean = random_mdp(3, 2, F(2, 3), (0, 5), 1, seed=seed, targets=1)
+            qm = mec_quotient(clean)
+            assert cleanup(qm) is qm  # every state reaches a target
             choices = {}
             for s in clean.states:
                 if s in clean.targets:
