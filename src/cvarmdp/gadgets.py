@@ -114,8 +114,8 @@ def example(name: str) -> Tuple[Mdp, Query]:
     (stay-or-gamble mean payoff, needs two-memory witnesses), ``slow(eps)``
     with a rational ``eps`` in (0, 1) such as ``slow(1/8)`` (the slowed
     gamble whose witness switch probability scales with eps; ``loop`` is its
-    ``eps = 1`` case), and ``negative`` (mixed-sign rewards, exercising the
-    mean-payoff reduction).
+    ``eps = 1`` case), and ``negative`` (mixed-sign rewards and a loop at
+    ``s0`` that reaches no target: reachability without attraction).
     """
     if name in _EXAMPLES:
         return _gamble(*_EXAMPLES[name])

@@ -236,14 +236,18 @@ def _validate_mdp(mdp: Mdp, problems: List[str]) -> None:
     for s in states:
         if s not in mdp.rewards:
             problems.append(f"state {s!r} has no reward vector")
-    for t in mdp.targets:
-        if t not in states:
-            problems.append(f"target {t!r} not a state")
-            continue
-        for a in mdp.available.get(t, ()):
-            row = mdp.delta.get(a, {})
-            if normalized(row) != {t: ONE}:
-                problems.append(f"target {t!r} not absorbing via action {a!r}")
+    problems.extend(f"target {t!r} not a state" for t in mdp.targets if t not in states)
+    problems.extend(target_problems(mdp))
+
+
+def target_problems(mdp: Mdp) -> List[str]:
+    """One problem for each action of a target that leaves the target."""
+    return [
+        f"target {t!r} not absorbing via action {a!r}"
+        for t in mdp.targets
+        for a in mdp.available.get(t, ())
+        if normalized(mdp.delta.get(a, {})) != {t: ONE}
+    ]
 
 
 def _validate_chain(mc: MarkovChain, problems: List[str]) -> None:

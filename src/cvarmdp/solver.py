@@ -4,7 +4,9 @@ Reachability: on the MEC quotient, with every representative that reaches
 no target trapped, satisfiability is a flow LP once the value-at-risk
 thresholds are guessed; the guesses range over target rewards at or above
 the CVaR bound, and each CVaR constraint is one Rockafellar-Uryasev row at
-its guessed threshold.  Mean payoff reduces to reachability over per-MEC
+its guessed threshold.  Without attraction, each representative that is
+still not a target may commit to a fresh zero-reward target: the run stays
+in that MEC forever.  Mean payoff reduces to the same commits worth per-MEC
 optimal gains (single dimension) or to a classification-guessing LP over
 recurrent frequencies, swept over a threshold grid that starts at the CVaR
 bound (multi dimension, {E, CVaR} only).  The guess LPs of one model share
@@ -36,6 +38,7 @@ from .model import (
     UnsupportedQueryError,
     Verdict,
     reserved_action_problems,
+    target_problems,
     validate_query,
 )
 from .synthesis import (
@@ -160,25 +163,6 @@ def _feasible(block: LinearProgram, guesses: Iterable[Tuple[object, List[Row]]])
             yield guess, res.assignment
 
 
-def _iter_feasible(m: Mdp, query: Query) -> Iterator[Tuple[Dict, Dict, Dict]]:
-    """Enumerate threshold guesses in ascending order, yielding ``(tc, y, x)``
-    for each feasible flow over the states reachable from the initial state:
-    the guess, the action masses ``y`` and the target masses ``x``."""
-    keep = reachable_states(m, m.initial)
-    m = replace(
-        m,
-        states=tuple(s for s in m.states if s in keep),
-        available={s: m.available[s] for s in keep},
-        delta={a: m.delta[a] for s in keep for a in m.available[s]},
-        rewards={s: m.rewards[s] for s in keep},
-        targets=m.targets & keep,
-    )
-    for tc, point in _feasible(_reach_block(m), _reach_guesses(m, query)):
-        y = {a: point[_y(a)] for s in m.states if s not in m.targets for a in m.available[s]}
-        x = {s: point[_x(s)] for s in m.states if s in m.targets}
-        yield tc, y, x
-
-
 def _first_certified(mdp: Mdp, query: Query, candidates, exhaustive: bool = True) -> Verdict:
     """The verdict of a guess enumeration.
 
@@ -201,39 +185,94 @@ def _first_certified(mdp: Mdp, query: Query, candidates, exhaustive: bool = True
     return Verdict("UNSAT" if exhaustive else "UNKNOWN")
 
 
-def _reach_to_mean(mdp: Mdp, query: Query) -> Tuple[Mdp, Query]:
-    """Weighted reachability as mean payoff: absorbed runs loop at their
-    target forever, everything else earns 0 — the payoff laws coincide."""
-    zero = tuple(ZERO for _ in range(mdp.dim))
-    rewards = {s: (mdp.rewards[s] if s in mdp.targets else zero) for s in mdp.states}
-    return replace(mdp, rewards=rewards), replace(query, objective="mean")
+@dataclass(frozen=True)
+class _Gain:
+    """The fresh absorbing target of MEC ``i`` in ``_with_commits``, equal to
+    no input state.  Its ``repr``, that of ``(tag, i)``, is no other state's,
+    so its LP variable ``x::(tag, i)`` names no other target."""
+
+    tag: str
+    i: int
+
+    def __repr__(self) -> str:
+        return repr((self.tag, self.i))
 
 
-def _decide_reach(mdp: Mdp, query: Query, config: Optional[SolverConfig], decide_mean) -> Verdict:
-    """Reachability pipeline over one MEC decomposition of ``mdp``; without
-    attraction the query goes to ``decide_mean`` as mean payoff."""
+def _with_commits(q: Mdp, reps: Sequence[State], worth: Mapping[int, Tuple[Fraction, ...]]) -> Mdp:
+    """``q`` where the representative ``reps[i]`` of each MEC ``i`` in
+    ``worth`` gets a move ``__commit[i]`` to a fresh absorbing target worth
+    ``worth[i]``, the value of staying in that MEC forever; ``tag`` keeps
+    each fresh target's ``repr`` apart from every state's."""
+    taken = {repr(s) for s in q.states}
+    tag = "__gain"
+    while any(repr((tag, i)) in taken for i in worth):
+        tag = "_" + tag
+    available, delta, rewards = dict(q.available), dict(q.delta), dict(q.rewards)
+    fresh = tuple(_Gain(tag, i) for i in worth)
+    for t, reward in zip(fresh, worth.values()):
+        available[reps[t.i]] += (f"__commit[{t.i}]",)
+        delta[f"__commit[{t.i}]"] = {t: ONE}
+        available[t] = (f"__settle[{t.i}]",)
+        delta[f"__settle[{t.i}]"] = {t: ONE}
+        rewards[t] = reward
+    targets = q.targets | frozenset(fresh)
+    return replace(q, states=q.states + fresh, available=available, delta=delta, rewards=rewards, targets=targets)
+
+
+def _realized(mdp: Mdp, qm, m: Mdp, query: Query, freqs: Sequence[Mapping[str, Fraction]]):
+    """``(tc, y, x, strategy)`` per feasible threshold guess, ascending, of
+    the flow LP over the states of ``m`` (``qm``'s quotient of ``mdp`` with
+    commits) that its initial state reaches: ``y`` masses ``mdp``'s actions,
+    ``x`` each target and, for its commit, each representative; the witness
+    plays ``freqs[i]`` in each MEC ``i`` it commits to."""
+    keep = reachable_states(m, m.initial)
+    m = replace(m, states=tuple(s for s in m.states if s in keep), targets=m.targets & keep)
+    reps = qm.representatives
+    for tc, point in _feasible(_reach_block(m), _reach_guesses(m, query)):
+        y = {a: point[_y(a)] for s in m.states if s not in m.targets for a in m.available[s] if a in mdp.delta}
+        ends = {s: point[_x(s)] for s in m.states if s in m.targets}
+        x = {reps[s.i] if isinstance(s, _Gain) else s: v for s, v in ends.items()}
+        switch = {reps[s.i]: v for s, v in ends.items() if isinstance(s, _Gain)}
+        used = [f if switch.get(rep) else {} for f, rep in zip(freqs, reps)]
+        yield tc, y, x, realize_quotient_flow(mdp, qm, y, switch, _inner_moves(mdp, qm.decomposition.mecs, used))
+
+
+def _decide_reach(mdp: Mdp, query: Query) -> Verdict:
+    """Reachability over one MEC decomposition of ``mdp``.
+
+    A run that reaches no target almost surely stays in one MEC forever,
+    worth 0.  ``cleanup`` traps the MECs that reach no target; without
+    attraction each representative that is still not a target may commit to
+    stay (Etessami, Kwiatkowska, Vardi, Yannakakis, LMCS 2008), playing all
+    its MEC's internal actions.  A1 leaves no such representative.  With A2
+    every strategy of the cleaned quotient reaches a target almost surely,
+    so routing a commit's mass to a target pays at least its 0 in every
+    dimension; E, VaR and CVaR are monotone, so commits are left out.
+    """
     if query.objective != "reach":
         raise UnsupportedQueryError("reachability procedure got a non-reach query")
     qm = mec_quotient(mdp)
-    if check_attraction(qm) == "neither":
-        mmdp, mquery = _reach_to_mean(mdp, query)
-        return decide_mean(mmdp, mquery, config)
+    neither = check_attraction(qm) == "neither"
     qm = cleanup(qm)
+    m, reps = qm.quotient, qm.representatives
+    if neither:
+        m = _with_commits(m, reps, {i: (ZERO,) * m.dim for i, r in enumerate(reps) if r not in m.targets})
+    freqs = [dict.fromkeys(aa, ONE) for _, aa in qm.decomposition.mecs]
     candidates = (
-        (realize_quotient_flow(mdp, qm, y, {}, {}), {"guess": dict(tc), "flow": {"y": y, "x": x}})
-        for tc, y, x in _iter_feasible(qm.quotient, query)
+        (strat, {"guess": dict(tc), "flow": {"y": y, "x": x}})
+        for tc, y, x, strat in _realized(mdp, qm, m, query, freqs)
     )
     return _first_certified(mdp, query, candidates)
 
 
 def decide_reach_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
     """Decide a single-dimension weighted-reachability query exactly."""
-    return _decide_reach(mdp, query, config, decide_mean_single)
+    return _decide_reach(mdp, query)
 
 
 def decide_reach_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
-    """Decide a multi-dimension weighted-reachability query."""
-    return _decide_reach(mdp, query, config, decide_mean_multi)
+    """Decide a multi-dimension weighted-reachability query exactly."""
+    return _decide_reach(mdp, query)
 
 
 # ----------------------------------------------------------------- mean payoff
@@ -256,18 +295,6 @@ def _mec_gain_flow(mdp: Mdp, mec, j: int, minimize: bool = False):
     return sign * res.value, {a: res.assignment[f"f::{a}"] for a in acts}
 
 
-@dataclass(frozen=True)
-class _Gain:
-    """The abstraction's fresh target for MEC ``i``, equal to no input state.
-    Its ``repr`` is that of ``("__gain", i)``, which names no other LP
-    variable: only targets get one, and these are the only targets."""
-
-    i: int
-
-    def __repr__(self) -> str:
-        return repr(("__gain", self.i))
-
-
 def _inner_moves(mdp: Mdp, mecs, freqs: Sequence[Mapping[str, Fraction]]) -> Dict[State, Dict]:
     """Moves of the memoryless strategies that realise the action frequencies
     ``freqs[i]`` inside ``mecs[i]``, for every MEC that carries frequency mass."""
@@ -287,51 +314,17 @@ def decide_mean_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = 
         raise UnsupportedQueryError("single-dimension procedure on multi-dimensional model")
     base = replace(mdp, targets=frozenset())
     qm = mec_quotient(base)
-    dec = qm.decomposition
-    gains = []
-    freqs = []
-    for mec in dec.mecs:
-        g, f = _mec_gain_flow(base, mec, 0)
-        gains.append(g)
-        freqs.append(f)
-
-    # abstraction: committing to a MEC reaches a fresh target worth its gain
-    q = qm.quotient
+    flows = [_mec_gain_flow(base, mec, 0) for mec in qm.decomposition.mecs]
+    gains, freqs = [g for g, _ in flows], [f for _, f in flows]
     reps = qm.representatives
-    fstates = [_Gain(i) for i in range(len(reps))]
-    available = {s: tuple(q.available[s]) for s in q.states}
-    delta = {a: dict(row) for a, row in q.delta.items()}
-    rewards = dict(q.rewards)
-    for i, rep in enumerate(reps):
-        commit = f"__commit[{i}]"
-        available[rep] = available.get(rep, ()) + (commit,)
-        delta[commit] = {fstates[i]: ONE}
-        settle = f"__settle[{i}]"
-        available[fstates[i]] = (settle,)
-        delta[settle] = {fstates[i]: ONE}
-        rewards[fstates[i]] = (gains[i],)
-    abstraction = Mdp(
-        states=tuple(q.states) + tuple(fstates),
-        available=available,
-        delta=delta,
-        initial=q.initial,
-        rewards=rewards,
-        targets=frozenset(fstates),
+    qa = cleanup(mec_quotient(_with_commits(qm.quotient, reps, {i: (g,) for i, g in enumerate(gains)})))
+    # built on ``mdp``, not ``base``: the witness lists only the pairs it
+    # reaches, and the check on ``mdp`` stops at its targets
+    candidates = (
+        (strat, {"guess": dict(tc), "gains": {repr(r): g for r, g in zip(reps, gains)}})
+        for tc, _, _, strat in _realized(mdp, qm, qa.quotient, query, freqs)
     )
-    reach_query = replace(query, objective="reach")
-    qa = cleanup(mec_quotient(abstraction))
-
-    def candidates():
-        for tc, flow, _ in _iter_feasible(qa.quotient, reach_query):
-            y = {a: v for a, v in flow.items() if a in base.delta}
-            switch = {rep: flow.get(f"__commit[{i}]", ZERO) for i, rep in enumerate(reps)}
-            used = [f if switch[rep] else {} for f, rep in zip(freqs, reps)]
-            # built on ``mdp``, not ``base``: the witness lists only the pairs
-            # it reaches, and the check on ``mdp`` stops at its targets
-            strat = realize_quotient_flow(mdp, qm, y, switch, _inner_moves(base, dec.mecs, used))
-            yield strat, {"guess": dict(tc), "gains": {repr(r): g for r, g in zip(reps, gains)}}
-
-    return _first_certified(mdp, query, candidates())
+    return _first_certified(mdp, query, candidates)
 
 
 def _mean_multi_block(mdp: Mdp, dec) -> LinearProgram:
@@ -485,10 +478,12 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
 def decide(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
     """Dispatch a query to the matching decision procedure.
 
-    Raises ``ModelError`` for an invalid query and for an action named with
-    the prefix ``__``, which the procedures reserve for their own actions.
+    Raises ``ModelError`` for an invalid query, for a target that is not
+    absorbing, and for an action named with the prefix ``__``, which the
+    procedures reserve for their own actions.  The rest of ``validate`` is
+    not run: the model is otherwise taken to be valid.
     """
-    problems = reserved_action_problems(mdp.delta) + validate_query(query, mdp.dim).problems
+    problems = reserved_action_problems(mdp.delta) + target_problems(mdp) + validate_query(query, mdp.dim).problems
     if problems:
         raise ModelError("; ".join(problems))
     single = mdp.dim == 1

@@ -2,12 +2,13 @@
 
 None of these decides a query: they state proof steps (splitting CVaR across
 a mixture, stochastic dominance, mixing strategies, rounding a
-single-constraint strategy to a deterministic one) that the tests check
-against the library's exact evaluation.
+single-constraint strategy to a deterministic one, weighted reachability as
+mean payoff) that the tests check against the library's exact evaluation.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -15,6 +16,7 @@ from cvarmdp.model import (
     Constraint,
     Mdp,
     ModelError,
+    Query,
     State,
     StrategySpec,
     UnsupportedQueryError,
@@ -205,6 +207,14 @@ def determinize_single_constraint(
         if best is None or value > best[0]:
             best = (value, candidate)
     return best[1]
+
+
+def reach_to_mean(mdp: Mdp, query: Query) -> Tuple[Mdp, Query]:
+    """Weighted reachability as mean payoff: absorbed runs loop at their
+    target forever, everything else earns 0, so the payoff laws coincide."""
+    zero = tuple(ZERO for _ in range(mdp.dim))
+    rewards = {s: (mdp.rewards[s] if s in mdp.targets else zero) for s in mdp.states}
+    return replace(mdp, rewards=rewards), replace(query, objective="mean")
 
 
 # ---------------------------------------------------------------------------

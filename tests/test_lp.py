@@ -439,7 +439,7 @@ def test_artificials_that_leave_do_not_change_any_status_or_optimum(on_lp):
     on_lp(lambda *call: solved.append(call))
     for name in ("choice", "loop", "slow(1/8)", "slow(1/64)", "negative"):
         decide(*example(name))
-    for seed in range(50):
+    for seed in range(120):
         decide(trap_mdp(seed), trap_query(seed))
     assert len(solved) > 400
 

@@ -57,13 +57,10 @@ EXAMPLE_LPS = {
         "b29c4eb9b23d15762ae880e457b01e6bd680309f3125dfec6ce25445dd757215",
         "a7b453cbd1bb8b5d44bb2ffa25a5245fc56669d3976e45aa42826f7d9e7a985d",
     ],
+    # no attraction: one guess LP on the quotient with a commit at s0, then
+    # the transshipment LP of the committed MEC {s0}
     "negative": [
-        "5a154e7293eeb1acc56a4b8df5f496adc04290cb957bee817c4679c09ec96c9e",
-        "0cd7e4d5a438e519ad5775a265bd2ea6adf3b796b672395c8b42b64fab2a28dd",
-        "f7b9e664bb753305f2dc8a6402daae1012796a737e8a79c79bf2908d7fbf82fb",
-        "1a6213a37563cb989a8f3b5e135f1a372428c967a7fb63ad40fde25cf44844ec",
-        "83cd3407fc7f8fa96a7fabc158542ee4a9ad8249f55fcf1ef057b8a89296335d",
-        "e319bb4b58c95edea24257def834f7ecb80695c6cddc2b0e9720fcf686d82e5c",
+        "ccdd47824b5f42382867447e5f817023e4c3ae5bccc27437b71b8f2cef359add",
         "a7b453cbd1bb8b5d44bb2ffa25a5245fc56669d3976e45aa42826f7d9e7a985d",
     ],
 }
@@ -71,7 +68,7 @@ EXAMPLE_LPS = {
 EXAMPLE_WITNESSES = {
     "choice": "0dc81452e0c934070ec1ceac0c9be64ef7dfc6d3b81e7cc73a104404b20d0577",
     "loop": "70140b21c095f40c1b08d0e9562a0fa33bd9ee8cb078d6eecf050cc112eae16e",
-    "negative": "b61d2ca6592f014eda2e0a74964b1573ca0f89c5a8f56ba2f1e2a21a12b7a535",
+    "negative": "4bf2fe17e9bd675421dc09869ca3851b55b2f94a80a84b6a91b1154bb029ce19",
 }
 
 # gain LPs (max and min per MEC and CVaR dimension), then the

@@ -1,7 +1,7 @@
 """Differential oracles on random models whose end components may trap runs
 away from the targets: weighted reachability against its mean-payoff
-encoding, strategy evaluation against a reference product, and witness laws
-against Monte Carlo samples.
+encoding (``lemmas.reach_to_mean``), strategy evaluation against a reference
+product, and witness laws against Monte Carlo samples.
 
 ``gadgets.random_mdp(..., targets=k)`` keeps a path toward the targets from
 every state, so it never builds such a trap.  The generator here starts from
@@ -28,21 +28,23 @@ from cvarmdp.model import (
     Mdp,
     Query,
     StrategySpec,
+    UnsupportedQueryError,
     memoryless,
 )
 from cvarmdp.risk import FiniteDistribution, cvar, expectation, var
 from cvarmdp.simulate import SimConfig, sample_payoffs
 from cvarmdp.solver import (
+    SolverConfig,
     _reach_block,
     _reach_guesses,
-    _reach_to_mean,
     _x,
     decide,
+    decide_mean_multi,
     decide_mean_single,
     decide_reach_single,
 )
 from cvarmdp.synthesis import check_strategy, evaluate
-from lemmas import mix_strategies
+from lemmas import mix_strategies, reach_to_mean
 
 SEEDS = range(30)
 
@@ -97,9 +99,9 @@ def test_generator_reaches_trapping_and_no_attraction():
 
 def test_reach_agrees_with_its_mean_payoff_encoding():
     statuses = set()
-    for seed in SEEDS:
+    for seed in range(200):
         m, q = trap_mdp(seed), trap_query(seed)
-        mm, mq = _reach_to_mean(m, q)
+        mm, mq = reach_to_mean(m, q)
         reach = decide_reach_single(m, q)
         mean = decide_mean_single(mm, mq)
         assert reach.status == mean.status, f"seed {seed}"
@@ -109,6 +111,50 @@ def test_reach_agrees_with_its_mean_payoff_encoding():
                 assert ok, (seed, details)
         statuses.add(reach.status)
     assert statuses == {"SAT", "UNSAT"}
+
+
+def _lift(seed: int, kind: str):
+    """``trap_mdp(seed)`` with a second reward dimension on its targets, and
+    ``trap_query(seed)`` plus an expectation (``kind`` "e") or a VaR bound
+    (``kind`` "var") on that dimension."""
+    m, q = trap_mdp(seed), trap_query(seed)
+    rng = random.Random(f"lift:{seed}")
+    rewards = {s: (r[0], F(rng.randint(-2, 3)) if s in m.targets else F(0)) for s, r in m.rewards.items()}
+    if kind == "e":
+        extra = Constraint(dim=1, expectation=F(rng.randint(-2, 4), 2))
+    else:
+        values = sorted(rewards[t][1] for t in m.targets) + [F(0)]
+        extra = Constraint(dim=1, var=(F(rng.randint(1, 3), 4), rng.choice(values)))
+    return replace(m, rewards=rewards), replace(q, constraints=q.constraints + (extra,))
+
+
+def test_two_dim_reach_without_attraction_is_exact():
+    # the mean-payoff encoding rejects VaR in several dimensions, and sweeps
+    # a threshold grid for CVaR; reachability answers both exactly
+    seen = {}
+    for seed in range(60):
+        if check_attraction(mec_quotient(trap_mdp(seed))) != "neither":
+            continue
+        for kind in ("e", "var"):
+            m, q = _lift(seed, kind)
+            verdict = decide(m, q)
+            assert verdict.status in ("SAT", "UNSAT"), (seed, kind)
+            if verdict.sat:
+                ok, _, details = check_strategy(m, verdict.witness, q)
+                assert ok, (seed, kind, details)
+            try:
+                mean = decide_mean_multi(*reach_to_mean(m, q), SolverConfig(grid=4)).status
+            except UnsupportedQueryError:
+                mean = "UNKNOWN"
+            assert mean in ("UNKNOWN", verdict.status), (seed, kind)
+            key = (kind, verdict.status, mean == verdict.status)
+            seen[key] = seen.get(key, 0) + 1
+    assert {key for key, count in seen.items() if count >= 5} == {
+        ("e", "SAT", True),
+        ("e", "UNSAT", True),
+        ("var", "SAT", False),
+        ("var", "UNSAT", False),
+    }, seen
 
 
 def test_witness_does_not_depend_on_the_hash_seed():

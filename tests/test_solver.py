@@ -100,6 +100,22 @@ class TestReachSingle:
         assert cvar(law, F(1, 20)) >= F(-3)
         assert var(law, F(1, 20)) >= 0
 
+    def test_target_that_is_not_absorbing_is_rejected(self):
+        # t leads back to s, so the run may collect t's reward and go on to
+        # u; the flow LP treats t as absorbing and used to answer UNSAT
+        mdp = Mdp(
+            states=("s", "t", "u"),
+            available={"s": ("go", "alt"), "t": ("back",), "u": ("stay",)},
+            delta={"go": {"t": F(1)}, "alt": {"u": F(1)}, "back": {"s": F(1)}, "stay": {"u": F(1)}},
+            initial="s",
+            rewards={"s": (F(0),), "t": (F(5),), "u": (F(1),)},
+            targets=frozenset({"t", "u"}),
+        )
+        (problem,) = validate(mdp).problems
+        assert problem == "target 't' not absorbing via action 'back'"
+        with pytest.raises(ModelError, match=re.escape(problem)):
+            decide(mdp, reach_query(e=4))
+
     def test_negative_unsat_when_expectation_forced_too_high(self):
         mdp, _ = example("negative")
         # full gamble gives E = 4, the best possible; 9/2 is out of reach
@@ -168,38 +184,74 @@ class TestReachMulti:
         assert ok, details
 
     def test_one_dim_var_without_attraction_matches_single(self):
-        # no attraction and a VaR constraint: both procedures answer through
-        # the single-dimension mean-payoff reduction
+        # no attraction and a VaR constraint: both procedures decide the
+        # same flow LP on the quotient with zero-reward commits
         mdp, query = example("negative")
         a = decide_reach_single(mdp, query)
         b = decide_reach_multi(mdp, query)
         assert a.status == b.status == "SAT"
         assert b.certificate["law"] == a.certificate["law"]
 
-    def test_multi_var_with_negative_rewards_rejected(self):
-        # "neither" attraction case plus VaR in several dimensions is routed out
-        mdp = Mdp(
-            states=("s", "t1", "t2"),
-            available={"s": ("a", "loop"), "t1": ("l1",), "t2": ("l2",)},
+    @staticmethod
+    def _gamble_or_wait(t1="t1"):
+        """``a`` reaches ``t1`` (-1, 0) or ``t2`` (0, 1), each with
+        probability 1/2; ``loop`` stays at s, a target-free MEC worth 0."""
+        return Mdp(
+            states=("s", t1, "t2"),
+            available={"s": ("a", "loop"), t1: ("l1",), "t2": ("l2",)},
             delta={
-                "a": {"t1": F(1, 2), "t2": F(1, 2)},
+                "a": {t1: F(1, 2), "t2": F(1, 2)},
                 "loop": {"s": F(1)},
-                "l1": {"t1": F(1)},
+                "l1": {t1: F(1)},
                 "l2": {"t2": F(1)},
             },
             initial="s",
-            rewards={"s": (F(0), F(0)), "t1": (F(-1), F(0)), "t2": (F(0), F(1))},
-            targets=frozenset({"t1", "t2"}),
+            rewards={"s": (F(0), F(0)), t1: (F(-1), F(0)), "t2": (F(0), F(1))},
+            targets=frozenset({t1, "t2"}),
         )
+
+    @pytest.mark.parametrize(
+        "var_q, var_v, e, status",
+        [
+            ("1/2", -1, "1/2", "SAT"),  # gamble surely
+            ("1/4", 0, "1/4", "SAT"),  # gamble w.p. 1/2, wait forever otherwise
+            ("1/4", 0, "1/2", "UNSAT"),  # E needs the sure gamble, VaR forbids it
+        ],
+        ids=["sure-gamble", "half-gamble", "unsat"],
+    )
+    def test_multi_var_without_attraction_is_decided(self, var_q, var_v, e, status):
+        # "neither" attraction case plus VaR in several dimensions: an exact
+        # verdict (it used to raise UnsupportedQueryError)
+        mdp = self._gamble_or_wait()
         q = Query(
             objective="reach",
             constraints=(
-                Constraint(dim=0, var=(F(1, 2), F(-1))),
-                Constraint(dim=1, expectation=F(0)),
+                Constraint(dim=0, var=(F(var_q), F(var_v))),
+                Constraint(dim=1, expectation=F(e)),
             ),
         )
-        with pytest.raises(UnsupportedQueryError):
-            decide(mdp, q)
+        verdict = decide(mdp, q)
+        assert verdict.status == status
+        if verdict.sat:
+            ok, _, details = check_strategy(mdp, verdict.witness, q)
+            assert ok, details
+
+    def test_fresh_target_names_do_not_collide_with_input_targets(self):
+        # named ("__gain", 0) regardless of the input, the commit target of
+        # MEC 0 ({s}) would share the input target's LP variable
+        mdp = self._gamble_or_wait(t1=("__gain", 0))
+        q = Query(
+            objective="reach",
+            constraints=(
+                Constraint(dim=0, var=(F(1, 4), F(0))),
+                Constraint(dim=1, expectation=F(1, 4)),
+            ),
+        )
+        verdict = decide(mdp, q)
+        assert verdict.status == "SAT"
+        ok, law, details = check_strategy(mdp, verdict.witness, q)
+        assert ok, details
+        assert law[0].atoms == {F(-1): F(1, 4), F(0): F(3, 4)}
 
 
 class TestMeanSingle:
@@ -416,6 +468,21 @@ def _exit_ring(n: int) -> Mdp:
 
 
 class TestLargeModels:
+    def test_commit_to_a_large_end_component(self):
+        # lo is worth -10, so attraction fails: E >= 4 with CVaR_{1/10} >= -5
+        # holds only if half the mass stays in the 98-state ring forever, which
+        # a MEC beyond MEC_LP_LIMIT realizes through the memory "remain"
+        mdp = _exit_ring(100)
+        mdp = replace(mdp, rewards={**mdp.rewards, "lo": (F(-10),)})
+        query = reach_query(e=4, c=-5, p=F(1, 10))
+        verdict = decide(mdp, query)
+        assert verdict.status == "SAT"
+        ok, law, details = check_strategy(mdp, verdict.witness, query)
+        assert ok, details
+        assert law[0].atoms == {F(-10): F(1, 20), F(0): F(1, 2), F(10): F(9, 20)}
+        assert any(m == "remain" for _, m in verdict.witness.next_move)
+        assert decide(mdp, reach_query(e="41/10", c=-5, p=F(1, 10))).status == "UNSAT"
+
     def test_certificate_is_the_witness_law_on_the_full_model(self, monkeypatch):
         # whatever the size, decide checks the witness it returns on the input model
         mdp = _exit_ring(450)
@@ -579,9 +646,9 @@ class TestOneDecompositionPerModel:
             (lambda: (_exit_ring(12), reach_query(e=8, c=0)), 1),
             (lambda: (_trapped_mec(), reach_query(e=1)), 1),
             (lambda: example("loop"), 2),
-            # reachability without attraction: the input, then the mean
-            # procedure's model and its abstraction
-            (lambda: example("negative"), 3),
+            # reachability without attraction: its commits extend the
+            # input's quotient
+            (lambda: example("negative"), 1),
             (_two_mecs_expectations, 1),
         ],
         ids=["reach", "ring", "reach-trapped-mec", "mean-1d", "reach-no-attraction", "mean-2d"],

@@ -18,7 +18,8 @@ from cvarmdp import solver
 from cvarmdp.gadgets import Cnf3, sat_reduction
 from cvarmdp.lp import EQ, GE, LE, LinearProgram, WarmStart, solve_feasibility
 from cvarmdp.model import Constraint, Mdp, Query
-from cvarmdp.solver import SolverConfig, _reach_to_mean, decide
+from cvarmdp.solver import SolverConfig, decide
+from lemmas import reach_to_mean
 from test_lp import _random_lp
 from test_lp_pins import _two_mecs
 from test_oracles import trap_mdp, trap_query
@@ -116,7 +117,7 @@ def test_trap_seed_guesses(cross_checked, encoding):
     for seed in range(30):
         m, q = trap_mdp(seed), trap_query(seed)
         if encoding == "mean":
-            m, q = _reach_to_mean(m, q)
+            m, q = reach_to_mean(m, q)
         statuses.add(decide(m, q).status)
     assert statuses == {"SAT", "UNSAT"}
     assert min(cross_checked.values()) > 0, cross_checked
