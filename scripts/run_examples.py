@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from cvarmdp.gadgets import example
 from cvarmdp.risk import FiniteDistribution, cvar, expectation, var
-from cvarmdp.solver import SolverConfig, decide
+from cvarmdp.solver import decide
 from cvarmdp.synthesis import check_strategy
 
 
@@ -31,16 +31,14 @@ def main() -> int:
     )
     parser.add_argument("--grid", type=int, default=16)
     args = parser.parse_args()
-    try:
-        config = SolverConfig(grid=args.grid)
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.grid < 1:
+        parser.error(f"grid must be a positive integer, not {args.grid!r}")
 
     failures = []
     for name in args.names:
         mdp, query = example(name)
         start = time.monotonic()
-        verdict = decide(mdp, query, config)
+        verdict = decide(mdp, query, args.grid)
         elapsed = time.monotonic() - start
         print(f"== {name}: {verdict.status} in {elapsed:.3f}s")
         for c in query.constraints:

@@ -25,7 +25,7 @@ from .risk import FiniteDistribution, cvar, expectation, mixture, var
 from .graphs import mec_decomposition, mec_quotient, cleanup
 from .chain import PayoffLaw, decide_mc, payoff_law_mean, payoff_law_reach
 from .lp import LinearProgram, LpResult, solve_feasibility, solve_optimize
-from .solver import SolverConfig, decide
+from .solver import decide
 from .synthesis import check_strategy, evaluate
 from .gadgets import Cnf3, example, random_mdp, sat_reduction
 
@@ -62,7 +62,6 @@ __all__ = [
     "LpResult",
     "solve_feasibility",
     "solve_optimize",
-    "SolverConfig",
     "decide",
     "check_strategy",
     "evaluate",

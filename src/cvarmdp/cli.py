@@ -17,7 +17,7 @@ from . import serialize
 from .graphs import mec_decomposition
 from .model import ModelError, Rational, UnsupportedQueryError, strategy_problems
 from .risk import cvar, expectation, var
-from .solver import SolverConfig, decide
+from .solver import decide
 from .synthesis import check_strategy, evaluate
 
 EXIT_SAT = 0
@@ -144,7 +144,7 @@ def _fmt(x) -> str:
 def _cmd_check(args) -> int:
     mdp = serialize.model_from_json(_read(args.model))
     query = serialize.query_from_json(_read(args.query))
-    verdict = decide(mdp, query, SolverConfig(grid=args.grid))
+    verdict = decide(mdp, query, args.grid)
     if verdict.sat:
         # independent re-verification before reporting SAT
         ok, law, details = check_strategy(mdp, verdict.witness, query)

@@ -236,13 +236,14 @@ def _validate_mdp(mdp: Mdp, problems: List[str]) -> None:
     for s in states:
         if s not in mdp.rewards:
             problems.append(f"state {s!r} has no reward vector")
-    problems.extend(f"target {t!r} not a state" for t in mdp.targets if t not in states)
     problems.extend(target_problems(mdp))
 
 
 def target_problems(mdp: Mdp) -> List[str]:
-    """One problem for each action of a target that leaves the target."""
-    return [
+    """One problem for each target that is not a state, and one for each
+    action of a target that leaves the target."""
+    states = set(mdp.states)
+    return [f"target {t!r} not a state" for t in mdp.targets if t not in states] + [
         f"target {t!r} not absorbing via action {a!r}"
         for t in mdp.targets
         for a in mdp.available.get(t, ())

@@ -1,4 +1,5 @@
-"""Decision procedures for expectation/VaR/CVaR lower-bound queries on MDPs.
+"""Decision procedures for expectation/VaR/CVaR lower-bound queries on MDPs;
+``decide`` is the one dispatcher, and each decomposes its model once.
 
 Reachability: on the MEC quotient, with every representative that reaches
 no target trapped, satisfiability is a flow LP once the value-at-risk
@@ -51,22 +52,6 @@ from .synthesis import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-@dataclass
-class SolverConfig:
-    """Settings of the decision procedures.
-
-    grid: subdivisions between consecutive candidate thresholds in the
-    multi-dimensional mean-payoff search; a positive integer, anything else
-    raises ``ValueError``.
-    """
-
-    grid: int = 16
-
-    def __post_init__(self) -> None:
-        if isinstance(self.grid, bool) or not isinstance(self.grid, int) or self.grid < 1:
-            raise ValueError(f"grid must be a positive integer, not {self.grid!r}")
 
 
 def _y(a: str) -> str:
@@ -265,12 +250,12 @@ def _decide_reach(mdp: Mdp, query: Query) -> Verdict:
     return _first_certified(mdp, query, candidates)
 
 
-def decide_reach_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
+def decide_reach_single(mdp: Mdp, query: Query) -> Verdict:
     """Decide a single-dimension weighted-reachability query exactly."""
     return _decide_reach(mdp, query)
 
 
-def decide_reach_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
+def decide_reach_multi(mdp: Mdp, query: Query) -> Verdict:
     """Decide a multi-dimension weighted-reachability query exactly."""
     return _decide_reach(mdp, query)
 
@@ -305,9 +290,10 @@ def _inner_moves(mdp: Mdp, mecs, freqs: Sequence[Mapping[str, Fraction]]) -> Dic
     return inner
 
 
-def decide_mean_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
+def decide_mean_single(mdp: Mdp, query: Query) -> Verdict:
     """Single-dimension mean payoff: reduce to reachability over MEC gains,
-    then turn the reachability flow into a search/remain two-memory witness."""
+    then turn the reachability flow into a search/remain two-memory witness.
+    The commits extend ``base``'s own quotient, which has no end component."""
     if query.objective != "mean":
         raise UnsupportedQueryError("mean-payoff procedure got a non-mean query")
     if mdp.dim != 1:
@@ -317,7 +303,9 @@ def decide_mean_single(mdp: Mdp, query: Query, config: Optional[SolverConfig] = 
     flows = [_mec_gain_flow(base, mec, 0) for mec in qm.decomposition.mecs]
     gains, freqs = [g for g, _ in flows], [f for _, f in flows]
     reps = qm.representatives
-    qa = cleanup(mec_quotient(_with_commits(qm.quotient, reps, {i: (g,) for i, g in enumerate(gains)})))
+    # every representative commits, so ``cleanup`` traps nothing; the mean
+    # workloads of ``perfbench/run.py`` still expect to reach it
+    qa = cleanup(replace(qm, quotient=_with_commits(qm.quotient, reps, {i: (g,) for i, g in enumerate(gains)})))
     # built on ``mdp``, not ``base``: the witness lists only the pairs it
     # reaches, and the check on ``mdp`` stops at its targets
     candidates = (
@@ -406,17 +394,17 @@ def _mean_multi_guess_rows(
     return rows
 
 
-def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
-    """Multi-dimension {E, CVaR} mean payoff via classification guessing.
+def decide_mean_multi(mdp: Mdp, query: Query, grid: int = 16) -> Verdict:
+    """Multi-dimension {E, CVaR} mean payoff via classification guessing on
+    a threshold grid, ``grid`` steps between consecutive candidates.
 
-    SAT answers are exact (witness re-verified); UNSAT is only claimed when
-    the threshold grid is provably exhaustive, otherwise UNKNOWN.
+    SAT answers are exact (witness re-verified).  A run that stays in MEC i
+    almost surely pays at most gmax_ij in dimension j (Brazdil, Brozek,
+    Chatterjee, Forejt, Kucera, LICS 2011), so a CVaR bound above every
+    gmax_ij is UNSAT; otherwise UNSAT needs a provably exhaustive grid.
     """
-    config = config or SolverConfig()
     if query.objective != "mean":
         raise UnsupportedQueryError("mean-payoff procedure got a non-mean query")
-    if mdp.dim == 1:
-        return decide_mean_single(mdp, query, config)
     if any(c.var is not None for c in query.constraints):
         raise UnsupportedQueryError("VaR constraints unsupported for multi-dimensional mean payoff")
 
@@ -439,10 +427,12 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
     grids: Dict[int, List[Fraction]] = {}
     for j in cvar_dims:
         pts = sorted({gmin[i, j] for i in range(n)} | {gmax[i, j] for i in range(n)})
+        if pts and pts[-1] < bound[j]:
+            return Verdict("UNSAT", certificate={"dim": j, "max_gain": pts[-1]})
         refined = set(pts)
         for a, b in zip(pts, pts[1:]):
-            for k in range(1, config.grid):
-                refined.add(a + (b - a) * Fraction(k, config.grid))
+            for k in range(1, grid):
+                refined.add(a + (b - a) * Fraction(k, grid))
         grids[j] = sorted(t for t in refined if t >= bound[j])
 
     # one MEC labelled "eq", each other one "le" or "gt"
@@ -475,20 +465,24 @@ def decide_mean_multi(mdp: Mdp, query: Query, config: Optional[SolverConfig] = N
     return _first_certified(mdp, query, candidates(), exhaustive)
 
 
-def decide(mdp: Mdp, query: Query, config: Optional[SolverConfig] = None) -> Verdict:
-    """Dispatch a query to the matching decision procedure.
-
-    Raises ``ModelError`` for an invalid query, for a target that is not
-    absorbing, and for an action named with the prefix ``__``, which the
-    procedures reserve for their own actions.  The rest of ``validate`` is
-    not run: the model is otherwise taken to be valid.
+def decide(mdp: Mdp, query: Query, grid: Optional[int] = None) -> Verdict:
+    """Dispatch a query to the decision procedure for its objective and
+    dimension.  ``grid`` (``None`` means 16) only refines multi-dimensional
+    mean payoff, but any value other than a positive integer raises
+    ``ValueError``.  Raises ``ModelError`` for an invalid query, for a target
+    that is not a state or not absorbing, and for an action named with the
+    prefix ``__``, which the procedures reserve for their own actions.  The
+    rest of ``validate`` is not run: the model is otherwise taken to be valid.
     """
+    grid = 16 if grid is None else grid
+    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
+        raise ValueError(f"grid must be a positive integer, not {grid!r}")
     problems = reserved_action_problems(mdp.delta) + target_problems(mdp) + validate_query(query, mdp.dim).problems
     if problems:
         raise ModelError("; ".join(problems))
     single = mdp.dim == 1
     if query.objective == "reach":
-        return (decide_reach_single if single else decide_reach_multi)(mdp, query, config)
+        return (decide_reach_single if single else decide_reach_multi)(mdp, query)
     if query.objective == "mean":
-        return (decide_mean_single if single else decide_mean_multi)(mdp, query, config)
+        return decide_mean_single(mdp, query) if single else decide_mean_multi(mdp, query, grid)
     raise UnsupportedQueryError(f"unknown objective {query.objective!r}")

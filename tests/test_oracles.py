@@ -34,7 +34,6 @@ from cvarmdp.model import (
 from cvarmdp.risk import FiniteDistribution, cvar, expectation, var
 from cvarmdp.simulate import SimConfig, sample_payoffs
 from cvarmdp.solver import (
-    SolverConfig,
     _reach_block,
     _reach_guesses,
     _x,
@@ -143,7 +142,7 @@ def test_two_dim_reach_without_attraction_is_exact():
                 ok, _, details = check_strategy(m, verdict.witness, q)
                 assert ok, (seed, kind, details)
             try:
-                mean = decide_mean_multi(*reach_to_mean(m, q), SolverConfig(grid=4)).status
+                mean = decide_mean_multi(*reach_to_mean(m, q), grid=4).status
             except UnsupportedQueryError:
                 mean = "UNKNOWN"
             assert mean in ("UNKNOWN", verdict.status), (seed, kind)

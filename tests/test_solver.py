@@ -20,7 +20,6 @@ from cvarmdp.model import (
 from cvarmdp import chain, graphs, solver
 from cvarmdp.risk import FiniteDistribution, cvar, expectation, var
 from cvarmdp.solver import (
-    SolverConfig,
     decide,
     decide_mean_multi,
     decide_mean_single,
@@ -115,6 +114,15 @@ class TestReachSingle:
         assert problem == "target 't' not absorbing via action 'back'"
         with pytest.raises(ModelError, match=re.escape(problem)):
             decide(mdp, reach_query(e=4))
+
+    def test_target_that_is_not_a_state_is_rejected(self):
+        # used to escape from the MEC quotient as a bare KeyError
+        mdp, query = example("choice")
+        mdp = replace(mdp, targets=mdp.targets | {"zz"})
+        (problem,) = validate(mdp).problems
+        assert problem == "target 'zz' not a state"
+        with pytest.raises(ModelError, match=re.escape(problem)):
+            decide(mdp, query)
 
     def test_negative_unsat_when_expectation_forced_too_high(self):
         mdp, _ = example("negative")
@@ -385,11 +393,17 @@ class TestMeanMulti:
         with pytest.raises(UnsupportedQueryError):
             decide(mdp, q)
 
-    def test_single_dimension_delegates(self):
-        mdp, query = example("loop")
-        a = decide_mean_single(mdp, query)
-        b = decide_mean_multi(mdp, query)
-        assert a.status == b.status == "SAT"
+    def test_single_dimension_delegates(self, monkeypatch):
+        # decide, not decide_mean_multi, sends a 1-dim model to the single
+        # procedure, and to it alone
+        calls = []
+        for name in ("decide_mean_single", "decide_mean_multi"):
+            procedure = getattr(solver, name)
+            monkeypatch.setattr(
+                solver, name, lambda *args, name=name, procedure=procedure: calls.append(name) or procedure(*args)
+            )
+        assert decide(*example("loop")).status == "SAT"
+        assert calls == ["decide_mean_single"]
 
     @pytest.mark.parametrize("grid", [-3, 0, True, 2.0, "4"])
     def test_grid_must_be_a_positive_integer(self, grid):
@@ -402,8 +416,40 @@ class TestMeanMulti:
                 Constraint(dim=1, expectation=F(3)),
             ),
         )
-        with pytest.raises(ValueError, match=re.escape(f"grid must be a positive integer, not {grid!r}")):
-            decide(self._two_mecs(), q, SolverConfig(grid=grid))
+        message = re.escape(f"grid must be a positive integer, not {grid!r}")
+        with pytest.raises(ValueError, match=message):
+            decide(self._two_mecs(), q, grid=grid)
+        # checked for every objective, not only where it is read
+        with pytest.raises(ValueError, match=message):
+            decide(*example("choice"), grid=grid)
+
+    def test_no_grid_is_the_default_grid(self):
+        q = Query(
+            objective="mean",
+            constraints=(
+                Constraint(dim=0, cvar=(F(1, 2), F(2))),
+                Constraint(dim=1, expectation=F(3)),
+            ),
+        )
+        assert decide(self._two_mecs(), q, None) == decide(self._two_mecs(), q) == decide(self._two_mecs(), q, 16)
+
+    def test_cvar_bound_above_every_mec_gain_is_unsat(self):
+        # one MEC u <-> w: its dimension-0 gains range over [0, 4], so no
+        # run's payoff reaches 5, and neither does its CVaR (the grid of
+        # thresholds at or above 5 is empty; this was UNKNOWN)
+        mdp = Mdp(
+            states=("u", "w"),
+            available={"u": ("uu", "uw"), "w": ("ww", "wu")},
+            delta={"uu": {"u": F(1)}, "uw": {"w": F(1)}, "ww": {"w": F(1)}, "wu": {"u": F(1)}},
+            initial="u",
+            rewards={"u": (F(0), F(0)), "w": (F(4), F(1))},
+        )
+        q = Query(objective="mean", constraints=(Constraint(dim=0, cvar=(F(1, 2), F(5))),))
+        verdict = decide(mdp, q)
+        assert verdict.status == "UNSAT"
+        assert verdict.certificate == {"dim": 0, "max_gain": F(4)}
+        at_bound = Query(objective="mean", constraints=(Constraint(dim=0, cvar=(F(1, 2), F(4))),))
+        assert decide(mdp, at_bound).status == "SAT"
 
     def test_infeasible_cvar_with_spread_gains_is_unknown(self):
         # the t-grid cannot prove UNSAT when MEC gains are spread out
@@ -420,8 +466,11 @@ class TestMeanMulti:
 
 class TestConsistency:
     def test_multi_equals_single_on_random_one_dim_mean_instances(self):
+        # the flow LP over MEC gains against the classification LP over
+        # recurrent frequencies, both run on the same 1-dim model: exact on
+        # expectations, and the CVaR sweep never contradicts the exact answer
         rng = random.Random(9)
-        agree = 0
+        agreed = set()
         for seed in range(12):
             mdp = random_mdp(rng.randint(2, 5), 2, F(1, 2), (0, 6), 1, seed=seed)
             e = F(rng.randint(0, 6))
@@ -429,8 +478,14 @@ class TestConsistency:
             a = decide_mean_single(mdp, q)
             b = decide_mean_multi(mdp, q)
             assert a.status == b.status, f"seed {seed}"
-            agree += 1
-        assert agree == 12
+            for c in (1, 3, 5):
+                q = Query(objective="mean", constraints=(Constraint(dim=0, cvar=(F(1, 2), F(c))),))
+                a = decide_mean_single(mdp, q)
+                b = decide_mean_multi(mdp, q, 4)
+                assert a.status in ("SAT", "UNSAT") and b.status in (a.status, "UNKNOWN"), (seed, c)
+                if b.status == a.status:
+                    agreed.add(a.status)
+        assert agreed == {"SAT", "UNSAT"}
 
     def test_every_sat_witness_reverifies(self):
         cases = [example(n) for n in ("choice", "loop", "slow(1/8)", "negative")]
@@ -645,7 +700,7 @@ class TestOneDecompositionPerModel:
             (lambda: example("choice"), 1),
             (lambda: (_exit_ring(12), reach_query(e=8, c=0)), 1),
             (lambda: (_trapped_mec(), reach_query(e=1)), 1),
-            (lambda: example("loop"), 2),
+            (lambda: example("loop"), 1),
             # reachability without attraction: its commits extend the
             # input's quotient
             (lambda: example("negative"), 1),

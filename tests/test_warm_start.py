@@ -18,7 +18,7 @@ from cvarmdp import solver
 from cvarmdp.gadgets import Cnf3, sat_reduction
 from cvarmdp.lp import EQ, GE, LE, LinearProgram, WarmStart, solve_feasibility
 from cvarmdp.model import Constraint, Mdp, Query
-from cvarmdp.solver import SolverConfig, decide
+from cvarmdp.solver import decide
 from lemmas import reach_to_mean
 from test_lp import _random_lp
 from test_lp_pins import _two_mecs
@@ -198,6 +198,6 @@ SWEEPS = [
 def test_mean_sweep_guesses(cross_checked):
     statuses = set()
     for model, query in SWEEPS:
-        statuses.add(decide(model(), query, SolverConfig(grid=4)).status)
+        statuses.add(decide(model(), query, grid=4).status)
     assert "SAT" in statuses and len(statuses) > 1, statuses
     assert min(cross_checked.values()) > 0, cross_checked
