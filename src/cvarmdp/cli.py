@@ -84,19 +84,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", type=_positive_int, default=16, help="guess-grid refinement")
     p.add_argument("--out", help="prefix for witness/certificate JSON (default: query path stem)")
 
-    p = sub.add_parser("evaluate", help="exact E/VaR/CVaR of a strategy")
-    p.add_argument("model")
-    p.add_argument("strategy")
-    p.add_argument("--objective", choices=["reach", "mean"], default="reach")
-    p.add_argument("--p", type=_rational, default=Fraction(1, 20))
-    p.add_argument("--q", type=_rational, default=Fraction(1, 20))
+    # the arguments evaluate and simulate share
+    measured = argparse.ArgumentParser(add_help=False)
+    measured.add_argument("model")
+    measured.add_argument("strategy")
+    measured.add_argument("--objective", choices=["reach", "mean"], default="reach")
+    measured.add_argument("--p", type=_rational, default=Fraction(1, 20))
+    measured.add_argument("--q", type=_rational, default=Fraction(1, 20))
 
-    p = sub.add_parser("simulate", help="exact values plus Monte Carlo estimates")
-    p.add_argument("model")
-    p.add_argument("strategy")
-    p.add_argument("--objective", choices=["reach", "mean"], default="reach")
-    p.add_argument("--p", type=_rational, default=Fraction(1, 20))
-    p.add_argument("--q", type=_rational, default=Fraction(1, 20))
+    sub.add_parser("evaluate", parents=[measured], help="exact E/VaR/CVaR of a strategy")
+
+    p = sub.add_parser("simulate", parents=[measured], help="exact values plus Monte Carlo estimates")
     p.add_argument("--runs", type=int, default=10_000)
     p.add_argument("--horizon", type=int, default=10_000)
     p.add_argument("--burn-in", type=int, default=1_000)

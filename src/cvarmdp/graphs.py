@@ -100,20 +100,18 @@ def bsccs(mc: MarkovChain) -> List[Set[State]]:
     return out
 
 
-Mec = Tuple[FrozenSet, FrozenSet]  # (states, actions)
+Mec = Tuple[Tuple[State, ...], FrozenSet]  # (members, actions)
 
 
 @dataclass
 class MecDecomposition:
-    """The MECs in the order of their members' sorted ``repr``s;
-    ``members[i]`` lists the states of ``mecs[i]`` sorted by ``repr``."""
+    """``mecs[i]`` is ``(members, actions)``, whose ``members`` tuple is
+    sorted by ``repr``: the one member order, which every procedure iterates
+    as given.  The MECs come in the order of their member ``repr`` lists, and
+    ``state_to_mec`` maps each member to the index of its MEC."""
 
     mecs: List[Mec]
     state_to_mec: Dict[State, int]
-    members: List[Tuple[State, ...]]
-
-    def mec_of(self, state: State):
-        return self.state_to_mec.get(state)
 
 
 def mec_decomposition(mdp: Mdp) -> MecDecomposition:
@@ -165,11 +163,7 @@ def mec_decomposition(mdp: Mdp) -> MecDecomposition:
         if members:
             found.append((tuple(members), frozenset(a for i in comp for a, _ in live[i])))
     found.sort(key=lambda mec: list(map(repr, mec[0])))
-    return MecDecomposition(
-        mecs=[(frozenset(members), actions) for members, actions in found],
-        state_to_mec={s: k for k, (members, _) in enumerate(found) for s in members},
-        members=[members for members, _ in found],
-    )
+    return MecDecomposition(found, {s: k for k, (members, _) in enumerate(found) for s in members})
 
 
 def reachable_states(mdp: Mdp, start: State) -> Set[State]:
@@ -202,26 +196,25 @@ def backward_reachable(graph: Mapping[Hashable, Iterable[Hashable]], goal: Itera
 
 @dataclass
 class QuotientMap:
+    """``representatives[i]`` stands for MEC ``i`` of ``decomposition`` in
+    ``quotient``."""
+
     quotient: Mdp
-    lift: Dict[State, State]
     representatives: List[State]
     decomposition: MecDecomposition
 
 
 def mec_quotient(mdp: Mdp) -> QuotientMap:
-    """Collapse each MEC to its least member by ``repr``.
+    """Collapse each MEC to its first member, the least by ``repr``.
 
-    Internal actions disappear; actions with mass outside the MEC are kept
-    and re-targeted through the lift map.  Representatives of target MECs
-    keep one absorbing self-loop.  The quotient has only singleton MECs.
+    Internal actions disappear; actions with mass outside the MEC are kept,
+    in member order, and re-targeted through the lift map.  Representatives
+    of target MECs keep one absorbing self-loop.  The quotient has only
+    singleton MECs.
     """
     decomp = mec_decomposition(mdp)
-    lift: Dict[State, State] = {}
-    reps: List[State] = []
-    for members in decomp.members:
-        reps.append(members[0])
-        for s in members:
-            lift[s] = members[0]
+    reps = [members[0] for members, _ in decomp.mecs]
+    lift = {s: reps[i] for s, i in decomp.state_to_mec.items()}
     for s in mdp.states:
         lift.setdefault(s, s)
 
@@ -229,17 +222,12 @@ def mec_quotient(mdp: Mdp) -> QuotientMap:
     available: Dict[State, Tuple[str, ...]] = {}
     delta: Dict[str, Dict[State, Fraction]] = {}
     for s in kept_states:
-        idx = decomp.mec_of(s)
+        idx = decomp.state_to_mec.get(s)
         if idx is None:
             acts = list(mdp.available.get(s, ()))
         else:
-            mec_actions = decomp.mecs[idx][1]
-            acts = [
-                a
-                for t in decomp.members[idx]
-                for a in mdp.available.get(t, ())
-                if a not in mec_actions
-            ]
+            members, mec_actions = decomp.mecs[idx]
+            acts = [a for t in members for a in mdp.available.get(t, ()) if a not in mec_actions]
             if s in mdp.targets and not acts:
                 acts = [f"__stay[{s!r}]"]
                 delta[acts[0]] = {s: ONE}
@@ -260,7 +248,7 @@ def mec_quotient(mdp: Mdp) -> QuotientMap:
         rewards=rewards,
         targets=frozenset(lift[t] for t in mdp.targets),
     )
-    return QuotientMap(quotient=quotient, lift=lift, representatives=reps, decomposition=decomp)
+    return QuotientMap(quotient=quotient, representatives=reps, decomposition=decomp)
 
 
 def cleanup(qm: QuotientMap) -> QuotientMap:
@@ -268,7 +256,7 @@ def cleanup(qm: QuotientMap) -> QuotientMap:
     target into a zero-reward absorbing target.  Afterwards targets are
     reachable from every quotient state.
 
-    The result shares ``qm``'s lift, representatives and decomposition; it
+    The result shares ``qm``'s representatives and decomposition; it
     is ``qm`` itself when nothing is trapped.  Only representatives need
     trapping: the states that reach no target are closed under successors,
     so they hold an end component, and every end component lies inside a

@@ -268,7 +268,7 @@ def _mec_gain_flow(mdp: Mdp, mec, j: int, minimize: bool = False):
     members, actions = mec
     acts = sorted(actions)
     prog = LinearProgram(variables=[f"f::{a}" for a in acts])
-    for coeffs in flow_rows(mdp, sorted(members, key=repr), acts, lambda a: f"f::{a}"):
+    for coeffs in flow_rows(mdp, members, acts, lambda a: f"f::{a}"):
         prog.add(coeffs, "==", ZERO)
     prog.add({f"f::{a}": ONE for a in acts}, "==", ONE)
     owner = {a: s for s in members for a in mdp.available[s] if a in actions}
@@ -319,7 +319,8 @@ def _mean_multi_block(mdp: Mdp, dec) -> LinearProgram:
     """The guess-independent rows of the multi-dimensional mean-payoff LP:
     transient flow, switching mass, recurrent flow and total switching."""
     acts = mdp.actions
-    mec_states = sorted((s for s in mdp.states if dec.mec_of(s) is not None), key=repr)
+    # one repr order across the MECs sets the switching columns
+    mec_states = sorted(dec.state_to_mec, key=repr)
     mec_acts = sorted({a for _, aa in dec.mecs for a in aa})
     names = (
         [_y(a) for a in acts]
@@ -330,18 +331,18 @@ def _mean_multi_block(mdp: Mdp, dec) -> LinearProgram:
 
     # Transient flow (with per-state switching mass for MEC states).
     for s, coeffs in zip(mdp.states, flow_rows(mdp, mdp.states, acts, _y)):
-        if dec.mec_of(s) is not None:
+        if s in dec.state_to_mec:
             coeffs[f"w::{s!r}"] = ONE
         prog.add(coeffs, "==", ONE if s == mdp.initial else ZERO)
     # Switching probability of a MEC equals the frequency of its actions.
     for members, aa in dec.mecs:
-        coeffs = {f"w::{s!r}": ONE for s in sorted(members, key=repr)}
+        coeffs = {f"w::{s!r}": ONE for s in members}
         for a in sorted(aa):
             coeffs[f"xa::{a}"] = -ONE
         prog.add(coeffs, "==", ZERO)
     # Recurrent flow inside each MEC.
     for members, aa in dec.mecs:
-        for coeffs in flow_rows(mdp, sorted(members, key=repr), sorted(aa), lambda a: f"xa::{a}"):
+        for coeffs in flow_rows(mdp, members, sorted(aa), lambda a: f"xa::{a}"):
             prog.add(coeffs, "==", ZERO)
     prog.add({f"w::{s!r}": ONE for s in mec_states}, "==", ONE)
     return prog
@@ -351,7 +352,7 @@ def _mec_terms(mdp: Mdp, dec) -> List[List[Tuple[str, Tuple[Fraction, ...]]]]:
     """Per MEC, the recurrent-frequency variable of each of its actions, with
     the reward vector of the state that owns the action."""
     return [
-        [(f"xa::{a}", mdp.rewards[s]) for s in sorted(members, key=repr) for a in mdp.available[s] if a in aa]
+        [(f"xa::{a}", mdp.rewards[s]) for s in members for a in mdp.available[s] if a in aa]
         for members, aa in dec.mecs
     ]
 
@@ -444,7 +445,7 @@ def decide_mean_multi(mdp: Mdp, query: Query, grid: int = 16) -> Verdict:
     # expectation-only queries, and models whose MECs have point-valued gain
     # ranges, make the sweep provably exhaustive
     exhaustive = all(gmin[i, j] == gmax[i, j] for i in range(n) for j in cvar_dims)
-    mec_states = [s for s in base.states if dec.mec_of(s) is not None]
+    mec_states = [s for s in base.states if s in dec.state_to_mec]
     terms = _mec_terms(base, dec)
 
     def guesses():

@@ -49,20 +49,21 @@ def _flow_move(mdp: Mdp, y: Mapping[str, Fraction], s: State) -> Dict[str, Fract
     return dist if dist is not None else {_least_action(mdp, s): ONE}
 
 
-def _routing(mdp: Mdp, members: frozenset, actions: frozenset, goal: Set[State]) -> Dict[State, str]:
-    """For each member outside ``goal``, an action moving strictly closer to
-    the goal set (distances via backward BFS over the component's actions).
-    Ties go to the first route in ``repr`` order of states, so the result
-    does not depend on set iteration order."""
+def _routing(mdp: Mdp, members: Sequence[State], actions: frozenset, goal: Set[State]) -> Dict[State, str]:
+    """For each member outside ``goal`` (a set of members), an action moving
+    strictly closer to the goal set (distances via backward BFS over the
+    component's actions).  Ties go to the first route in member order, the
+    ``repr`` order of ``MecDecomposition``, so the result does not depend on
+    set iteration order."""
     preds: Dict[State, List[Tuple[State, str]]] = {s: [] for s in members}
-    for s in sorted(members, key=repr):
+    for s in members:
         for a in mdp.available[s]:
             if a in actions:
                 for t, p in mdp.delta[a].items():
                     if p != 0:
                         preds[t].append((s, a))
-    dist = {s: 0 for s in goal}
-    frontier = sorted(goal, key=repr)
+    frontier = [s for s in members if s in goal]
+    dist = dict.fromkeys(frontier, 0)
     route: Dict[State, str] = {}
     while frontier:
         nxt: List[State] = []
@@ -73,9 +74,9 @@ def _routing(mdp: Mdp, members: frozenset, actions: frozenset, goal: Set[State])
                     route[s] = a
                     nxt.append(s)
         frontier = nxt
-    missing = members - set(dist)
+    missing = [repr(s) for s in members if s not in dist]
     if missing:
-        raise ModelError(f"states {sorted(map(repr, missing))} cannot reach the routing goal")
+        raise ModelError(f"states {missing} cannot reach the routing goal")
     return route
 
 
@@ -96,8 +97,9 @@ def mec_constant_strategy(mdp: Mdp, mec, frequencies: Mapping[str, Fraction]) ->
     if not support:
         raise ModelError("MEC frequencies are identically zero")
     route = _routing(mdp, members, actions, support)
-    for s in members - support:
-        choices[s] = {route[s]: ONE}
+    for s in members:
+        if s not in support:
+            choices[s] = {route[s]: ONE}
     return choices
 
 
@@ -273,7 +275,8 @@ def realize_quotient_flow(
     samples the pending exit on entry and routes to it deterministically.
     A pending exit is held as the state that owns it plus one routing search
     toward that state, shared by the exits of one owner; the entry
-    distribution is kept once per MEC.  The strategy lists only the
+    distribution is kept once per MEC, and the pending exits are listed in
+    the member order of their owners.  The strategy lists only the
     ``(state, memory)`` pairs it reaches.
     """
     dec = qm.decomposition
@@ -287,7 +290,7 @@ def realize_quotient_flow(
     stay: Dict[State, Fraction] = {}  # switch masses inside small MECs
 
     for i, (members, actions) in enumerate(dec.mecs):
-        rep = qm.lift[next(iter(members))]
+        rep = qm.representatives[i]
         if rep in qm.quotient.targets:
             continue
         owner = {
@@ -325,14 +328,14 @@ def realize_quotient_flow(
 
     def arrival(t: State) -> Optional[Dict]:
         dist = switch_arrival.get(t)
-        return dist if dist is not None else mec_arrival.get(dec.mec_of(t))
+        return dist if dist is not None else mec_arrival.get(dec.state_to_mec.get(t))
 
     return _search_remain(mdp, full_y, arrival, inner, tokens)
 
 
 def _transship(
     mdp: Mdp,
-    members: frozenset,
+    members: Sequence[State],
     actions: frozenset,
     entry: Mapping[State, Fraction],
     exits: Mapping[str, Fraction],
@@ -341,12 +344,11 @@ def _transship(
     """Complete a quotient flow inside one MEC: find internal action masses g
     and per-state switch masses w balancing entries against exits."""
     gvars = sorted(actions)
-    states = sorted(members, key=repr)
-    wvars = states if commit != 0 else []
+    wvars = members if commit != 0 else []
     prog = lpmod.LinearProgram(
         variables=[f"g::{a}" for a in gvars] + [f"w::{s!r}" for s in wvars]
     )
-    for s, coeffs in zip(states, flow_rows(mdp, states, gvars, lambda a: f"g::{a}")):
+    for s, coeffs in zip(members, flow_rows(mdp, members, gvars, lambda a: f"g::{a}")):
         if commit != 0:
             coeffs[f"w::{s!r}"] = ONE
         rhs = entry[s] - sum(

@@ -98,8 +98,10 @@ class TestMecDecomposition:
             mdp = random_mdp(
                 rng.randint(2, 5), rng.randint(1, 2), F(1, 2), (0, 3), 1, seed=seed
             )
-            got = sorted(mec_decomposition(mdp).mecs, key=_mec_key)
+            mecs = mec_decomposition(mdp).mecs
+            got = sorted(((frozenset(states), actions) for states, actions in mecs), key=_mec_key)
             assert got == brute_force_mecs(mdp), f"seed {seed}"
+            assert all(list(states) == sorted(states, key=repr) for states, _ in mecs), f"seed {seed}"
 
     def test_self_loop_is_a_mec(self):
         mdp = random_mdp(1, 1, F(1), (0, 0), 1, seed=0)
@@ -142,15 +144,11 @@ def full_refinement_mecs(mdp):
             break
     mecs = []
     for comp in comps:
-        states = frozenset(s for s in comp if live[s])
+        states = tuple(sorted((s for s in comp if live[s]), key=repr))
         if states:
             mecs.append((states, frozenset(a for s in states for a in live[s])))
-    mecs = sorted(mecs, key=lambda m: sorted(map(repr, m[0])))
-    return MecDecomposition(
-        mecs,
-        {s: i for i, (states, _) in enumerate(mecs) for s in states},
-        [tuple(sorted(states, key=repr)) for states, _ in mecs],
-    )
+    mecs = sorted(mecs, key=lambda m: list(map(repr, m[0])))
+    return MecDecomposition(mecs, {s: i for i, (states, _) in enumerate(mecs) for s in states})
 
 
 class TestEarlyStop:
@@ -250,7 +248,7 @@ def full_model_cleanup(mdp):
     can_reach = backward_reachable(graph, set(mdp.targets))
     doomed = set()
     for states, _ in mec_decomposition(mdp).mecs:
-        if not states & set(mdp.targets) and not states & can_reach:
+        if not mdp.targets.intersection(states) and not can_reach.intersection(states):
             doomed.update(states)
     if not doomed:
         return mdp
@@ -274,7 +272,7 @@ def full_model_cleanup(mdp):
 def full_model_attraction(mdp):
     """Reference: the attraction class read from the full model's MECs and
     target rewards."""
-    a1 = all(states & mdp.targets for states, _ in mec_decomposition(mdp).mecs)
+    a1 = all(mdp.targets.intersection(states) for states, _ in mec_decomposition(mdp).mecs)
     a2 = all(r >= 0 for t in mdp.targets for r in mdp.rewards[t])
     return {(True, True): "both", (True, False): "A1", (False, True): "A2", (False, False): "neither"}[a1, a2]
 
@@ -292,15 +290,21 @@ def cleanup_models():
     yield _exit_ring(300)
 
 
+def _lift(qm):
+    """Each state's quotient state: the representative of its MEC, or itself."""
+    reps, state_to_mec = qm.representatives, qm.decomposition.state_to_mec
+    return lambda s: reps[state_to_mec[s]] if s in state_to_mec else s
+
+
 def test_cleanup_matches_the_full_model_reference():
     changed = 0
     for mdp in cleanup_models():
         qm = mec_quotient(mdp)
         got, ref = cleanup(qm), full_model_cleanup(mdp)
         trapped = got.quotient.targets - qm.quotient.targets
-        assert trapped == {qm.lift[s] for s in ref.targets - mdp.targets}
+        assert trapped == set(map(_lift(qm), ref.targets - mdp.targets))
         assert (got is qm) == (ref is mdp)
-        assert (got.lift, got.representatives, got.decomposition) == (qm.lift, qm.representatives, qm.decomposition)
+        assert (got.representatives, got.decomposition) == (qm.representatives, qm.decomposition)
         for s in trapped:
             assert got.quotient.available[s] == (f"__stay[{s!r}]",)
             assert got.quotient.rewards[s] == (F(0),)
@@ -343,8 +347,9 @@ class TestCleanupAndQuotient:
         assert all(len(states) == 1 for states, _ in dec.mecs)
         assert validate(qm.quotient).ok
         # lift maps every state to its representative
+        lift = _lift(qm)
         for s in mdp.states:
-            assert qm.lift[s] in qm.quotient.states
+            assert lift(s) in qm.quotient.states
 
     def test_bsccs_of_chain(self):
         from cvarmdp.model import MarkovChain

@@ -89,6 +89,31 @@ def trap_query(seed: int) -> Query:
     )
 
 
+def two_owner_ring():
+    """An 80-state ring r0 -> ... -> r79 -> r0, above ``MEC_LP_LIMIT``, whose
+    exit e1 at r10 reaches ``hi`` (worth 10) and e2 at r50 reaches ``mid``
+    (worth 4), with the query E >= 7: the witness uses both exits, so its
+    pending exits sit at two states of one MEC."""
+    ring = [f"r{i}" for i in range(80)]
+    available = {s: (f"fwd{i}",) for i, s in enumerate(ring)}
+    delta = {f"fwd{i}": {ring[(i + 1) % 80]: F(1)} for i in range(80)}
+    available["r10"] += ("e1",)
+    available["r50"] += ("e2",)
+    delta["e1"], delta["e2"] = {"hi": F(1)}, {"mid": F(1)}
+    rewards = {s: (F(0),) for s in ring}
+    for t, r in (("hi", 10), ("mid", 4)):
+        available[t], delta[f"stay_{t}"], rewards[t] = (f"stay_{t}",), {t: F(1)}, (F(r),)
+    mdp = Mdp(
+        states=tuple(ring) + ("hi", "mid"),
+        available=available,
+        delta=delta,
+        initial="r0",
+        rewards=rewards,
+        targets=frozenset({"hi", "mid"}),
+    )
+    return mdp, Query(objective="reach", constraints=(Constraint(dim=0, expectation=F(7)),))
+
+
 def test_generator_reaches_trapping_and_no_attraction():
     quotients = [mec_quotient(trap_mdp(seed)) for seed in SEEDS]
     assert any(cleanup(qm) is not qm for qm in quotients)
@@ -157,26 +182,33 @@ def test_two_dim_reach_without_attraction_is_exact():
 
 
 def test_witness_does_not_depend_on_the_hash_seed():
-    # seed 171 has two equally short routes into the frequency support at s5
-    script = (
-        "from cvarmdp.serialize import strategy_to_json\n"
-        "from cvarmdp.solver import decide\n"
-        "from test_oracles import trap_mdp, trap_query\n"
-        "print(strategy_to_json(decide(trap_mdp(171), trap_query(171)).witness))\n"
-    )
+    # trap seed 171 has two equally short routes into the frequency support
+    # at s5; on the two-owner ring the pending exits are listed in the
+    # owners' order, which set iteration once took from the hash seed
+    cases = [
+        ("strategy_to_json(decide(trap_mdp(171), trap_query(171)).witness)", ("1", "4")),
+        ("verdict_to_json(decide(*two_owner_ring()))", ("0", "1")),
+    ]
     here = Path(__file__).resolve().parent
     path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
-    outputs = [
-        subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        for seed in ("1", "4")
-    ]
-    assert outputs[0] and outputs[0] == outputs[1]
+    for expr, seeds in cases:
+        script = (
+            "from cvarmdp.serialize import strategy_to_json, verdict_to_json\n"
+            "from cvarmdp.solver import decide\n"
+            "from test_oracles import trap_mdp, trap_query, two_owner_ring\n"
+            f"print({expr})\n"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in seeds
+        ]
+        assert outputs[0] and outputs[0] == outputs[1], expr
 
 
 # ------------------------------------------- evaluation against a reference

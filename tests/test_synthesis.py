@@ -232,8 +232,7 @@ def _full_realize(mdp, qm, y, switch, inner):
     arrival, tokens = {}, {}
     full_y = dict(used)
     stay = {}
-    for members, actions in dec.mecs:
-        rep = qm.lift[next(iter(members))]
+    for rep, (members, actions) in zip(qm.representatives, dec.mecs):
         if rep in qm.quotient.targets:
             continue
         exits = {a: used[a] for s in members for a in mdp.available[s] if a not in actions and a in used}
