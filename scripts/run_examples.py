@@ -29,16 +29,13 @@ def main() -> int:
         nargs="*",
         default=["choice", "loop", "slow(1/8)", "slow(1/64)", "negative"],
     )
-    parser.add_argument("--grid", type=int, default=16)
     args = parser.parse_args()
-    if args.grid < 1:
-        parser.error(f"grid must be a positive integer, not {args.grid!r}")
 
     failures = []
     for name in args.names:
         mdp, query = example(name)
         start = time.monotonic()
-        verdict = decide(mdp, query, args.grid)
+        verdict = decide(mdp, query)
         elapsed = time.monotonic() - start
         print(f"== {name}: {verdict.status} in {elapsed:.3f}s")
         for c in query.constraints:

@@ -99,7 +99,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--horizon", type=int, default=10_000)
     p.add_argument("--burn-in", type=int, default=1_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", help="write per-run samples to this CSV file")
+    p.add_argument("--csv", help="write dimension 0's per-run samples to this CSV file")
 
     p = sub.add_parser("mec", help="print the maximal end component decomposition")
     p.add_argument("model")

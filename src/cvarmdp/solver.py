@@ -86,17 +86,25 @@ def _reach_block(m: Mdp) -> LinearProgram:
 
 
 Row = Tuple[Dict[str, Fraction], str, Fraction]
+Option = Tuple[Optional[Tuple[int, object]], List[Row]]
+
+
+def _guesses(table: Sequence[Sequence[Option]]) -> Iterator[Tuple[Dict[int, object], List[Row]]]:
+    """One ``(key, rows)`` per pick of an option ``(part, rows)``, built once,
+    from each entry of ``table``, in product order: ``key`` maps j to v for
+    each picked part ``(j, v)`` not ``None``; ``rows`` joins the picked rows."""
+    for combo in itertools.product(*table):
+        yield {part[0]: part[1] for part, _ in combo if part is not None}, [row for _, rows in combo for row in rows]
 
 
 def _reach_guesses(m: Mdp, query: Query) -> Iterator[Tuple[Dict[int, Fraction], List[Row]]]:
     """Every threshold guess of the flow LP over ``m``'s target rewards, in
     ascending order: ``(tc, rows)``, the guessed CVaR threshold of each CVaR
-    dimension and the guess's constraint rows.  Each row is built once, as an
-    option of its table entry, and a guess picks one option per entry: a
-    CVaR row per candidate threshold, the one VaR row at the least target
-    reward that reaches the VaR bound, an expectation row.  A VaR or CVaR
-    bound above every target reward leaves its entry, and so the product of
-    guesses, empty: no strategy can meet it.
+    dimension and the guess's constraint rows.  A guess picks one option per
+    table entry: a CVaR row per candidate threshold, the one VaR row at the
+    least target reward that reaches the VaR bound, an expectation row.  A
+    VaR or CVaR bound above every target reward leaves its entry, and so the
+    product of guesses, empty: no strategy can meet it.
 
     A CVaR constraint (p, c) on dimension j at guessed threshold t is the one
     row  sum_{r_s[j] < t} (r_s[j] - t) x_s >= p (c - t),  i.e.
@@ -113,8 +121,7 @@ def _reach_guesses(m: Mdp, query: Query) -> Iterator[Tuple[Dict[int, Fraction], 
       (whose threshold is at most t), so its feasible guesses stay feasible.
     """
     targets = [(_x(s), m.rewards[s]) for s in sorted(m.targets, key=repr)]
-    # per table entry, its options (CVaR dimension or None, threshold, row)
-    table: List[List[Tuple[Optional[int], Optional[Fraction], Row]]] = []
+    table: List[List[Option]] = []
     for c in sorted(query.constraints, key=lambda c: c.dim):
         j = c.dim
         cands = sorted({r[j] for _, r in targets})
@@ -125,16 +132,15 @@ def _reach_guesses(m: Mdp, query: Query) -> Iterator[Tuple[Dict[int, Fraction], 
             if tv and p == c.var[0]:
                 lo = max(lo, tv[0])  # the maximiser VaR_p is then at least v
             table.append([
-                (j, t, ({x: r[j] - t for x, r in targets if r[j] < t}, ">=", p * (cbound - t)))
+                ((j, t), [({x: r[j] - t for x, r in targets if r[j] < t}, ">=", p * (cbound - t))])
                 for t in cands if t >= lo
             ])
         if c.var is not None:
             q = c.var[0]
-            table.append([(None, None, ({x: ONE for x, r in targets if r[j] < t}, "<=", q)) for t in tv])
+            table.append([(None, [({x: ONE for x, r in targets if r[j] < t}, "<=", q)]) for t in tv])
         if c.expectation is not None:
-            table.append([(None, None, ({x: r[j] for x, r in targets if r[j] != 0}, ">=", c.expectation))])
-    for combo in itertools.product(*table):
-        yield {j: t for j, t, _ in combo if j is not None}, [row for _, _, row in combo]
+            table.append([(None, [({x: r[j] for x, r in targets if r[j] != 0}, ">=", c.expectation)])])
+    return _guesses(table)
 
 
 def _feasible(block: LinearProgram, guesses: Iterable[Tuple[object, List[Row]]]) -> Iterator:
@@ -360,39 +366,38 @@ def _mec_terms(mdp: Mdp, dec) -> List[List[Tuple[str, Tuple[Fraction, ...]]]]:
 _CLASS_SENSE = {"le": "<=", "gt": ">=", "eq": "=="}
 
 
-def _mean_multi_guess_rows(
+def _mean_multi_guesses(
     query: Query,
-    guess: Mapping[int, Fraction],
-    cls: Mapping[int, Sequence[str]],
+    grids: Mapping[int, Sequence[Fraction]],
+    options: Sequence[Sequence[str]],
     terms: Sequence[Sequence[Tuple[str, Tuple[Fraction, ...]]]],
-) -> List[Row]:
-    """The constraint rows of the multi-dimensional mean-payoff LP for one
-    VaR guess and MEC classification (one 'eq' MEC per CVaR dimension), over
-    the ``_mec_terms`` table."""
-    rows = []
+) -> Iterator[Tuple[Dict[int, Tuple[Fraction, Sequence[str]]], List[Row]]]:
+    """The ``_guesses`` of the multi-dimensional mean-payoff LP over the
+    ``_mec_terms`` table: CVaR dimension j's key is its VaR guess t in
+    ``grids[j]`` and its MEC labelling in ``options`` (one 'eq' MEC each)."""
 
-    def add(mecs, weight, sense: str, rhs: Fraction) -> None:
-        rows.append(({x: w for i in mecs for x, r in terms[i] if (w := weight(r)) != 0}, sense, rhs))
+    def row(mecs, weight, sense: str, rhs: Fraction) -> Row:
+        return {x: w for i in mecs for x, r in terms[i] if (w := weight(r)) != 0}, sense, rhs
 
+    table: List[List[Option]] = []
     for c in sorted(query.constraints, key=lambda c: c.dim):
         j = c.dim
         if c.cvar is not None:
             p, cbound = c.cvar
-            t = guess[j]
-            labels = cls[j]
-            low = [i for i, lab in enumerate(labels) if lab == "le"]
-            excess = lambda r: r[j] - t
-            # CVaR satisfaction: tail = all 'le' mass topped up to p at value t
-            add(low, excess, ">=", p * (cbound - t))
-            # Verify VaR guess: 'le' mass below p, adding 'eq' reaches p
-            add(low, lambda r: ONE, "<=", p)
-            add(low + [labels.index("eq")], lambda r: ONE, ">=", p)
-            # Verify MEC classification guess
-            for i, lab in enumerate(labels):
-                add([i], excess, _CLASS_SENSE[lab], ZERO)
+            table.append([])
+            for labels in options:
+                low = [i for i, lab in enumerate(labels) if lab == "le"]
+                # Verify VaR guess: 'le' mass below p, adding 'eq' reaches p
+                mass = [row(low, lambda r: ONE, "<=", p), row(low + [labels.index("eq")], lambda r: ONE, ">=", p)]
+                for t in grids[j]:
+                    excess = lambda r: r[j] - t
+                    # CVaR tail: 'le' mass topped up to p at t; then one class row per MEC
+                    rows = [row(low, excess, ">=", p * (cbound - t)), *mass]
+                    rows += [row([i], excess, _CLASS_SENSE[lab], ZERO) for i, lab in enumerate(labels)]
+                    table[-1].append(((j, (t, labels)), rows))
         if c.expectation is not None:
-            add(range(len(terms)), lambda r: r[j], ">=", c.expectation)
-    return rows
+            table.append([(None, [row(range(len(terms)), lambda r: r[j], ">=", c.expectation)])])
+    return _guesses(table)
 
 
 def decide_mean_multi(mdp: Mdp, query: Query, grid: int = 16) -> Verdict:
@@ -423,7 +428,7 @@ def decide_mean_multi(mdp: Mdp, query: Query, grid: int = 16) -> Verdict:
             gmin[i, j], _ = _mec_gain_flow(base, mec, j, minimize=True)
 
     # Only thresholds t >= c can be feasible: below c the CVaR row of
-    # _mean_multi_guess_rows needs sum_le (r - t) x >= p (c - t) > 0, but each
+    # _mean_multi_guesses needs sum_le (r - t) x >= p (c - t) > 0, but each
     # 'le' MEC's classification row makes its term <= 0.
     grids: Dict[int, List[Fraction]] = {}
     for j in cvar_dims:
@@ -445,23 +450,16 @@ def decide_mean_multi(mdp: Mdp, query: Query, grid: int = 16) -> Verdict:
     # expectation-only queries, and models whose MECs have point-valued gain
     # ranges, make the sweep provably exhaustive
     exhaustive = all(gmin[i, j] == gmax[i, j] for i in range(n) for j in cvar_dims)
-    mec_states = [s for s in base.states if s in dec.state_to_mec]
-    terms = _mec_terms(base, dec)
-
-    def guesses():
-        for cls_combo in itertools.product(options, repeat=len(cvar_dims)):
-            cls = dict(zip(cvar_dims, cls_combo))
-            for t_combo in itertools.product(*(grids[j] for j in cvar_dims)):
-                guess = dict(zip(cvar_dims, t_combo))
-                yield (guess, cls), _mean_multi_guess_rows(query, guess, cls, terms)
+    guesses = _mean_multi_guesses(query, grids, options, _mec_terms(base, dec))
 
     def candidates():
-        for (guess, cls), point in _feasible(_mean_multi_block(base, dec), guesses()):
+        for key, point in _feasible(_mean_multi_block(base, dec), guesses):
             y = {a: point[_y(a)] for a in base.actions}
-            switch = {s: point[f"w::{s!r}"] for s in mec_states}
+            switch = {s: point[f"w::{s!r}"] for s in dec.state_to_mec}
             freqs = [{a: point[f"xa::{a}"] for a in aa} for _, aa in mecs]
             strat = two_memory_strategy(mdp, y, switch, _inner_moves(base, mecs, freqs))
-            yield strat, {"guess": guess, "classification": {j: list(cls[j]) for j in cvar_dims}}
+            guess = {j: t for j, (t, _) in key.items()}
+            yield strat, {"guess": guess, "classification": {j: list(labels) for j, (_, labels) in key.items()}}
 
     return _first_certified(mdp, query, candidates(), exhaustive)
 

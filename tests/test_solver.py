@@ -1,4 +1,5 @@
 """End-to-end decision procedure tests for reachability and mean payoff."""
+import itertools
 import random
 import re
 import time
@@ -462,6 +463,83 @@ class TestMeanMulti:
             ),
         )
         assert decide(mdp, q).status in ("UNSAT", "UNKNOWN")
+
+    @staticmethod
+    def _per_guess_rows(query, grids, options, terms):
+        """The enumeration that ``_mean_multi_guesses`` replaced: every
+        labelling combination, then every threshold combination, each
+        guess's rows rebuilt from its VaR guess and classification."""
+        cvar_dims = sorted(c.dim for c in query.constraints if c.cvar is not None)
+
+        def rows_of(guess, cls):
+            rows = []
+
+            def add(mecs, weight, sense, rhs):
+                rows.append(({x: w for i in mecs for x, r in terms[i] if (w := weight(r)) != 0}, sense, rhs))
+
+            for c in sorted(query.constraints, key=lambda c: c.dim):
+                j = c.dim
+                if c.cvar is not None:
+                    p, cbound = c.cvar
+                    t, labels = guess[j], cls[j]
+                    low = [i for i, lab in enumerate(labels) if lab == "le"]
+                    excess = lambda r: r[j] - t
+                    add(low, excess, ">=", p * (cbound - t))
+                    add(low, lambda r: F(1), "<=", p)
+                    add(low + [labels.index("eq")], lambda r: F(1), ">=", p)
+                    for i, lab in enumerate(labels):
+                        add([i], excess, {"le": "<=", "gt": ">=", "eq": "=="}[lab], F(0))
+                if c.expectation is not None:
+                    add(range(len(terms)), lambda r: r[j], ">=", c.expectation)
+            return rows
+
+        for cls_combo in itertools.product(options, repeat=len(cvar_dims)):
+            cls = dict(zip(cvar_dims, cls_combo))
+            for t_combo in itertools.product(*(grids[j] for j in cvar_dims)):
+                guess = dict(zip(cvar_dims, t_combo))
+                yield guess, cls, rows_of(guess, cls)
+
+    def test_guess_table_matches_the_per_guess_rows(self):
+        # the table builds each row once per key; every key still gets the
+        # rows, in the coefficient order, that the per-guess builder gave it
+        one_cvar = Query(
+            objective="mean",
+            constraints=(Constraint(dim=0, cvar=(F(1, 2), F(2))), Constraint(dim=1, expectation=F(3))),
+        )
+        two_cvars = Query(
+            objective="mean",
+            constraints=(
+                Constraint(dim=0, cvar=(F(1, 2), F(2))),
+                Constraint(dim=1, expectation=F(1), cvar=(F(1, 4), F(1))),
+            ),
+        )
+        grids = {0: [F(2), F(5, 2), F(4)], 1: [F(1), F(3)]}
+        plain = lambda rows: [(list(coeffs.items()), sense, rhs) for coeffs, sense, rhs in rows]
+        models = [self._two_mecs()] + [random_mdp(2, 2, F(1, 2), (0, 6), 2, seed) for seed in (0, 1, 23)]
+        for mdp in models:
+            base = replace(mdp, targets=frozenset())
+            dec = mec_decomposition(base)
+            n = len(dec.mecs)
+            assert n >= 2
+            terms = solver._mec_terms(base, dec)
+            options = [
+                labs[:i] + ("eq",) + labs[i:] for i in range(n) for labs in itertools.product(("le", "gt"), repeat=n - 1)
+            ]
+            new = [
+                ({j: t for j, (t, _) in key.items()}, {j: labels for j, (_, labels) in key.items()}, plain(rows))
+                for key, rows in solver._mean_multi_guesses(one_cvar, grids, options, terms)
+            ]
+            old = [(guess, cls, plain(rows)) for guess, cls, rows in self._per_guess_rows(one_cvar, grids, options, terms)]
+            assert new == old and len(new) == len(options) * len(grids[0])
+            new = {
+                tuple((j, t, labels) for j, (t, labels) in key.items()): plain(rows)
+                for key, rows in solver._mean_multi_guesses(two_cvars, grids, options, terms)
+            }
+            old = {
+                tuple((j, guess[j], cls[j]) for j in guess): plain(rows)
+                for guess, cls, rows in self._per_guess_rows(two_cvars, grids, options, terms)
+            }
+            assert new == old and len(new) == (len(options) ** 2) * len(grids[0]) * len(grids[1])
 
 
 class TestConsistency:
