@@ -323,34 +323,24 @@ def decide_mean_single(mdp: Mdp, query: Query) -> Verdict:
 
 def _mean_multi_block(mdp: Mdp, dec) -> LinearProgram:
     """The guess-independent rows of the multi-dimensional mean-payoff LP:
-    transient flow, switching mass, recurrent flow and total switching."""
+    transient flow, recurrent flow and total recurrent mass.  MEC i's
+    recurrent mass leaves its representative's transient row: the run
+    switches there alone (see ``synthesis._transship``)."""
     acts = mdp.actions
-    # one repr order across the MECs sets the switching columns
-    mec_states = sorted(dec.state_to_mec, key=repr)
     mec_acts = sorted({a for _, aa in dec.mecs for a in aa})
-    names = (
-        [_y(a) for a in acts]
-        + [f"w::{s!r}" for s in mec_states]
-        + [f"xa::{a}" for a in mec_acts]
-    )
-    prog = LinearProgram(variables=names)
+    prog = LinearProgram(variables=[_y(a) for a in acts] + [f"xa::{a}" for a in mec_acts])
+    recurrent = {members[0]: sorted(aa) for members, aa in dec.mecs}
 
-    # Transient flow (with per-state switching mass for MEC states).
+    # Transient flow, less each MEC's recurrent mass at its representative.
     for s, coeffs in zip(mdp.states, flow_rows(mdp, mdp.states, acts, _y)):
-        if s in dec.state_to_mec:
-            coeffs[f"w::{s!r}"] = ONE
+        for a in recurrent.get(s, ()):
+            coeffs[f"xa::{a}"] = ONE
         prog.add(coeffs, "==", ONE if s == mdp.initial else ZERO)
-    # Switching probability of a MEC equals the frequency of its actions.
-    for members, aa in dec.mecs:
-        coeffs = {f"w::{s!r}": ONE for s in members}
-        for a in sorted(aa):
-            coeffs[f"xa::{a}"] = -ONE
-        prog.add(coeffs, "==", ZERO)
     # Recurrent flow inside each MEC.
     for members, aa in dec.mecs:
         for coeffs in flow_rows(mdp, members, sorted(aa), lambda a: f"xa::{a}"):
             prog.add(coeffs, "==", ZERO)
-    prog.add({f"w::{s!r}": ONE for s in mec_states}, "==", ONE)
+    prog.add({f"xa::{a}": ONE for a in mec_acts}, "==", ONE)
     return prog
 
 
@@ -455,8 +445,8 @@ def decide_mean_multi(mdp: Mdp, query: Query, grid: int = 16) -> Verdict:
     def candidates():
         for key, point in _feasible(_mean_multi_block(base, dec), guesses):
             y = {a: point[_y(a)] for a in base.actions}
-            switch = {s: point[f"w::{s!r}"] for s in dec.state_to_mec}
             freqs = [{a: point[f"xa::{a}"] for a in aa} for _, aa in mecs]
+            switch = {members[0]: sum(f.values(), ZERO) for (members, _), f in zip(mecs, freqs)}
             strat = two_memory_strategy(mdp, y, switch, _inner_moves(base, mecs, freqs))
             guess = {j: t for j, (t, _) in key.items()}
             yield strat, {"guess": guess, "classification": {j: list(labels) for j, (_, labels) in key.items()}}

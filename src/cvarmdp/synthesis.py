@@ -250,8 +250,8 @@ def two_memory_strategy(mdp: Mdp, y: Mapping, switch: Mapping, inner: Mapping) -
     """Search/remain strategy: in ``search`` play the transient flow ``y``
     and on arrival at s switch to ``remain`` with probability
     ``switch[s] / inflow(s)``; in ``remain`` play the per-state ``inner``
-    moves.  Only the ``(state, memory)`` pairs the strategy reaches get a
-    move."""
+    moves; ``decide_mean_multi`` switches only at MEC representatives.  Only
+    the ``(state, memory)`` pairs the strategy reaches get a move."""
     return _search_remain(mdp, y, _switch_arrival(mdp, y, switch).get, inner, {})
 
 
@@ -271,8 +271,9 @@ def realize_quotient_flow(
     and stay in the MEC forever, where ``inner`` then prescribes the moves.
     MECs of at most ``MEC_LP_LIMIT`` states are realized memorylessly by
     completing the flow with an exact transshipment LP over their internal
-    actions; larger MECs fall back to a finite-memory construction that
-    samples the pending exit on entry and routes to it deterministically.
+    actions, which carries the switch mass to the representative, where the
+    run switches; larger MECs fall back to a finite-memory construction that
+    samples the pending exit (or ``remain``) on entry and routes to it.
     A pending exit is held as the state that owns it plus one routing search
     toward that state, shared by the exits of one owner; the entry
     distribution is kept once per MEC, and the pending exits are listed in
@@ -287,7 +288,7 @@ def realize_quotient_flow(
     mec_arrival: Dict[int, Dict] = {}
     tokens: Dict[object, Tuple[State, Dict[State, str]]] = {}
     full_y: Dict[str, Fraction] = dict(used)  # completed with internal flows
-    stay: Dict[State, Fraction] = {}  # switch masses inside small MECs
+    stay: Dict[State, Fraction] = {}  # switch mass at each small MEC's representative
 
     for i, (members, actions) in enumerate(dec.mecs):
         rep = qm.representatives[i]
@@ -304,11 +305,11 @@ def realize_quotient_flow(
         if total_in == 0:
             continue  # never entered; default moves suffice
         if len(members) <= MEC_LP_LIMIT:
-            g, w = _transship(mdp, members, actions, entry, {a: used[a] for a in owner}, commit)
+            g = _transship(mdp, members, actions, entry, {a: used[a] for a in owner}, commit)
             for a, m in g.items():
                 if m != 0:
                     full_y[a] = full_y.get(a, ZERO) + m
-            stay.update(w)
+            stay[rep] = commit
         else:
             token_dist = {("exit", a): used[a] / total_in for a in owner}
             if commit != 0:
@@ -340,26 +341,23 @@ def _transship(
     entry: Mapping[State, Fraction],
     exits: Mapping[str, Fraction],
     commit: Fraction,
-):
-    """Complete a quotient flow inside one MEC: find internal action masses g
-    and per-state switch masses w balancing entries against exits."""
+) -> Dict[str, Fraction]:
+    """Complete a quotient flow inside one MEC: internal action masses g
+    carrying the entries to the exits and the switch mass ``commit`` to the
+    representative ``members[0]``.  One switch point per MEC loses nothing:
+    - every balanced supply on a MEC is a nonnegative sum of routing flows
+      ``e_s - e_t``, one per pair of members;
+    - a routing flow exists because every member reaches every other almost
+      surely on the MEC's own actions (Etessami et al., LMCS 2008);
+    - so this LP is feasible, and each guess LP of ``solver`` has exactly the
+      same feasible set of quotient masses, frequencies and guesses as with
+      a switch mass per member."""
     gvars = sorted(actions)
-    wvars = members if commit != 0 else []
-    prog = lpmod.LinearProgram(
-        variables=[f"g::{a}" for a in gvars] + [f"w::{s!r}" for s in wvars]
-    )
+    prog = lpmod.LinearProgram(variables=[f"g::{a}" for a in gvars])
     for s, coeffs in zip(members, flow_rows(mdp, members, gvars, lambda a: f"g::{a}")):
-        if commit != 0:
-            coeffs[f"w::{s!r}"] = ONE
-        rhs = entry[s] - sum(
-            (exits[a] for a in mdp.available[s] if a in exits), ZERO
-        )
-        prog.add(coeffs, "==", rhs)
-    if commit != 0:
-        prog.add({f"w::{s!r}": ONE for s in wvars}, "==", commit)
+        rhs = entry[s] - sum((exits[a] for a in mdp.available[s] if a in exits), ZERO)
+        prog.add(coeffs, "==", rhs - commit if s == members[0] else rhs)
     res = lpmod.solve_feasibility(prog)
     if not res.ok:
         raise ModelError("internal flow completion infeasible")
-    g = {a: res.assignment[f"g::{a}"] for a in gvars}
-    w = {s: res.assignment[f"w::{s!r}"] for s in wvars}
-    return g, w
+    return {a: res.assignment[f"g::{a}"] for a in gvars}

@@ -53,15 +53,15 @@ EXAMPLE_LPS = {
         "ccbe9c6df05d3d1c85c6694273e04045e41f935b6e0e393154fb3dca92a0da2b",
         "f20b94f1fd81a6ac4d63cad1f14561fc50bb5fae1425747ba8a22cf1ec621175",
         "1eda7f0b83eb62244c1a5d770a5a709e63ad004f6f4db1065133e2259c34d71b",
-        "3982a379cb7f7d956ad2ce64417bda2b8691369932a9c38ccd270cae0d9caa52",
-        "b29c4eb9b23d15762ae880e457b01e6bd680309f3125dfec6ce25445dd757215",
-        "a7b453cbd1bb8b5d44bb2ffa25a5245fc56669d3976e45aa42826f7d9e7a985d",
+        "fccdbe86613312ff736c12999fbcee963038a93926a2e3f217fe930c6bfe0c6b",
+        "b814835274b907c9fa47e73c83db56aad3b27ddc31a12a7a6dfcadc87d03e47c",
+        "ccf8dabb0dc8ae00a32eee483e1c7413d36f946750215f19e23cc8bea627a82a",
     ],
     # no attraction: one guess LP on the quotient with a commit at s0, then
     # the transshipment LP of the committed MEC {s0}
     "negative": [
         "ccdd47824b5f42382867447e5f817023e4c3ae5bccc27437b71b8f2cef359add",
-        "a7b453cbd1bb8b5d44bb2ffa25a5245fc56669d3976e45aa42826f7d9e7a985d",
+        "ccf8dabb0dc8ae00a32eee483e1c7413d36f946750215f19e23cc8bea627a82a",
     ],
 }
 
@@ -80,18 +80,18 @@ TWO_MECS_CVAR_FIRST = [
     "2b2264621c81089ea861c56f483b923e8e29d7c7e90d92eaa2e3e2eea005fec5",
     "579c7bb4822c40949a220b4c56ba434a1f4facee16479a01efe003095e7b0104",
     "579c7bb4822c40949a220b4c56ba434a1f4facee16479a01efe003095e7b0104",
-    "0b01cd2eebf3269ab16f60ac2ac5aa1c4b190c6a4db2e279a6e31cbaf8dd6709",
-    "de4681ee7b470b96b726e53116657b1d021bf357535293a64344e238cb1cc909",
-    "78998fe7d78a1dd62181eef932c73522d968da7cb8d2de944fba2ff16ceb50c2",
-    "b042a15496a5c463f1ad4bcc021b2c47441cf90ad9b9fb58c21769f17eecd000",
-    "784f064a0b0327e250e9d2ffd65d33ef33e1f67033286365f38ef6b77e975e5d",
-    "16aeea5e00464e0b311a30d27b284e2b1be44536f8d3ef4950a3429346ab3c2a",
-    "05f9befb8fb96a6002b345174402ae5100fa094b45a0c4ca8102e8b5bf7b2666",
-    "8760fb19a3e936bbe529ea13ad8993ae71636201d3a6a8acae0c04146914557c",
-    "5a09cfaea94275421fb259af2ed0d3ac628efe8d368a19041b2323c3859e2195",
-    "8084687279a20b27f6a67fd251c60a52b0bc26d3fb4382962c6a0b71bf97b94e",
-    "0ec6175277f55c615567c622ffe03105a0b996f8c33a8798849cec81f4ee921e",
-    "1066b2a8cb6385f5c423ad7f33f3d0543b9c6df3aed9c195e274671e2f59f90c",
+    "699ec8c5319f96561ca69a05e5bc2adde1f28dbc2d5f30fdfda51be88bfa3b21",
+    "eb73ed90227d1a0b4ca43cc5286066582a8f8625e1ddb73ae082e44541134c8c",
+    "4dc20380ca62bed1ea49105b6f9430f4c7787be79ffc657bfe53553f8d1b3424",
+    "5cfd6c1a65e736602e77ae9d665686b035339572948d919ef6ecca314503227c",
+    "43fe50507017d2790ee602ee8bfdf9e3b7da75889fe0b51c1404839e88a868e1",
+    "7c6d7dfd187e6fd3f6470c2a1cb820c4bf131fb6a3455ad570e4e0ebd8abce44",
+    "574f95f9cb61d42d043a0359c4dd461b9397e61c1f316177c4f11568a0c3063a",
+    "422204fffb6236759c3444ac8dfd58cd088f3c5dc88e4bde62786beeed6824f4",
+    "15d327793c639271070214872619d905d657f4b1563c557e30818ed0608e2247",
+    "b1afbaef206380863b5b97a1d248bacc3a75fac686662f09a716490191eb4ceb",
+    "9c9c981da8df6adad395be0c9c9b078e7dfe69c841b7571d3deeba299c3fad55",
+    "118c072385cda6220f6f18a966c6974ec5db47bc713a786c0fe34d325e3a9276",
 ]
 
 
@@ -126,7 +126,7 @@ def test_mean_multi_search_remain_witness(lp_log):
     )
     verdict = decide(_two_mecs(), query)
     assert verdict.status == "SAT"
-    assert lp_log == ["77f3736b00acea5576df5dfbfe2acb41b03c8ce0905854757c55f746036606e1"]
+    assert lp_log == ["9050c5ee6ab1a560f5f15be73eb133471ea1d0c5476490e6b05bce83501e5152"]
     # arrival updates carry only their nonzero memory entries, as in the
     # witnesses that realize_quotient_flow builds
     witness = verdict.witness

@@ -28,8 +28,8 @@ from cvarmdp.solver import (
     decide_reach_single,
 )
 from cvarmdp.graphs import mec_decomposition
-from cvarmdp.lp import solve_feasibility
-from cvarmdp.synthesis import check_strategy, evaluate
+from cvarmdp.lp import LinearProgram, WarmStart, solve_feasibility
+from cvarmdp.synthesis import REMAIN, check_strategy, evaluate, flow_rows
 
 
 def law_of(verdict, j=0):
@@ -541,6 +541,100 @@ class TestMeanMulti:
             }
             assert new == old and len(new) == (len(options) ** 2) * len(grids[0]) * len(grids[1])
 
+    def test_mec_entered_away_from_its_representative(self):
+        # go enters the MEC {a, b} at b; the witness routes ba to the
+        # representative a and switches to remain there and nowhere else
+        mdp = _pair()
+        sat = [
+            (Constraint(dim=0, expectation=F(3)),),
+            (Constraint(dim=0, cvar=(F(1, 2), F(2))), Constraint(dim=1, expectation=F(1))),
+        ]
+        for constraints in sat:
+            q = Query(objective="mean", constraints=constraints)
+            verdict = decide(mdp, q)
+            assert verdict.status == "SAT"
+            ok, _, details = check_strategy(mdp, verdict.witness, q)
+            assert ok, details
+            switches = {(a, t) for (a, t, _), dist in verdict.witness.memory_update.items() if REMAIN in dist}
+            assert switches == {("ba", "a")}
+        unsat = Query(objective="mean", constraints=(Constraint(dim=0, expectation=F(5)),))
+        assert decide(mdp, unsat).status == "UNSAT"
+
+    @staticmethod
+    def _per_member_switch_block(mdp, dec):
+        """The multi-dimensional mean-payoff block with a switch column
+        ``w::s`` per MEC member, tied to its MEC's recurrent mass by one row
+        per MEC: the reference for ``solver._mean_multi_block``, which
+        switches at each MEC's representative alone."""
+        acts = mdp.actions
+        mec_states = sorted(dec.state_to_mec, key=repr)
+        mec_acts = sorted({a for _, aa in dec.mecs for a in aa})
+        names = [f"y::{a}" for a in acts] + [f"w::{s!r}" for s in mec_states] + [f"xa::{a}" for a in mec_acts]
+        prog = LinearProgram(variables=names)
+        for s, coeffs in zip(mdp.states, flow_rows(mdp, mdp.states, acts, lambda a: f"y::{a}")):
+            if s in dec.state_to_mec:
+                coeffs[f"w::{s!r}"] = F(1)
+            prog.add(coeffs, "==", F(1) if s == mdp.initial else F(0))
+        for members, aa in dec.mecs:
+            coeffs = {f"w::{s!r}": F(1) for s in members}
+            for a in sorted(aa):
+                coeffs[f"xa::{a}"] = F(-1)
+            prog.add(coeffs, "==", F(0))
+        for members, aa in dec.mecs:
+            for coeffs in flow_rows(mdp, members, sorted(aa), lambda a: f"xa::{a}"):
+                prog.add(coeffs, "==", F(0))
+        prog.add({f"w::{s!r}": F(1) for s in mec_states}, "==", F(1))
+        return prog
+
+    def test_one_switch_point_per_mec_keeps_every_guess_status(self, monkeypatch):
+        # each MEC reaches every member almost surely on its own actions, so
+        # switching only at the representative leaves every guess LP of the
+        # grid-4 sweep feasible or infeasible exactly as a switch per member
+        guesses = []
+        listed = solver._mean_multi_guesses
+
+        def listing(*args):
+            guesses.append(list(listed(*args)))
+            return iter(guesses[-1])
+
+        monkeypatch.setattr(solver, "_mean_multi_guesses", listing)
+        models = [self._two_mecs(), _pair()]
+        for seed in range(60):
+            n = 2 + seed % 4
+            mdp = random_mdp(n, 2, F(1, n), (0, 6), 2, seed)
+            if len(mec_decomposition(mdp).mecs) >= 2:
+                models.append(mdp)
+        assert len(models) == 24
+        queries = [
+            Query(
+                objective="mean",
+                constraints=(Constraint(dim=0, cvar=(F(1, 2), F(0))), Constraint(dim=1, expectation=F(2))),
+            ),
+            Query(
+                objective="mean",
+                constraints=(Constraint(dim=0, expectation=F(1)), Constraint(dim=1, cvar=(F(1, 4), F(2)))),
+            ),
+        ]
+
+        def statuses(block, rows_of_guesses):
+            start = WarmStart(block)
+            return [
+                solve_feasibility(LinearProgram(block.variables, block.constraints + rows), start).status
+                for _, rows in rows_of_guesses
+            ]
+
+        seen = []
+        for mdp, q in itertools.product(models, queries):
+            del guesses[:]
+            decide_mean_multi(mdp, q, 4)
+            dec = mec_decomposition(mdp)
+            # none when a CVaR bound exceeds every MEC gain
+            for listed_guesses in guesses:
+                new = statuses(solver._mean_multi_block(mdp, dec), listed_guesses)
+                assert new == statuses(self._per_member_switch_block(mdp, dec), listed_guesses)
+                seen += new
+        assert seen.count("feasible") > 100 and seen.count("infeasible") > 100
+
 
 class TestConsistency:
     def test_multi_equals_single_on_random_one_dim_mean_instances(self):
@@ -748,6 +842,28 @@ def _trapped_mec() -> Mdp:
         initial="s",
         rewards={"s": (F(0),), "t": (F(2),), "m1": (F(0),), "m2": (F(0),)},
         targets=frozenset({"t"}),
+    )
+
+
+def _pair() -> Mdp:
+    """``go`` enters the MEC {a, b} at b, not at its representative a; ``alt``
+    reaches the loop c.  In the MEC, ``aa`` and ``bb`` stay, while ``ab`` and
+    ``ba`` move to a or b with probability 1/2 each."""
+    half = {"a": F(1, 2), "b": F(1, 2)}
+    return Mdp(
+        states=("s", "a", "b", "c"),
+        available={"s": ("go", "alt"), "a": ("aa", "ab"), "b": ("bb", "ba"), "c": ("cc",)},
+        delta={
+            "go": {"b": F(1)},
+            "alt": {"c": F(1)},
+            "aa": {"a": F(1)},
+            "ab": dict(half),
+            "bb": {"b": F(1)},
+            "ba": dict(half),
+            "cc": {"c": F(1)},
+        },
+        initial="s",
+        rewards={"s": (F(0), F(0)), "a": (F(4), F(0)), "b": (F(0), F(4)), "c": (F(1), F(1))},
     )
 
 

@@ -38,7 +38,7 @@ from cvarmdp.synthesis import (
 from lemmas import determinize_single_constraint, is_deterministic, mix_strategies
 from test_acceptance import _big_ring
 from test_oracles import trap_mdp, trap_query
-from test_solver import _exit_ring, reach_query
+from test_solver import _exit_ring, _pair, reach_query
 
 
 class TestReachFlow:
@@ -102,6 +102,53 @@ class TestMecConstant:
         sigma = memoryless(mec_constant_strategy(mdp, mec, {"aa": F(1)}))
         law = evaluate(mdp, sigma, "mean")[0]
         assert law.atoms == {F(2): F(1)}
+
+
+class TestTransship:
+    @staticmethod
+    def assert_completes(mdp, members, actions, entry, exits, commit):
+        """``_transship`` is feasible and its g >= 0 meets every member's
+        balance exactly, with the commit taken at ``members[0]``."""
+        g = _transship(mdp, members, actions, entry, exits, commit)
+        assert set(g) == set(actions) and all(m >= 0 for m in g.values())
+        for s in members:
+            out = sum((g[a] for a in mdp.available[s] if a in actions), ZERO)
+            inflow = sum((m * mdp.delta[a].get(s, ZERO) for a, m in g.items()), ZERO)
+            leave = sum((exits[a] for a in mdp.available[s] if a in exits), ZERO)
+            assert out - inflow == entry[s] - leave - (commit if s == members[0] else ZERO)
+        return g
+
+    def test_random_balanced_supplies_complete(self):
+        # each member reaches every other on the MEC's own actions, so any
+        # entries that balance the exits and the commit can be routed
+        rng = random.Random(31)
+        checked = away = 0
+        for seed in range(80):
+            n = rng.randint(2, 8)
+            mdp = random_mdp(n, 2, rng.choice([F(1, n), F(1, 2)]), (0, 4), 1, seed=seed)
+            for members, actions in mec_decomposition(mdp).mecs:
+                leaving = [a for s in members for a in mdp.available[s] if a not in actions]
+                exits = {a: F(rng.randint(0, 4), rng.randint(1, 4)) for a in leaving if rng.random() < 0.7}
+                commit = F(rng.randint(0, 3), rng.randint(1, 3))
+                weights = [rng.randint(0, 3) for _ in members]
+                if len(members) > 1 and rng.random() < 0.4:
+                    weights[0] = 0  # entered only away from the representative
+                if not any(weights):
+                    weights[-1] = 1
+                total = sum(exits.values(), commit)
+                entry = {s: total * w / sum(weights) for s, w in zip(members, weights)}
+                self.assert_completes(mdp, members, actions, entry, exits, commit)
+                checked += 1
+                away += entry[members[0]] == 0 and commit != 0
+        assert checked >= 100 and away >= 10
+
+    def test_commit_routed_to_the_representative(self):
+        # the MEC {a, b} is entered only at b; its commit reaches a by ba
+        mdp = _pair()
+        (members, actions), _ = mec_decomposition(mdp).mecs
+        assert members == ("a", "b")
+        g = self.assert_completes(mdp, members, actions, {"a": ZERO, "b": ONE}, {}, ONE)
+        assert g["ba"] > 0
 
 
 class TestTwoMemory:
@@ -241,11 +288,11 @@ def _full_realize(mdp, qm, y, switch, inner):
         if total_in == 0:
             continue
         if len(members) <= MEC_LP_LIMIT:
-            g, w = _transship(mdp, members, actions, entry, exits, commit)
+            g = _transship(mdp, members, actions, entry, exits, commit)
             for a, m in g.items():
                 if m != 0:
                     full_y[a] = full_y.get(a, ZERO) + m
-            stay.update(w)
+            stay[rep] = commit
         else:
             token_dist = {("exit", a): m / total_in for a, m in exits.items() if m != 0}
             if commit != 0:
