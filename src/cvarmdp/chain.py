@@ -1,8 +1,12 @@
-"""Exact payoff laws and query decision for finite Markov chains.  Linear
-systems come as sparse rows and are solved one strongly connected block at a
-time; a block of several unknowns is eliminated in Markowitz order on sparse
-integer rows, so no system is ever stored densely.  Stationary laws fix
-pi = 1 at one BSCC member, then scale to mass 1."""
+"""Exact payoff laws and query decision for finite Markov chains.  An
+absorption law reads the chain once: one pass lists each state's
+predecessors, and the backward search from the sinks, the rows of
+(I - Q)^T and the sinks' inflow all read those lists.  Linear systems come
+as sparse rows and are solved one strongly connected block at a time; a
+block of several unknowns is eliminated in Markowitz order on sparse integer
+rows, so no system is ever stored densely.  Nothing is added to zero: a
+right-hand side or law entry that is still 0 takes the term itself.
+Stationary laws fix pi = 1 at one BSCC member, then scale to mass 1."""
 
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from math import gcd, lcm
 from typing import Container, Dict, FrozenSet, List, Set, Tuple
 
 from . import risk
-from .graphs import backward_reachable, bsccs, chain_graph, scc_indices
+from .graphs import bsccs, scc_indices
 from .model import MarkovChain, ModelError, Query, State, Verdict, validate_query
 
 ZERO = Fraction(0)
@@ -55,15 +59,19 @@ def _folded(
     row: Dict[int, Fraction], b: List[Fraction], x: List[List[Fraction]], inside: Container[int]
 ) -> List[Fraction]:
     """``b`` minus ``row[j] * x[j]`` for every solved unknown ``j`` of
-    ``row`` outside the block ``inside``; zero entries of ``x[j]`` are
-    skipped and a coefficient of -1 is an addition."""
+    ``row`` outside the block ``inside``.  Zero entries of ``x[j]`` are
+    skipped, a coefficient of -1 adds ``x[j]`` as it is, and an entry of
+    ``b`` that is still 0 takes the term itself instead of a sum."""
     r = list(b)
     for j, aij in row.items():
         if j not in inside:
-            neg = aij == -1
+            c = None if aij == -1 else -aij
             for k, v in enumerate(x[j]):
                 if v:
-                    r[k] = r[k] + v if neg else r[k] - aij * v
+                    if c is not None:
+                        v = c * v
+                    rk = r[k]
+                    r[k] = rk + v if rk else v
     return r
 
 
@@ -180,34 +188,55 @@ class PayoffLaw:
 def _absorbed(mc: MarkovChain, sinks: Set[State]) -> Dict[State, Fraction]:
     """Probability of entering each sink state from the initial distribution.
 
-    One solve of ``(I - Q)^T v = mu`` gives the expected visits ``v`` to the
-    transient states that can reach a sink; a sink then receives its initial
-    mass plus ``v(s) * P(s, t)`` over its incoming edges.  Runs that never
-    reach a sink contribute nothing.
+    One pass over the chain lists the predecessors ``(s, P(s, t))`` of each
+    state ``t`` along the nonzero edges leaving non-sinks.  Every later step
+    reads these lists: the backward search from the sinks finds the
+    transient states that can reach one, row ``t`` of ``(I - Q)^T`` is 1 at
+    ``t`` minus ``P(s, t)`` at each predecessor ``s``, and one solve of
+    ``(I - Q)^T v = mu`` gives the expected visits ``v``.  A sink then
+    receives its initial mass plus ``v(s) * P(s, t)`` over its predecessors.
+    Runs that never reach a sink contribute nothing.
     """
-    can_reach = backward_reachable(chain_graph(mc), sinks)
-    transient = [s for s in mc.states if s not in sinks and s in can_reach]
+    preds: Dict[State, List[Tuple[State, Fraction]]] = {}
+    for s in mc.states:
+        if s not in sinks:
+            for t, p in mc.delta[s].items():
+                if p:
+                    if t in preds:
+                        preds[t].append((s, p))
+                    else:
+                        preds[t] = [(s, p)]
+    seen = set(sinks)
+    frontier = list(seen)
+    while frontier:
+        for s, _ in preds.get(frontier.pop(), ()):
+            if s not in seen:
+                seen.add(s)
+                frontier.append(s)
+    # a predecessor of a state in ``seen`` is in ``seen`` and not a sink
+    transient = [s for s in mc.states if s in seen and s not in sinks]
     index = {s: i for i, s in enumerate(transient)}
-    a: List[Dict[int, Fraction]] = [{i: ONE} for i in range(len(transient))]
+    a: List[Dict[int, Fraction]] = []
+    for i, t in enumerate(transient):
+        row = {i: ONE}
+        for s, p in preds.get(t, ()):
+            k = index[s]
+            row[k] = ONE - p if k == i else -p
+        a.append(row)
     b = [[ZERO] for _ in transient]
-    for i, s in enumerate(transient):
-        for t, p in mc.delta[s].items():
-            if t in index and p:
-                row = a[index[t]]
-                row[i] = row[i] - p if i in row else -p
     result = {t: ZERO for t in sinks}
     for s, mu in mc.initial_distribution.items():
         if s in index:
-            b[index[s]][0] += mu
+            b[index[s]] = [mu]
         elif s in result:
-            result[s] += mu
+            result[s] = mu
     visits = solve_linear(a, b) if transient else []
-    for s in transient:
-        v = visits[index[s]][0]
-        if v != 0:
-            for t, p in mc.delta[s].items():
-                if t in result:
-                    result[t] += v * p
+    for t in result:
+        for s, p in preds.get(t, ()):
+            v = visits[index[s]][0]
+            if v:
+                r = result[t]
+                result[t] = r + v * p if r else v * p
     return result
 
 
@@ -226,9 +255,10 @@ def _law(dim: int, outcomes: List[Tuple[Fraction, Tuple[Fraction, ...]]]) -> Pay
     for j in range(dim):
         atoms: Dict[Fraction, Fraction] = {}
         for p, v in outcomes:
-            atoms[v[j]] = atoms.get(v[j], ZERO) + p
+            key = v[j]
+            atoms[key] = atoms[key] + p if key in atoms else p
         if residual != 0:
-            atoms[ZERO] = atoms.get(ZERO, ZERO) + residual
+            atoms[ZERO] = atoms[ZERO] + residual if ZERO in atoms else residual
         marginals.append(risk.FiniteDistribution(atoms))
     return PayoffLaw(marginals)
 
@@ -258,7 +288,7 @@ def bscc_mean_payoff(mc: MarkovChain) -> List[Tuple[FrozenSet, Tuple[Fraction, .
             for t, p in mc.delta[s].items():
                 if p != 0:
                     row = a[idx[t]]
-                    row[i] = row.get(i, ZERO) + p
+                    row[i] = row[i] + p if i in row else p
         a[0] = {0: ONE}
         x = [row[0] for row in solve_linear(a, [[ONE]] + [[ZERO] for _ in members[1:]])]
         total = sum(x, ZERO)

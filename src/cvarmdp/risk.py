@@ -33,7 +33,7 @@ class FiniteDistribution:
                 raise ModelError(f"negative probability {p} at {v}")
             if p == 0:
                 continue
-            merged[v] = merged.get(v, ZERO) + p
+            merged[v] = merged[v] + p if v in merged else p
         if sum(merged.values(), ZERO) != 1:
             raise ModelError(f"probabilities sum to {sum(merged.values(), ZERO)}, not 1")
         self.atoms = merged

@@ -44,6 +44,8 @@ class SimConfig:
             raise ModelError("horizon must be >= 1")
         if not 0 <= self.burn_in < self.horizon:
             raise ModelError("need 0 <= burn_in < horizon")
+        if self.seed < 0:
+            raise ModelError("seed must be >= 0")
 
 
 def _compile_chain(mc: MarkovChain, dim_index: int):

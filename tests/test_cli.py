@@ -411,6 +411,14 @@ class TestSimulate:
         assert "E~" in out
         assert csv_path.read_text().startswith("run,payoff")
 
+    def test_negative_seed_is_invalid_input(self, choice_files, gamble_file, capsys):
+        # numpy's SeedSequence raises ValueError on it, which exits 70
+        code = main(["simulate", str(choice_files[0]), str(gamble_file), "--seed", "-1"])
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid input: seed must be >= 0\n"
+
 
 def test_simulate_without_numpy(choice_files, gamble_file, monkeypatch, capsys):
     # numpy is an optional dependency of the sampler alone: its absence is

@@ -29,6 +29,9 @@ class TestConfig:
             SimConfig(horizon=0)
         with pytest.raises(ModelError):
             SimConfig(horizon=10, burn_in=10)
+        # numpy's SeedSequence takes only non-negative integers
+        with pytest.raises(ModelError, match="seed must be >= 0"):
+            SimConfig(seed=-1)
 
 
 class TestSampling:

@@ -22,6 +22,7 @@ from cvarmdp.model import (
     memoryless,
     normalized,
 )
+from cvarmdp.solver import decide
 from cvarmdp.synthesis import check_strategy
 
 ZERO, ONE = F(0), F(1)
@@ -233,6 +234,37 @@ def _draws(count: int = 200):
         yield seed, mdp, _strategy(mdp, rng)
 
 
+def _gate_ring(n: int, gate: int) -> Mdp:
+    """An (n-2)-state ring ``c0 -> c1 -> ... -> c0`` whose exits all leave
+    from ``c<gate>`` to the targets ``hi`` (worth 10) and ``lo`` (worth 0)."""
+    ring = [f"c{i}" for i in range(n - 2)]
+    available = {s: (f"fwd{i}",) for i, s in enumerate(ring)}
+    delta = {f"fwd{i}": {ring[(i + 1) % len(ring)]: ONE} for i in range(len(ring))}
+    for e, ph in enumerate((F(7, 10), F(9, 10), F(3, 5))):
+        available[ring[gate]] += (f"exit{e}",)
+        delta[f"exit{e}"] = {"hi": ph, "lo": 1 - ph}
+    rewards = {s: (ZERO,) for s in ring}
+    for t, r in (("hi", F(10)), ("lo", ZERO)):
+        available[t] = (f"stay_{t}",)
+        delta[f"stay_{t}"] = {t: ONE}
+        rewards[t] = (r,)
+    return Mdp(tuple(ring) + ("hi", "lo"), available, delta, "c0", rewards, frozenset({"hi", "lo"}))
+
+
+def _long_chains():
+    """Product chains longer than any of ``_draws``: the witness ``decide``
+    returns on a 200-state gate ring (a path of about 150 transient pairs),
+    and a strategy that leaves the same ring's gate with probability 1/2, so
+    all 198 ring states form one stochastic cycle."""
+    mdp = _gate_ring(200, 150)
+    verdict = decide(mdp, Query("reach", (Constraint(0, expectation=F(5), cvar=(F(1, 20), ZERO)),)))
+    assert verdict.status == "SAT"
+    yield "gate-ring-witness", mdp, verdict.witness
+    moves = {s: {acts[0]: ONE} for s, acts in mdp.available.items()}
+    moves["c150"] = {"fwd150": F(1, 2), "exit0": F(1, 3), "exit1": F(1, 6)}
+    yield "gate-ring-cycle", mdp, memoryless(moves)
+
+
 # ------------------------------------------------------------------ tests
 
 
@@ -250,14 +282,17 @@ def test_induced_chain_matches_the_reference():
 
 
 def test_laws_match_the_reference(monkeypatch):
-    multi = 0
-    for seed, mdp, strat in _draws():
+    multi = longest = cycle = 0
+    for seed, mdp, strat in [*_draws(), *_long_chains()]:
         mc = induced_chain(mdp, strat)
+        longest = max(longest, len(mc.states))
+        cycle = max(cycle, *map(len, strongly_connected_components(chain_graph(mc))))
         ref_reach, ref_mean = reference_laws(reference_induced_chain(mdp, strat), monkeypatch)
         assert [d.atoms for d in chain.payoff_law_reach(mc).marginals] == [d.atoms for d in ref_reach.marginals], seed
         assert [d.atoms for d in chain.payoff_law_mean(mc).marginals] == [d.atoms for d in ref_mean.marginals], seed
         multi += len(ref_mean[0].atoms) > 1
     assert multi > 0
+    assert longest > 150 and cycle == 198
 
 
 def test_solve_linear_matches_the_reference():
@@ -273,6 +308,35 @@ def test_solve_linear_matches_the_reference():
             a.append(row)
         b = [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(width)] for _ in range(n)]
         assert chain.solve_linear(a, b) == reference_solve_linear(a, b), seed
+    # the (I - Q)^T systems of ``chain._absorbed``: unit diagonal, -1 or -p
+    # off it, one nonzero right-hand-side row
+    cyclic = 0
+    for seed in range(200):
+        a, b = _absorption_system(random.Random(f"absorbed-system:{seed}"), acyclic=seed % 2 == 0)
+        assert chain.solve_linear(a, b) == reference_solve_linear(a, b), seed
+        cyclic += any(len(c) > 1 for c in reference_scc({i: list(row) for i, row in enumerate(a)}))
+    assert cyclic > 50
+
+
+def _absorption_system(rng: random.Random, acyclic: bool):
+    """``(I - Q)^T x = B`` for a random substochastic ``Q`` on 1 to 10
+    transient states.  State ``s`` always moves to ``s + 1`` and the last
+    state always leaks mass, so every state reaches a leak and the system is
+    regular; an acyclic ``Q`` only moves to higher states.  A state with one
+    successor and no leak moves there with probability 1, so many entries
+    are -1.  ``B`` has 1 to 3 columns and one nonzero row."""
+    n, width = rng.randint(1, 10), rng.randint(1, 3)
+    a = [{i: ONE} for i in range(n)]
+    for s in range(n):
+        others = range(s + 2, n) if acyclic else [t for t in range(n) if t not in (s, s + 1)]
+        succ = ([s + 1] if s + 1 < n else []) + rng.sample(others, min(len(others), rng.randint(0, 2)))
+        weights = [rng.randint(1, 4) for _ in succ]
+        leak = rng.randint(1, 4) if s == n - 1 or rng.random() < 0.2 else 0
+        for t, w in zip(succ, weights):
+            a[t][s] = -F(w, sum(weights) + leak)
+    b = [[ZERO] * width for _ in range(n)]
+    b[rng.randrange(n)] = [F(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(width)]
+    return a, b
 
 
 def test_scc_matches_the_reference():
