@@ -27,7 +27,11 @@ LPs of one quotient, is decided from one ``WarmStart``.  The first member is
 solved from scratch.  Then the shared block is solved once, and each later
 member only appends its own rows to a copy of the block's tableau and runs
 phase 1 over those; a member found feasible there is solved again from
-scratch, so that every point returned is the cold one.
+scratch, so that every point returned is the cold one.  For as long as it
+lives, a ``WarmStart`` keeps the integer form of every row object its family
+has used, and each appended row object as cleared against the block's basic
+columns, so no row is converted from ``Fraction``s, or cleared, twice; a row
+must not be mutated after the first solve that uses it.
 """
 
 from __future__ import annotations
@@ -61,11 +65,12 @@ class LinearProgram:
     def add(self, coeffs: Mapping[str, Fraction], sense: str, rhs: Fraction) -> None:
         if sense not in _SENSES:
             raise ValueError(f"unknown sense {sense!r}")
-        row = {v: Fraction(c) for v, c in coeffs.items() if c != 0}
+        row = {v: c if type(c) is Fraction else Fraction(c) for v, c in coeffs.items() if c != 0}
+        known = set(self.variables)
         for v in row:
-            if v not in self.variables:
+            if v not in known:
                 raise ValueError(f"unknown variable {v!r}")
-        self.constraints.append((row, sense, Fraction(rhs)))
+        self.constraints.append((row, sense, rhs if type(rhs) is Fraction else Fraction(rhs)))
 
 
 @dataclass
@@ -104,7 +109,7 @@ def solve_feasibility(lp: LinearProgram, start: Optional[WarmStart] = None) -> L
     ``start=None``; only ``pivots`` differs.
     """
     if start is None:
-        return _solve(lp, optimize=False)
+        return _solve(lp, optimize=False, forms={})
     return start._solve(lp)
 
 
@@ -112,7 +117,7 @@ def solve_optimize(lp: LinearProgram) -> LpResult:
     """Maximize the objective over the feasible region."""
     if lp.objective is None:
         raise ValueError("LP has no objective")
-    return _solve(lp, optimize=True)
+    return _solve(lp, optimize=True, forms={})
 
 
 def pivot(rows: List[List[int]], dens: List[int], r: int, c: int) -> None:
@@ -180,52 +185,77 @@ def _row_name(k: Optional[int]) -> str:
     return "objective" if k is None else f"constraint {k}"
 
 
-def _constraint_row(k, coeffs, sense, rhs, col_of, width, slack) -> Tuple[List[int], int]:
-    """Constraint ``k`` (``None``: the objective, with sense ``EQ`` and
-    ``rhs`` 0) over its least common denominator, negated when ``rhs < 0``:
-    its structural numerators, its slack's at column ``slack`` unless it is
-    an equation, and the right-hand side at column ``width``.  Returns the
-    row and the denominator; an unknown sense or variable raises
-    ``ValueError`` naming the constraint."""
+# The integer form of a constraint: its structural numerators as
+# ``(column, numerator)`` pairs, its slack's numerator (0 for an equation),
+# the right-hand side's, and the denominator.
+_Form = Tuple[List[Tuple[int, int]], int, int, int]
+
+
+def _convert(k, row, col_of) -> _Form:
+    """The integer form of ``row``, ``(coeffs, sense, rhs)``, over the
+    columns ``col_of``: over its least common denominator, negated when
+    ``rhs < 0``.  An unknown sense or variable raises ``ValueError`` naming
+    constraint ``k`` (``None``: the objective)."""
+    coeffs, sense, rhs = row
     if sense not in _SENSES:
         raise ValueError(f"{_row_name(k)}: unknown sense {sense!r}")
     values = [rhs, *coeffs.values()]
     den = lcm(*(x.denominator for x in values))
     nums = [x.numerator * (den // x.denominator) for x in values]
     sign = -1 if rhs < 0 else 1
+    entries = []
+    for v, x in zip(coeffs, nums[1:]):
+        j = col_of.get(v)
+        if j is None:
+            raise ValueError(f"{_row_name(k)}: unknown variable {v!r}")
+        entries.append((j, sign * x))
+    slack = 0 if sense == EQ else sign * den if sense == LE else -sign * den
+    return entries, slack, sign * nums[0], den
+
+
+def _once(cache: dict, row, make, *args):
+    """``make(*args)`` for the row object ``row``, made on the row's first
+    use and kept in ``cache``, which maps the id of a row object to the row
+    (kept, so that the id is not reused) and the result."""
+    hit = cache.get(id(row))
+    if hit is None:
+        hit = cache[id(row)] = (row, make(*args))
+    return hit[1]
+
+
+def _layout(form: _Form, width: int, slack: int) -> List[int]:
+    """A tableau row of ``form``: its slack at column ``slack``, unless it is
+    an equation, and the right-hand side at column ``width``."""
+    entries, s, rhs, _ = form
     row = [0] * (width + 1)
-    try:
-        for v, x in zip(coeffs, nums[1:]):
-            row[col_of[v]] = sign * x
-    except KeyError:
-        raise ValueError(f"{_row_name(k)}: unknown variable {v!r}") from None
-    if sense != EQ:
-        row[slack] = sign * den if sense == LE else -sign * den
-    row[width] = sign * nums[0]
-    return row, den
+    for j, x in entries:
+        row[j] = x
+    if s:
+        row[slack] = s
+    row[width] = rhs
+    return row
 
 
-def _phase1(lp: LinearProgram) -> Tuple[Optional[_Tableau], LpResult]:
+def _phase1(lp: LinearProgram, forms: dict) -> Tuple[Optional[_Tableau], LpResult]:
     """Phase 1 from an all-artificial basis, then artificial removal; the
-    tableau is None when ``lp`` is infeasible."""
+    tableau is None when ``lp`` is infeasible.  The rows' integer forms are
+    kept in ``forms`` (see ``_once``)."""
     # columns: one per variable, then slacks; row i's artificial has no
     # column, only basis index nart_start + i
     col_of = {v: j for j, v in enumerate(lp.variables)}
     if len(col_of) != len(lp.variables):
         repeat = next(v for j, v in enumerate(lp.variables) if col_of[v] != j)
         raise ValueError(f"variable {repeat!r} named twice")
-    nslack = sum(1 for _, sense, _ in lp.constraints if sense != EQ)
-    nart_start = len(col_of) + nslack
+    converted = [_once(forms, row, _convert, k, row, col_of) for k, row in enumerate(lp.constraints)]
+    nart_start = len(col_of) + sum(1 for form in converted if form[1])
 
     rows: List[List[int]] = []
-    dens: List[int] = []
     basis = list(range(nart_start, nart_start + len(lp.constraints)))
     slack_idx = len(col_of)
-    for k, (coeffs, sense, rhs) in enumerate(lp.constraints):
-        row, den = _constraint_row(k, coeffs, sense, rhs, col_of, nart_start, slack_idx)
-        slack_idx += sense != EQ
-        rows.append(row)
-        dens.append(den)
+    for form in converted:
+        rows.append(_layout(form, nart_start, slack_idx))
+        slack_idx += form[1] != 0
+    dens = [form[3] for form in converted]
     stats = LpResult(status="infeasible")
 
     # phase 1: drive the artificial variables to zero
@@ -252,25 +282,31 @@ def _phase1(lp: LinearProgram) -> Tuple[Optional[_Tableau], LpResult]:
 
 def _phase1_cost(rows, dens, basis, art_start) -> None:
     """Append the phase-1 reduced-cost row: the sum of the rows whose basic
-    variable is an artificial (index ``art_start`` or more)."""
+    variable is an artificial (index ``art_start`` or more), over their
+    nonzero entries."""
     arts = [i for i, b in enumerate(basis) if b >= art_start]
     den = lcm(*(dens[i] for i in arts))
-    scaled = [(den // dens[i], rows[i]) for i in arts]
-    rows.append([sum(f * row[j] for f, row in scaled) for j in range(art_start + 1)])
+    cost = [0] * (art_start + 1)
+    for i in arts:
+        f = den // dens[i]
+        for j, x in enumerate(rows[i]):
+            if x:
+                cost[j] += f * x
+    rows.append(cost)
     dens.append(den)
 
 
-def _solve(lp: LinearProgram, optimize: bool) -> LpResult:
-    tab, stats = _phase1(lp)
+def _solve(lp: LinearProgram, optimize: bool, forms: dict) -> LpResult:
+    tab, stats = _phase1(lp, forms)
     if tab is None:
         return stats
     rows, dens, basis, width = tab.rows, tab.dens, tab.basis, tab.width
 
     if optimize:
-        costrow, den = _constraint_row(None, lp.objective, EQ, 0, tab.col_of, width, None)
+        objective = _convert(None, (lp.objective, EQ, 0), tab.col_of)
         m = len(basis)
-        rows.append(costrow)
-        dens.append(den)
+        rows.append(_layout(objective, width, None))
+        dens.append(objective[3])
         for i, b in enumerate(basis):
             if rows[m][b]:
                 _eliminate(rows, dens, m, rows[i], [j for j, y in enumerate(rows[i]) if y], b)
@@ -311,6 +347,18 @@ class WarmStart:
     depend on the order of each state's actions.  ``pivots`` and ``bland``
     count both solves.
 
+    A ``WarmStart`` caches its family's rows for as long as it lives,
+    keyed by the row object, to which it keeps a reference: each row's
+    integer form (least common denominator, numerators, sign), which the
+    first cold solve, the block's phase 1 and every cold re-solve lay out;
+    the supports of the block tableau's rows; and each appended row cleared
+    against the block's basic columns (structural part, denominator, own
+    slack's entry and right-hand side), which every later member that
+    appends the same row object reuses.  So no row is converted from
+    ``Fraction``s, or cleared, twice, and a row must not be mutated after
+    the first solve that uses it.  A clearing reduces lazily, as ``pivot``
+    does, so a cached row's integers are those a fresh clearing would give.
+
     B^-1 is in no tableau, cold or warm: a Farkas vector of an infeasible
     LP, ``lambda = c_B B^-1``, comes from one exact solve ``B^T y = c_B`` on
     the final phase-1 basis B.  That is enough, because a Farkas vector needs
@@ -322,16 +370,19 @@ class WarmStart:
         self._first = True
         self._tableau: Optional[_Tableau] = None
         self._solved = False
+        self._supports: List[List[int]] = []  # of the tableau's rows
+        self._forms: dict = {}  # each row's _convert form, see _once
+        self._cleared: dict = {}  # each appended row's _clear form, see _once
 
     def _solve(self, lp: LinearProgram) -> LpResult:
         if self._first:
             self._check(lp)
             self._first = False
-            return _solve(lp, optimize=False)
+            return _solve(lp, optimize=False, forms=self._forms)
         stats = self._warm(lp)
         if not stats.ok:
             return stats
-        cold = _solve(lp, optimize=False)
+        cold = _solve(lp, optimize=False, forms=self._forms)
         cold.pivots += stats.pivots
         cold.bland = cold.bland or stats.bland
         return cold
@@ -352,40 +403,35 @@ class WarmStart:
         shared = self.block.constraints
         stats = LpResult(status="infeasible")
         if not self._solved:
-            self._tableau, first = _phase1(self.block)
+            self._tableau, first = _phase1(self.block, self._forms)
             self._solved = True
             stats.pivots, stats.bland = first.pivots, first.bland
+            if self._tableau is not None:
+                self._supports = [[j for j, y in enumerate(row) if y] for row in self._tableau.rows]
         tab = self._tableau
         if tab is None:
             return stats
 
+        extra = enumerate(lp.constraints[len(shared):], len(shared))
+        cleared = [_once(self._cleared, row, self._clear, k, row) for k, row in extra]
+
         # columns: the block's, one slack per appended inequality, then the
         # right-hand side; appended row k's artificial is basis index art_start + k
-        extra = lp.constraints[len(shared):]
-        art_start = tab.width + sum(1 for _, sense, _ in extra if sense != EQ)
-        pad = [0] * (art_start - tab.width)
-        rows = [row[: tab.width] + pad + row[tab.width :] for row in tab.rows]
+        width = tab.width
+        art_start = width + sum(1 for form in cleared if form[1])
+        pad = [0] * (art_start - width)
+        rows = [row[:width] + pad + row[width:] for row in tab.rows]
         dens, basis = list(tab.dens), list(tab.basis)
-        supports = [[j for j, y in enumerate(row) if y] for row in rows]
-        slack = tab.width
-        for k, (coeffs, sense, rhs) in enumerate(extra):
-            row, den = _constraint_row(len(shared) + k, coeffs, sense, rhs, tab.col_of, art_start, slack)
-            r = len(rows)
+        slack = width
+        for k, (struct, s, rhs, den, at_slack) in enumerate(cleared):
+            row = struct + pad
+            row.append(rhs)
+            if s:
+                row[slack] = s
             rows.append(row)
             dens.append(den)
-            for i, b in enumerate(tab.basis):
-                if rows[r][b]:
-                    _eliminate(rows, dens, r, rows[i], supports[i], b)
-            row = rows[r]
-            s = row[slack] if sense != EQ else 0
-            if s and (row[art_start] == 0 or (row[art_start] > 0) == (s > 0)):
-                flip, basic = s < 0, slack
-            else:
-                flip, basic = row[art_start] < 0, art_start + k
-            if flip:
-                rows[r] = [-x for x in row]
-            basis.append(basic)
-            slack += sense != EQ
+            basis.append(slack if at_slack else art_start + k)
+            slack += s != 0
 
         if any(b >= art_start for b in basis):
             _phase1_cost(rows, dens, basis, art_start)
@@ -396,6 +442,32 @@ class WarmStart:
         stats.status, stats.value = "feasible", None
         stats.assignment = _Tableau(rows, dens, basis, tab.col_of, art_start).point(lp.variables)
         return stats
+
+    def _clear(self, k: int, row) -> Tuple[List[int], int, int, int, bool]:
+        """Constraint ``k``, ``row``, of a member with its entries in the
+        block's basic columns cleared: ``(struct, slack, rhs, den,
+        at_slack)``, its numerators in the block's columns, in its own
+        slack's column and in the right-hand side, over ``den``.  Where the
+        cleared row leaves its slack nonnegative, the slack is its basic
+        variable (``at_slack``), else its artificial is; the row is negated
+        where that makes the basic variable's value nonnegative."""
+        tab = self._tableau
+        width = tab.width
+        entries, s, rhs, den = _once(self._forms, row, _convert, k, row, tab.col_of)
+        # the block's columns, then the right-hand side, then the row's slack
+        rows, dens = [[0] * (width + 2)], [den]
+        for j, x in entries:
+            rows[0][j] = x
+        rows[0][width:] = rhs, s
+        for prow, support, b in zip(tab.rows, self._supports, tab.basis):
+            if rows[0][b]:
+                _eliminate(rows, dens, 0, prow, support, b)
+        row = rows[0]
+        rhs, s = row[width], row[width + 1]
+        at_slack = bool(s) and (rhs == 0 or (rhs > 0) == (s > 0))
+        if (s if at_slack else rhs) < 0:
+            row = [-x for x in row]
+        return row[:width], row[width + 1], row[width], dens[0], at_slack
 
 
 def _run_simplex(rows, dens, basis, stats: LpResult) -> str:

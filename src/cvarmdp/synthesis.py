@@ -143,7 +143,7 @@ def flow_rows(
         for t, p in mdp.delta[a].items():
             row = rows.get(t)
             if row is not None:
-                row[v] = row.get(v, ZERO) - p
+                row[v] = row[v] - p if v in row else -p
     return [{v: c for v, c in row.items() if c != 0} for row in rows.values()]
 
 

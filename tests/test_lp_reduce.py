@@ -12,11 +12,12 @@ import pytest
 
 import cvarmdp.lp as lpmod
 from cvarmdp.gadgets import example
-from cvarmdp.lp import solve_feasibility, solve_optimize
+from cvarmdp.lp import WarmStart, solve_feasibility, solve_optimize
 from cvarmdp.serialize import verdict_to_json
 from cvarmdp.solver import decide
 from test_lp import _beale, _chvatal, _random_lp
 from test_oracles import trap_mdp, trap_query
+from test_warm_start import _shared_row_families
 
 EXAMPLES = ("choice", "loop", "slow(1/8)", "slow(1/64)", "negative")
 
@@ -45,18 +46,29 @@ def lp_log(on_lp):
     return log
 
 
+def _warm_family_outcomes():
+    """The outcome of every member of warm families whose guesses share row
+    objects, each decided from its family's ``WarmStart``."""
+    outcomes = []
+    for block, members in _shared_row_families(random.Random("lazy-reduction-warm")):
+        start = WarmStart(block)
+        outcomes += [_outcome(solve_feasibility(prog, start)) for prog in members]
+    return outcomes
+
+
 def test_results_do_not_depend_on_the_bound(monkeypatch, lp_log):
     def run():
         direct = [_outcome(solve(prog)) for prog in _programs() for solve in (solve_optimize, solve_feasibility)]
         lp_log.clear()
         verdicts = [verdict_to_json(decide(mdp, query)) for mdp, query in _decisions()]
-        return direct, list(lp_log), verdicts
+        return direct, list(lp_log), verdicts, _warm_family_outcomes()
 
     lazy = run()
     monkeypatch.setattr(lpmod, "REDUCE_BITS", 0)
     eager = run()
     assert lazy == eager
     assert len(lazy[1]) > 100
+    assert {status for status, *_ in lazy[3]} == {"feasible", "infeasible"}
 
 
 @pytest.mark.parametrize("bits", [8, lpmod.REDUCE_BITS])

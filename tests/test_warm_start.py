@@ -69,6 +69,65 @@ def test_random_programs_split_anywhere_keep_their_status():
     assert min(seen.values()) > 0, seen
 
 
+def _shared_row_families(rng, count=80):
+    """``(block, members)`` warm families whose guesses share row objects, as
+    the solver's guesses do: the block is a random program's leading rows,
+    and each member appends one to three rows of a pool of four.  The last
+    member appends one pool row twice, once as an equal but distinct
+    object."""
+    for _ in range(count):
+        prog = _random_lp(rng)
+        variables = prog.variables
+        block = LinearProgram(variables, prog.constraints[: rng.randint(0, len(prog.constraints))])
+        pool = []
+        for _ in range(4):
+            support = rng.sample(variables, rng.randint(1, len(variables)))
+            coeffs = {v: F(rng.randint(-4, 4), rng.choice([1, 2, 3])) for v in support}
+            pool.append((coeffs, rng.choice([LE, GE, EQ]), F(rng.randint(-5, 6), rng.choice([1, 2, 7]))))
+        members = [rng.sample(pool, rng.randint(1, 3)) for _ in range(5)]
+        coeffs, sense, rhs = members[-1][0]
+        members[-1].append((dict(coeffs), sense, rhs))
+        yield block, [LinearProgram(variables, block.constraints + rows) for rows in members]
+
+
+def test_shared_rows_are_converted_and_cleared_once(monkeypatch):
+    """Each row object of a family is converted from ``Fraction``s once and
+    cleared against the block once, however many members it is in, and
+    every member gets the ``start=None`` status and point."""
+    converted, cleared = {}, {}
+    convert, clear = lpmod._convert, WarmStart._clear
+
+    def convert_spy(k, row, col_of):
+        converted[id(row)] = converted.get(id(row), 0) + 1
+        return convert(k, row, col_of)
+
+    def clear_spy(self, k, row):
+        cleared[id(row)] = cleared.get(id(row), 0) + 1
+        return clear(self, k, row)
+
+    seen = {"feasible": 0, "infeasible": 0, "rows cleared": 0, "rows reused": 0}
+    for block, members in _shared_row_families(random.Random("shared-rows")):
+        cold = [solve_feasibility(prog) for prog in members]
+        converted.clear()
+        cleared.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(lpmod, "_convert", convert_spy)
+            patch.setattr(WarmStart, "_clear", clear_spy)
+            start = WarmStart(block)
+            for prog, ref in zip(members, cold):
+                res = solve_feasibility(prog, start)
+                assert (res.status, res.assignment) == (ref.status, ref.assignment), lpmod.dump(prog)
+                seen[res.status] += 1
+        assert all(converted[id(row)] == 1 for row in block.constraints)
+        assert set(converted.values()) <= {1} and set(cleared.values()) <= {1}
+        appended = [row for prog in members[1:] for row in prog.constraints[len(block.constraints) :]]
+        if start._tableau is not None:  # the block is feasible: every later row is cleared
+            assert set(cleared) == {id(row) for row in appended}
+        seen["rows cleared"] += len(cleared)
+        seen["rows reused"] += len(appended) - len(cleared)
+    assert min(seen.values()) > 0, seen
+
+
 def test_a_program_that_does_not_open_with_the_block_rows_is_refused():
     block = LinearProgram(variables=["x", "y"])
     block.add({"x": 1, "y": 1}, EQ, 1)
