@@ -208,7 +208,8 @@ def mec_quotient(mdp: Mdp) -> QuotientMap:
     """Collapse each MEC to its first member, the least by ``repr``.
 
     Internal actions disappear; actions with mass outside the MEC are kept,
-    in member order, and re-targeted through the lift map.  Representatives
+    in member order, and re-targeted through the lift map (the first mass
+    into a lifted state is taken as it is, not added to 0).  Representatives
     of target MECs keep one absorbing self-loop.  The quotient has only
     singleton MECs.
     """
@@ -237,7 +238,8 @@ def mec_quotient(mdp: Mdp) -> QuotientMap:
                 row: Dict[State, Fraction] = {}
                 for t, p in mdp.delta[a].items():
                     if p != 0:
-                        row[lift[t]] = row.get(lift[t], ZERO) + p
+                        lt = lift[t]
+                        row[lt] = row[lt] + p if lt in row else p
                 delta[a] = row
     rewards = {s: mdp.rewards[s] for s in kept_states}
     quotient = Mdp(

@@ -8,12 +8,15 @@ the CVaR bound, and each CVaR constraint is one Rockafellar-Uryasev row at
 its guessed threshold.  Without attraction, each representative that is
 still not a target may commit to a fresh zero-reward target: the run stays
 in that MEC forever.  Mean payoff reduces to the same commits worth per-MEC
-optimal gains (single dimension) or to a classification-guessing LP over
-recurrent frequencies, swept over a threshold grid that starts at the CVaR
-bound (multi dimension, {E, CVaR} only).  The guess LPs of one model share
-their flow rows, which are built once and solved once as the block of an
-``lp.WarmStart``; each guess appends only its own rows.  Every SAT verdict
-carries a witness strategy that has been re-checked by exact evaluation.
+optimal gains (single dimension), or ({E, CVaR} in several dimensions) to
+one Rockafellar-Uryasev epigraph LP over recurrent frequencies per threshold
+of a grid that starts at the CVaR bound; an infeasible one refutes every MEC
+labelling at its threshold, and only where a feasible one's witness fails
+the exact check are the labellings at that threshold solved.  The guess LPs
+of one model share their flow rows, which are built once and solved once as
+the block of an ``lp.WarmStart``; each guess appends only its own rows.
+Every SAT verdict carries a witness strategy that has been re-checked by
+exact evaluation.
 """
 
 from __future__ import annotations
@@ -143,11 +146,11 @@ def _reach_guesses(m: Mdp, query: Query) -> Iterator[Tuple[Dict[int, Fraction], 
     return _guesses(table)
 
 
-def _feasible(block: LinearProgram, guesses: Iterable[Tuple[object, List[Row]]]) -> Iterator:
+def _feasible(start: WarmStart, guesses: Iterable[Tuple[object, List[Row]]]) -> Iterator:
     """``(guess, point)`` for each ``(guess, rows)`` of ``guesses`` whose LP,
-    ``block`` followed by ``rows``, is feasible; every guess LP is decided
-    from one warm start on the block."""
-    start = WarmStart(block)
+    ``start.block`` followed by ``rows``, is feasible; every guess LP is
+    decided from the one warm start ``start`` on the block."""
+    block = start.block
     for guess, rows in guesses:
         res = solve_feasibility(LinearProgram(block.variables, block.constraints + rows), start)
         if res.ok:
@@ -158,11 +161,16 @@ def _first_certified(mdp: Mdp, query: Query, candidates, exhaustive: bool = True
     """The verdict of a guess enumeration.
 
     ``candidates`` yields one (strategy, certificate) pair per feasible
-    guess.  SAT with the first strategy whose exact evaluation on the full
-    model meets every constraint; its certificate gains the law and the per-
-    constraint details.  UNSAT only when no guess was feasible and the
-    enumeration is ``exhaustive``; otherwise UNKNOWN, whose certificate
-    lists the guesses whose witnesses failed under ``failed_guesses``."""
+    guess, and each strategy is checked once: asking ``candidates`` for the
+    next pair tells it that the last strategy failed (``decide_mean_multi``
+    then falls back to the labellings at that guess).  SAT with the first
+    strategy whose exact evaluation on the full model meets every
+    constraint; its certificate gains the law and the per-constraint
+    details.  UNSAT only when no guess was feasible and the enumeration is
+    ``exhaustive``; otherwise UNKNOWN, whose certificate lists the guesses
+    whose witnesses failed under ``failed_guesses``: the threshold
+    ``"guess"``, and for a mean-payoff labelling also its
+    ``"classification"``, which an epigraph guess has not."""
     failed = []
     for strat, cert in candidates:
         ok, law, details = check_strategy(mdp, strat, query)
@@ -219,7 +227,7 @@ def _realized(mdp: Mdp, qm, m: Mdp, query: Query, freqs: Sequence[Mapping[str, F
     keep = reachable_states(m, m.initial)
     m = replace(m, states=tuple(s for s in m.states if s in keep), targets=m.targets & keep)
     reps = qm.representatives
-    for tc, point in _feasible(_reach_block(m), _reach_guesses(m, query)):
+    for tc, point in _feasible(WarmStart(_reach_block(m)), _reach_guesses(m, query)):
         y = {a: point[_y(a)] for s in m.states if s not in m.targets for a in m.available[s] if a in mdp.delta}
         ends = {s: point[_x(s)] for s in m.states if s in m.targets}
         x = {reps[s.i] if isinstance(s, _Gain) else s: v for s, v in ends.items()}
@@ -321,14 +329,21 @@ def decide_mean_single(mdp: Mdp, query: Query) -> Verdict:
     return _first_certified(mdp, query, candidates)
 
 
-def _mean_multi_block(mdp: Mdp, dec) -> LinearProgram:
+def _u(j: int, i: int) -> str:
+    return f"u::{j}::{i}"
+
+
+def _mean_multi_block(mdp: Mdp, dec, cvar_dims: Sequence[int]) -> LinearProgram:
     """The guess-independent rows of the multi-dimensional mean-payoff LP:
     transient flow, recurrent flow and total recurrent mass.  MEC i's
     recurrent mass leaves its representative's transient row: the run
-    switches there alone (see ``synthesis._transship``)."""
+    switches there alone (see ``synthesis._transship``).  Each CVaR
+    dimension j adds a nonnegative column ``u::j::i`` per MEC i, the
+    shortfall of the epigraph guesses; no block row uses it."""
     acts = mdp.actions
     mec_acts = sorted({a for _, aa in dec.mecs for a in aa})
-    prog = LinearProgram(variables=[_y(a) for a in acts] + [f"xa::{a}" for a in mec_acts])
+    shortfall = [_u(j, i) for j in cvar_dims for i in range(len(dec.mecs))]
+    prog = LinearProgram(variables=[_y(a) for a in acts] + [f"xa::{a}" for a in mec_acts] + shortfall)
     recurrent = {members[0]: sorted(aa) for members, aa in dec.mecs}
 
     # Transient flow, less each MEC's recurrent mass at its representative.
@@ -353,7 +368,46 @@ def _mec_terms(mdp: Mdp, dec) -> List[List[Tuple[str, Tuple[Fraction, ...]]]]:
     ]
 
 
+def _expectation_row(j: int, bound: Fraction, terms) -> Row:
+    return {x: r[j] for mec in terms for x, r in mec if r[j] != 0}, ">=", bound
+
+
+def _epigraph_guesses(
+    query: Query,
+    grids: Mapping[int, Sequence[Fraction]],
+    terms: Sequence[Sequence[Tuple[str, Tuple[Fraction, ...]]]],
+) -> Iterator[Tuple[Dict[int, Fraction], List[Row]]]:
+    """The ``_guesses`` of the Rockafellar-Uryasev epigraph LP over the
+    ``_mec_terms`` table: CVaR dimension j's key is its threshold t in
+    ``grids[j]``, and its rows, built once per t, are
+    ``u_ij + sum_{a in MEC i} (r_j(a) - t) xa >= 0`` for each MEC i and
+    ``sum_i u_ij <= p (t - c)``; an expectation adds its one row."""
+    table: List[List[Option]] = []
+    for c in sorted(query.constraints, key=lambda c: c.dim):
+        j = c.dim
+        if c.cvar is not None:
+            p, cbound = c.cvar
+            us = [_u(j, i) for i in range(len(terms))]
+            options: List[Option] = []
+            for t in grids[j]:
+                rows = [
+                    ({u: ONE, **{x: w for x, r in mec if (w := r[j] - t) != 0}}, ">=", ZERO)
+                    for u, mec in zip(us, terms)
+                ]
+                rows.append((dict.fromkeys(us, ONE), "<=", p * (t - cbound)))
+                options.append(((j, t), rows))
+            table.append(options)
+        if c.expectation is not None:
+            table.append([(None, [_expectation_row(j, c.expectation, terms)])])
+    return _guesses(table)
+
+
 _CLASS_SENSE = {"le": "<=", "gt": ">=", "eq": "=="}
+
+
+def _labellings(n: int) -> List[Tuple[str, ...]]:
+    """Every MEC labelling: one MEC 'eq', each other one 'le' or 'gt'."""
+    return [labs[:i] + ("eq",) + labs[i:] for i in range(n) for labs in itertools.product(("le", "gt"), repeat=n - 1)]
 
 
 def _mean_multi_guesses(
@@ -362,9 +416,9 @@ def _mean_multi_guesses(
     options: Sequence[Sequence[str]],
     terms: Sequence[Sequence[Tuple[str, Tuple[Fraction, ...]]]],
 ) -> Iterator[Tuple[Dict[int, Tuple[Fraction, Sequence[str]]], List[Row]]]:
-    """The ``_guesses`` of the multi-dimensional mean-payoff LP over the
-    ``_mec_terms`` table: CVaR dimension j's key is its VaR guess t in
-    ``grids[j]`` and its MEC labelling in ``options`` (one 'eq' MEC each)."""
+    """The ``_guesses`` of the multi-dimensional mean-payoff labelling LP
+    over the ``_mec_terms`` table: CVaR dimension j's key is its VaR guess t
+    in ``grids[j]`` and its MEC labelling in ``options`` (one 'eq' MEC each)."""
 
     def row(mecs, weight, sense: str, rhs: Fraction) -> Row:
         return {x: w for i in mecs for x, r in terms[i] if (w := weight(r)) != 0}, sense, rhs
@@ -386,18 +440,42 @@ def _mean_multi_guesses(
                     rows += [row([i], excess, _CLASS_SENSE[lab], ZERO) for i, lab in enumerate(labels)]
                     table[-1].append(((j, (t, labels)), rows))
         if c.expectation is not None:
-            table.append([(None, [row(range(len(terms)), lambda r: r[j], ">=", c.expectation)])])
+            table.append([(None, [_expectation_row(j, c.expectation, terms)])])
     return _guesses(table)
 
 
 def decide_mean_multi(mdp: Mdp, query: Query, grid: int = 16) -> Verdict:
-    """Multi-dimension {E, CVaR} mean payoff via classification guessing on
-    a threshold grid, ``grid`` steps between consecutive candidates.
+    """Multi-dimension {E, CVaR} mean payoff: one Rockafellar-Uryasev
+    epigraph LP per threshold guess on a grid, ``grid`` steps between
+    consecutive candidates, with MEC labellings as the fallback for SAT.
 
-    SAT answers are exact (witness re-verified).  A run that stays in MEC i
-    almost surely pays at most gmax_ij in dimension j (Brazdil, Brozek,
-    Chatterjee, Forejt, Kucera, LICS 2011), so a CVaR bound above every
-    gmax_ij is UNSAT; otherwise UNSAT needs a provably exhaustive grid.
+    A guess picks a threshold t_j in ``grids[j]`` for each CVaR dimension j
+    (ascending).  Its LP is the block of recurrent frequencies xa (Brazdil,
+    Brozek, Chatterjee, Forejt, Kucera, LICS 2011) with the rows of
+    ``_epigraph_guesses``: with m_i and R_ij MEC i's mass and dimension-j
+    reward sum, u_ij >= t m_i - R_ij and sum_i u_ij <= p (t - c), i.e.
+    t - E[(t - X)+] / p >= c for the law X of the MEC averages, the
+    Rockafellar-Uryasev bound CVaR_p(X) >= c.
+
+    - An infeasible epigraph LP at t refutes every labelling at t: in a
+      feasible labelling point each 'le' MEC has t m_i - R_ij >= 0, each
+      'gt' or 'eq' one t m_i - R_ij <= 0, and the tail row bounds the 'le'
+      sum by p (t - c); so u_ij = (t m_i - R_ij)+ makes the same point
+      feasible for the epigraph.
+    - A feasible epigraph point whose witness passes the exact check is SAT.
+    - Its witness can fail: a MEC's frequencies may spread over BSCCs whose
+      gains straddle t, and Jensen only gives E[(t - X)+] >= the LP's
+      (t m_i - R_ij)+.  Only then are the labellings at that same t solved,
+      from the same ``WarmStart``: each pins t to VaR, one MEC 'eq' and each
+      other 'le' or 'gt' (``_mean_multi_guesses``).
+
+    Each witness is checked once.  A run that stays in MEC i almost surely
+    pays at most gmax_ij in dimension j, so a CVaR bound above every gmax_ij
+    is UNSAT.  Otherwise UNSAT needs every epigraph LP infeasible on a
+    provably exhaustive grid, where every MEC's gain range in each CVaR
+    dimension is a point g_ij: a strategy that meets the query then has a
+    point whose law X puts mass m_i on g_ij, and the epigraph LP at
+    t = VaR_p(X), a gain at or above c and so a grid point, is feasible.
     """
     if query.objective != "mean":
         raise UnsupportedQueryError("mean-payoff procedure got a non-mean query")
@@ -417,9 +495,8 @@ def decide_mean_multi(mdp: Mdp, query: Query, grid: int = 16) -> Verdict:
             gmax[i, j], _ = _mec_gain_flow(base, mec, j)
             gmin[i, j], _ = _mec_gain_flow(base, mec, j, minimize=True)
 
-    # Only thresholds t >= c can be feasible: below c the CVaR row of
-    # _mean_multi_guesses needs sum_le (r - t) x >= p (c - t) > 0, but each
-    # 'le' MEC's classification row makes its term <= 0.
+    # Only thresholds t >= c can be feasible: below c the epigraph row
+    # sum_i u_ij <= p (t - c) < 0 has no nonnegative u.
     grids: Dict[int, List[Fraction]] = {}
     for j in cvar_dims:
         pts = sorted({gmin[i, j] for i in range(n)} | {gmax[i, j] for i in range(n)})
@@ -431,25 +508,33 @@ def decide_mean_multi(mdp: Mdp, query: Query, grid: int = 16) -> Verdict:
                 refined.add(a + (b - a) * Fraction(k, grid))
         grids[j] = sorted(t for t in refined if t >= bound[j])
 
-    # one MEC labelled "eq", each other one "le" or "gt"
-    options = [
-        labs[:i] + ("eq",) + labs[i:]
-        for i in range(n)
-        for labs in itertools.product(("le", "gt"), repeat=n - 1)
-    ]
     # expectation-only queries, and models whose MECs have point-valued gain
     # ranges, make the sweep provably exhaustive
     exhaustive = all(gmin[i, j] == gmax[i, j] for i in range(n) for j in cvar_dims)
-    guesses = _mean_multi_guesses(query, grids, options, _mec_terms(base, dec))
+    terms = _mec_terms(base, dec)
+    start = WarmStart(_mean_multi_block(base, dec, cvar_dims))
+
+    def points():
+        for guess, point in _feasible(start, _epigraph_guesses(query, grids, terms)):
+            yield point, {"guess": guess}
+            if guess:
+                # its witness failed: every labelling at the same thresholds
+                labellings = _mean_multi_guesses(query, {j: [t] for j, t in guess.items()}, _labellings(n), terms)
+                for key, point in _feasible(start, labellings):
+                    yield point, {"guess": guess, "classification": {j: list(labels) for j, (_, labels) in key.items()}}
 
     def candidates():
-        for key, point in _feasible(_mean_multi_block(base, dec), guesses):
+        # a witness yielded has failed once the next is asked for; points
+        # that differ can give one strategy, which is checked only once
+        failed = []
+        for point, cert in points():
             y = {a: point[_y(a)] for a in base.actions}
             freqs = [{a: point[f"xa::{a}"] for a in aa} for _, aa in mecs]
             switch = {members[0]: sum(f.values(), ZERO) for (members, _), f in zip(mecs, freqs)}
             strat = two_memory_strategy(mdp, y, switch, _inner_moves(base, mecs, freqs))
-            guess = {j: t for j, (t, _) in key.items()}
-            yield strat, {"guess": guess, "classification": {j: list(labels) for j, (_, labels) in key.items()}}
+            if strat not in failed:
+                failed.append(strat)
+                yield strat, cert
 
     return _first_certified(mdp, query, candidates(), exhaustive)
 

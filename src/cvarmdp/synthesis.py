@@ -148,13 +148,15 @@ def flow_rows(
 
 
 def _inflow(mdp: Mdp, y: Mapping[str, Fraction]) -> Dict[State, Fraction]:
-    """Initial mass plus the mass the transient flow ``y`` moves into each state."""
-    inflow: Dict[State, Fraction] = {s: ZERO for s in mdp.states}
-    inflow[mdp.initial] += ONE
+    """Initial mass plus the mass the transient flow ``y`` moves into each
+    state; an entry that is still 0 takes its first term as it is."""
+    inflow: Dict[State, Fraction] = dict.fromkeys(mdp.states, ZERO)
+    inflow[mdp.initial] = ONE
     for a, mass in y.items():
         if mass != 0:
             for t, p in mdp.delta[a].items():
-                inflow[t] += mass * p
+                v = mass * p
+                inflow[t] = inflow[t] + v if inflow[t] else v
     return inflow
 
 

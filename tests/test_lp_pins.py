@@ -71,27 +71,19 @@ EXAMPLE_WITNESSES = {
     "negative": "4bf2fe17e9bd675421dc09869ca3851b55b2f94a80a84b6a91b1154bb029ce19",
 }
 
-# gain LPs (max and min per MEC and CVaR dimension), then the
-# classification sweep of the multi-dimensional mean-payoff LP over the
-# grid points at or above the CVaR bound 7
-TWO_MECS_CVAR_COUNT = 16
+# gain LPs (max and min per MEC and CVaR dimension), then one
+# Rockafellar-Uryasev epigraph LP of the multi-dimensional mean-payoff LP per
+# grid point at or above the CVaR bound 7 (7, 15/2, 8), each infeasible, so
+# no MEC labelling is solved
+TWO_MECS_CVAR_COUNT = 7
 TWO_MECS_CVAR_FIRST = [
     "de1e232ff7be74523d2396b0f8b253c35790272989b6f6a932097a8d468d48d6",
     "2b2264621c81089ea861c56f483b923e8e29d7c7e90d92eaa2e3e2eea005fec5",
     "579c7bb4822c40949a220b4c56ba434a1f4facee16479a01efe003095e7b0104",
     "579c7bb4822c40949a220b4c56ba434a1f4facee16479a01efe003095e7b0104",
-    "699ec8c5319f96561ca69a05e5bc2adde1f28dbc2d5f30fdfda51be88bfa3b21",
-    "eb73ed90227d1a0b4ca43cc5286066582a8f8625e1ddb73ae082e44541134c8c",
-    "4dc20380ca62bed1ea49105b6f9430f4c7787be79ffc657bfe53553f8d1b3424",
-    "5cfd6c1a65e736602e77ae9d665686b035339572948d919ef6ecca314503227c",
-    "43fe50507017d2790ee602ee8bfdf9e3b7da75889fe0b51c1404839e88a868e1",
-    "7c6d7dfd187e6fd3f6470c2a1cb820c4bf131fb6a3455ad570e4e0ebd8abce44",
-    "574f95f9cb61d42d043a0359c4dd461b9397e61c1f316177c4f11568a0c3063a",
-    "422204fffb6236759c3444ac8dfd58cd088f3c5dc88e4bde62786beeed6824f4",
-    "15d327793c639271070214872619d905d657f4b1563c557e30818ed0608e2247",
-    "b1afbaef206380863b5b97a1d248bacc3a75fac686662f09a716490191eb4ceb",
-    "9c9c981da8df6adad395be0c9c9b078e7dfe69c841b7571d3deeba299c3fad55",
-    "118c072385cda6220f6f18a966c6974ec5db47bc713a786c0fe34d325e3a9276",
+    "48fd3f5b3801decff646cbc53e7c1d42c89ef455dc50a28d9e7fe0619dd4e5c0",
+    "2e8f13543a71e2be08772b84c251c13db08b7ed52e76eac423b5353581065530",
+    "99fadd050566a356f47ceb87fe42a7a361b5fc481a4a8a66140d158db9b8e541",
 ]
 
 

@@ -1,7 +1,8 @@
 """Differential oracles on random models whose end components may trap runs
 away from the targets: weighted reachability against its mean-payoff
 encoding (``lemmas.reach_to_mean``), strategy evaluation against a reference
-product, and witness laws against Monte Carlo samples.
+product, and witness laws against Monte Carlo samples; and multi-dimensional
+mean-payoff CVaR's epigraph LPs against the MEC-labelling sweep.
 
 ``gadgets.random_mdp(..., targets=k)`` keeps a path toward the targets from
 every state, so it never builds such a trap.  The generator here starts from
@@ -20,8 +21,9 @@ from pathlib import Path
 
 from cvarmdp.chain import solve_linear
 from cvarmdp.gadgets import Cnf3, random_mdp, sat_reduction
-from cvarmdp.graphs import backward_reachable, bsccs, chain_graph, check_attraction, cleanup, mec_quotient
-from cvarmdp.lp import LinearProgram, solve_feasibility
+from cvarmdp import solver
+from cvarmdp.graphs import backward_reachable, bsccs, chain_graph, check_attraction, cleanup, mec_decomposition, mec_quotient
+from cvarmdp.lp import LinearProgram, WarmStart, solve_feasibility
 from cvarmdp.model import (
     Constraint,
     MarkovChain,
@@ -42,7 +44,7 @@ from cvarmdp.solver import (
     decide_mean_single,
     decide_reach_single,
 )
-from cvarmdp.synthesis import check_strategy, evaluate
+from cvarmdp.synthesis import check_strategy, evaluate, two_memory_strategy
 from lemmas import mix_strategies, reach_to_mean
 
 SEEDS = range(30)
@@ -466,3 +468,84 @@ def test_cvar_row_against_the_split_variable_encoding():
         instances += 1
         same_level += any(c.var and c.var[0] == c.cvar[0] for c in query.constraints)
     assert instances > 40 and same_level > 15
+
+
+def _labelling_sweep(mdp: Mdp, query: Query, grid: int):
+    """The status of the sweep that ``decide_mean_multi`` ran before its
+    epigraph LPs, and how many threshold guesses the epigraph LP refutes.
+
+    The sweep solves every MEC labelling at every grid threshold on the
+    block without ``u`` columns and checks feasible guesses' witnesses until
+    one passes; its status does not depend on the order.  UNSAT needs no
+    feasible guess and point-valued gains.  Each labelling at a threshold
+    whose epigraph LP is infeasible must be infeasible too."""
+    base = replace(mdp, targets=frozenset())
+    dec = mec_decomposition(base)
+    mecs, n = dec.mecs, len(dec.mecs)
+    bound = {c.dim: c.cvar[1] for c in query.constraints if c.cvar is not None}
+    grids, exhaustive = {}, True
+    for j in sorted(bound):
+        gains = [(solver._mec_gain_flow(base, mec, j, True)[0], solver._mec_gain_flow(base, mec, j)[0]) for mec in mecs]
+        exhaustive = exhaustive and all(lo == hi for lo, hi in gains)
+        pts = sorted({g for pair in gains for g in pair})
+        if pts[-1] < bound[j]:
+            return "UNSAT", 0
+        refined = set(pts)
+        for a, b in zip(pts, pts[1:]):
+            refined.update(a + (b - a) * F(k, grid) for k in range(1, grid))
+        grids[j] = sorted(t for t in refined if t >= bound[j])
+    terms = solver._mec_terms(base, dec)
+    labelled = WarmStart(solver._mean_multi_block(base, dec, ()))
+    epigraph = WarmStart(solver._mean_multi_block(base, dec, sorted(bound)))
+
+    def solve(start, rows):
+        return solve_feasibility(LinearProgram(start.block.variables, start.block.constraints + rows), start)
+
+    feasible = certified = False
+    refuted = 0
+    for guess, rows in solver._epigraph_guesses(query, grids, terms):
+        bounded = solve(epigraph, rows).ok
+        refuted += not bounded
+        for _, rows in solver._mean_multi_guesses(query, {j: [t] for j, t in guess.items()}, solver._labellings(n), terms):
+            res = solve(labelled, rows)
+            assert bounded or not res.ok, (query, guess)
+            if res.ok and not certified:
+                feasible, point = True, res.assignment
+                y = {a: point[f"y::{a}"] for a in base.actions}
+                freqs = [{a: point[f"xa::{a}"] for a in aa} for _, aa in mecs]
+                switch = {members[0]: sum(f.values(), F(0)) for (members, _), f in zip(mecs, freqs)}
+                strategy = two_memory_strategy(mdp, y, switch, solver._inner_moves(base, mecs, freqs))
+                certified = check_strategy(mdp, strategy, query)[0]
+    if certified:
+        return "SAT", refuted
+    return ("UNSAT" if exhaustive and not feasible else "UNKNOWN"), refuted
+
+
+def test_epigraph_against_the_labelling_sweep():
+    # random 2- and 3-MEC models: CVaR on dimension 0, and E or (with two
+    # MECs) CVaR on dimension 1, at grid 4
+    rng = random.Random(5)
+    seen, refuted = {}, 0
+    for seed in range(200):
+        n = 3 + seed % 3
+        mdp = random_mdp(n, 2, F(1, n), (0, 6), 2, seed)
+        mecs = len(mec_decomposition(mdp).mecs)
+        if mecs not in (2, 3):
+            continue
+        first = Constraint(dim=0, cvar=(rng.choice((F(1, 2), F(1, 3), F(1, 4))), F(rng.randint(0, 12), 2)))
+        if mecs == 3 or rng.random() < 0.5:
+            second = Constraint(dim=1, expectation=F(rng.randint(0, 12), 2))
+        else:
+            second = Constraint(dim=1, cvar=(F(1, 2), F(rng.randint(0, 8), 2)))
+        query = Query(objective="mean", constraints=(first, second))
+        old, count = _labelling_sweep(mdp, query, 4)
+        verdict = decide_mean_multi(mdp, query, 4)
+        assert verdict.status == old, (seed, query)
+        if verdict.sat:
+            ok, _, details = check_strategy(mdp, verdict.witness, query)
+            assert ok, (seed, details)
+        key = (mecs, old)
+        seen[key] = seen.get(key, 0) + 1
+        refuted += count
+    assert all(seen.get((mecs, status), 0) >= 2 for mecs in (2, 3) for status in ("SAT", "UNSAT", "UNKNOWN")), seen
+    assert sum(seen.values()) > 80 and refuted > 200

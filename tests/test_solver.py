@@ -464,6 +464,33 @@ class TestMeanMulti:
         )
         assert decide(mdp, q).status in ("UNSAT", "UNKNOWN")
 
+    def test_labelling_fallback_certifies_what_the_epigraph_misses(self):
+        # the epigraph point at t = 5 spreads a MEC's recurrent frequencies
+        # over cycles whose dimension-0 gains straddle 5, so by Jensen its
+        # witness's CVaR falls short; a MEC labelling at the same t is
+        # certified (without the fallback this answers UNKNOWN)
+        mdp = random_mdp(5, 2, F(1, 5), (0, 6), 2, 27)
+        q = Query(objective="mean", constraints=(Constraint(dim=0, cvar=(F(1, 4), F(9, 2))),))
+        for grid in (4, 16):
+            verdict = decide(mdp, q, grid)
+            assert verdict.status == "SAT"
+            assert verdict.certificate["guess"] == {0: F(5)}
+            assert verdict.certificate["classification"] == {0: ["eq", "le"]}
+            ok, _, details = check_strategy(mdp, verdict.witness, q)
+            assert ok, details
+
+    def test_infeasible_epigraph_refutes_every_labelling(self, on_lp):
+        # 13 grid points at or above 2 per dimension: one epigraph LP per
+        # pair, each infeasible, and no labelling LP (2,704 before)
+        guess_lps = []
+        on_lp(lambda prog, optimize, res: optimize or guess_lps.append(res.status))
+        q = Query(
+            objective="mean",
+            constraints=(Constraint(dim=0, cvar=(F(1, 2), F(2))), Constraint(dim=1, cvar=(F(1, 2), F(2)))),
+        )
+        assert decide(self._two_mecs(), q, 16).status == "UNSAT"
+        assert len(guess_lps) <= 169 and set(guess_lps) == {"infeasible"}
+
     @staticmethod
     def _per_guess_rows(query, grids, options, terms):
         """The enumeration that ``_mean_multi_guesses`` replaced: every
@@ -543,33 +570,41 @@ class TestMeanMulti:
 
     def test_mec_entered_away_from_its_representative(self):
         # go enters the MEC {a, b} at b; the witness routes ba to the
-        # representative a and switches to remain there and nowhere else
+        # representative a and switches to remain there and nowhere else in
+        # {a, b}; the CVaR query's epigraph vertex also sends mass to the
+        # loop c, its own MEC's representative, and switches on arrival there
         mdp = _pair()
         sat = [
-            (Constraint(dim=0, expectation=F(3)),),
-            (Constraint(dim=0, cvar=(F(1, 2), F(2))), Constraint(dim=1, expectation=F(1))),
+            ((Constraint(dim=0, expectation=F(3)),), {("ba", "a")}),
+            (
+                (Constraint(dim=0, cvar=(F(1, 2), F(2))), Constraint(dim=1, expectation=F(1))),
+                {("ba", "a"), ("alt", "c")},
+            ),
         ]
-        for constraints in sat:
+        for constraints, expected in sat:
             q = Query(objective="mean", constraints=constraints)
             verdict = decide(mdp, q)
             assert verdict.status == "SAT"
             ok, _, details = check_strategy(mdp, verdict.witness, q)
             assert ok, details
             switches = {(a, t) for (a, t, _), dist in verdict.witness.memory_update.items() if REMAIN in dist}
-            assert switches == {("ba", "a")}
+            assert {(a, t) for a, t in switches if t in ("a", "b")} == {("ba", "a")}
+            assert switches == expected
         unsat = Query(objective="mean", constraints=(Constraint(dim=0, expectation=F(5)),))
         assert decide(mdp, unsat).status == "UNSAT"
 
     @staticmethod
-    def _per_member_switch_block(mdp, dec):
+    def _per_member_switch_block(mdp, dec, cvar_dims):
         """The multi-dimensional mean-payoff block with a switch column
         ``w::s`` per MEC member, tied to its MEC's recurrent mass by one row
-        per MEC: the reference for ``solver._mean_multi_block``, which
-        switches at each MEC's representative alone."""
+        per MEC, and the epigraph's ``u::j::i`` columns: the reference for
+        ``solver._mean_multi_block``, which switches at each MEC's
+        representative alone."""
         acts = mdp.actions
         mec_states = sorted(dec.state_to_mec, key=repr)
         mec_acts = sorted({a for _, aa in dec.mecs for a in aa})
         names = [f"y::{a}" for a in acts] + [f"w::{s!r}" for s in mec_states] + [f"xa::{a}" for a in mec_acts]
+        names += [f"u::{j}::{i}" for j in cvar_dims for i in range(len(dec.mecs))]
         prog = LinearProgram(variables=names)
         for s, coeffs in zip(mdp.states, flow_rows(mdp, mdp.states, acts, lambda a: f"y::{a}")):
             if s in dec.state_to_mec:
@@ -589,15 +624,11 @@ class TestMeanMulti:
     def test_one_switch_point_per_mec_keeps_every_guess_status(self, monkeypatch):
         # each MEC reaches every member almost surely on its own actions, so
         # switching only at the representative leaves every guess LP of the
-        # grid-4 sweep feasible or infeasible exactly as a switch per member
-        guesses = []
-        listed = solver._mean_multi_guesses
-
-        def listing(*args):
-            guesses.append(list(listed(*args)))
-            return iter(guesses[-1])
-
-        monkeypatch.setattr(solver, "_mean_multi_guesses", listing)
+        # grid-4 sweep, each epigraph LP and each labelling LP on the same
+        # grid, feasible or infeasible exactly as a switch per member
+        sweeps = []
+        epigraph = solver._epigraph_guesses
+        monkeypatch.setattr(solver, "_epigraph_guesses", lambda *args: sweeps.append(args) or epigraph(*args))
         models = [self._two_mecs(), _pair()]
         for seed in range(60):
             n = 2 + seed % 4
@@ -623,17 +654,21 @@ class TestMeanMulti:
                 for _, rows in rows_of_guesses
             ]
 
-        seen = []
+        seen = {"epigraph": [], "labelling": []}
         for mdp, q in itertools.product(models, queries):
-            del guesses[:]
+            del sweeps[:]
             decide_mean_multi(mdp, q, 4)
             dec = mec_decomposition(mdp)
+            cvar_dims = [c.dim for c in q.constraints if c.cvar is not None]
             # none when a CVaR bound exceeds every MEC gain
-            for listed_guesses in guesses:
-                new = statuses(solver._mean_multi_block(mdp, dec), listed_guesses)
-                assert new == statuses(self._per_member_switch_block(mdp, dec), listed_guesses)
-                seen += new
-        assert seen.count("feasible") > 100 and seen.count("infeasible") > 100
+            for query, grids, terms in sweeps:
+                labellings = solver._mean_multi_guesses(query, grids, solver._labellings(len(terms)), terms)
+                for kind, guesses in (("epigraph", list(epigraph(query, grids, terms))), ("labelling", list(labellings))):
+                    new = statuses(solver._mean_multi_block(mdp, dec, cvar_dims), guesses)
+                    assert new == statuses(self._per_member_switch_block(mdp, dec, cvar_dims), guesses)
+                    seen[kind] += new
+        assert seen["labelling"].count("feasible") > 100 and seen["labelling"].count("infeasible") > 100
+        assert seen["epigraph"].count("feasible") > 100 and seen["epigraph"].count("infeasible") > 50
 
 
 class TestConsistency:
@@ -941,6 +976,26 @@ class TestFailedWitness:
         verdict = decide(*_two_mecs_expectations())
         assert verdict.status == "UNKNOWN"
         assert len(verdict.certificate["failed_guesses"]) == len(seen) >= 1
+        # with a CVaR dimension, every rejected witness is listed: each
+        # epigraph guess's (no "classification"), then the labellings' at
+        # its threshold; and no strategy is checked twice
+        del seen[:]
+        q = Query(
+            objective="mean",
+            constraints=(Constraint(dim=0, cvar=(F(1, 2), F(2))), Constraint(dim=1, expectation=F(1))),
+        )
+        verdict = decide(_pair(), q, 4)
+        assert verdict.status == "UNKNOWN"
+        failed = verdict.certificate["failed_guesses"]
+        assert len(failed) == len(seen) >= 3
+        assert all(seen[i] != seen[k] for i in range(len(seen)) for k in range(i))
+        assert "classification" not in failed[0]
+        assert any("classification" in f for f in failed)
+        for before, f in zip(failed, failed[1:]):
+            if "classification" in f:
+                assert f["guess"] == before["guess"] and set(f["classification"]) == set(f["guess"])
+            else:
+                assert f["guess"][0] > before["guess"][0]
 
     def test_no_feasible_guess_is_unsat(self, monkeypatch):
         seen = self.reject(monkeypatch, 10**9)
