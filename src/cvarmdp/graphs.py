@@ -4,7 +4,9 @@ quotient, so one decomposition serves a reachability decision.
 
 There is one Tarjan kernel, ``scc_indices``, on graphs whose nodes are the
 indices ``0..n-1``; ``strongly_connected_components`` maps any successor map
-onto it."""
+onto it.  ``mec_decomposition`` reads the model's actions once, and what it
+keeps serves the rest: ``mec_quotient`` takes its exits, and witness
+synthesis its owners and integer successor lists."""
 
 from __future__ import annotations
 
@@ -108,10 +110,23 @@ class MecDecomposition:
     """``mecs[i]`` is ``(members, actions)``, whose ``members`` tuple is
     sorted by ``repr``: the one member order, which every procedure iterates
     as given.  The MECs come in the order of their member ``repr`` lists, and
-    ``state_to_mec`` maps each member to the index of its MEC."""
+    ``state_to_mec`` maps each member to the index of its MEC.
+
+    It also keeps what its one read of the model found about each MEC ``i``:
+    - ``exits[i]`` lists its leaving actions ``a`` as pairs ``(p, a)``, ``p``
+      the position of ``a``'s state in ``members``, in member order and then
+      ``available`` order; ``mec_quotient`` keeps these actions, and
+      ``realize_quotient_flow`` reads their owners here;
+    - ``moves[i][p]`` lists member ``p``'s actions inside the MEC, in
+      ``available`` order, each with the indices in ``mdp.states`` of its
+      positive-probability successors, and ``indices[i][p]`` is member
+      ``p``'s own index.  ``synthesis._routing`` searches on these lists."""
 
     mecs: List[Mec]
     state_to_mec: Dict[State, int]
+    exits: List[List[Tuple[int, str]]]
+    moves: List[List[List[Tuple[str, List[int]]]]]
+    indices: List[List[int]]
 
 
 def mec_decomposition(mdp: Mdp) -> MecDecomposition:
@@ -124,16 +139,24 @@ def mec_decomposition(mdp: Mdp) -> MecDecomposition:
     that had a live action with one, is the last: removing edges between
     components splits none, so the next scan would remove nothing.  Each
     action's distribution is read once, into the indices of its
-    positive-probability successors, and every round works on those lists.
+    positive-probability successors; every round works on those lists, and
+    the removed actions of a member are the ones that leave its MEC.
     """
-    states, delta = mdp.states, mdp.delta
+    states, available, delta = mdp.states, mdp.available, mdp.delta
     index = {s: i for i, s in enumerate(states)}
-    live = [
-        [(a, [index[t] for t, p in delta[a].items() if p]) for a in mdp.available.get(s, ())]
-        for s in states
-    ]
-    # a state with one action shares that action's successor list
-    graph = [acts[0][1] if len(acts) == 1 else [t for _, succ in acts for t in succ] for acts in live]
+    every, graph = [], []  # per state: its (action, successors) pairs; all its successors
+    for s in states:
+        acts = []
+        for a in available.get(s, ()):
+            succ = []
+            for t, p in delta[a].items():
+                if p:
+                    succ.append(index[t])
+            acts.append((a, succ))
+        every.append(acts)
+        # a state with one action shares that action's successor list
+        graph.append(acts[0][1] if len(acts) == 1 else [t for _, succ in acts for t in succ])
+    live = every[:]  # a state's list is replaced, never changed in place
     while True:
         comps = scc_indices(graph)
         comp_of = [0] * len(states)
@@ -159,11 +182,17 @@ def mec_decomposition(mdp: Mdp) -> MecDecomposition:
             break
     found = []
     for comp in comps:
-        members = sorted((states[i] for i in comp if live[i]), key=repr)
-        if members:
-            found.append((tuple(members), frozenset(a for i in comp for a, _ in live[i])))
-    found.sort(key=lambda mec: list(map(repr, mec[0])))
-    return MecDecomposition(found, {s: k for k, (members, _) in enumerate(found) for s in members})
+        names = {i: repr(states[i]) for i in comp if live[i]}
+        if not names:
+            continue
+        order = sorted(names, key=names.__getitem__)
+        exits = [(p, act[0]) for p, i in enumerate(order) for act in every[i] if act not in live[i]]
+        mec = (tuple(states[i] for i in order), frozenset(a for i in comp for a, _ in live[i]))
+        found.append(([names[i] for i in order], mec, exits, [live[i] for i in order], order))
+    found.sort(key=lambda mec: mec[0])
+    mecs = [mec for _, mec, *_ in found]
+    state_to_mec = {s: k for k, (members, _) in enumerate(mecs) for s in members}
+    return MecDecomposition(mecs, state_to_mec, *([mec[j] for mec in found] for j in (2, 3, 4)))
 
 
 def reachable_states(mdp: Mdp, start: State) -> Set[State]:
@@ -207,17 +236,16 @@ class QuotientMap:
 def mec_quotient(mdp: Mdp) -> QuotientMap:
     """Collapse each MEC to its first member, the least by ``repr``.
 
-    Internal actions disappear; actions with mass outside the MEC are kept,
-    in member order, and re-targeted through the lift map (the first mass
-    into a lifted state is taken as it is, not added to 0).  Representatives
-    of target MECs keep one absorbing self-loop.  The quotient has only
-    singleton MECs.
+    Internal actions disappear; the actions that leave a MEC are kept, in
+    the order of the decomposition's ``exits``, and re-targeted through the
+    lift map (the first mass into a lifted state is taken as it is, not
+    added to 0).  Representatives of target MECs keep one absorbing
+    self-loop.  The quotient has only singleton MECs.
     """
     decomp = mec_decomposition(mdp)
     reps = [members[0] for members, _ in decomp.mecs]
-    lift = {s: reps[i] for s, i in decomp.state_to_mec.items()}
-    for s in mdp.states:
-        lift.setdefault(s, s)
+    lift = dict(zip(mdp.states, mdp.states))
+    lift.update((s, reps[i]) for s, i in decomp.state_to_mec.items())
 
     kept_states = tuple(s for s in mdp.states if lift[s] == s)
     available: Dict[State, Tuple[str, ...]] = {}
@@ -227,8 +255,7 @@ def mec_quotient(mdp: Mdp) -> QuotientMap:
         if idx is None:
             acts = list(mdp.available.get(s, ()))
         else:
-            members, mec_actions = decomp.mecs[idx]
-            acts = [a for t in members for a in mdp.available.get(t, ()) if a not in mec_actions]
+            acts = [a for _, a in decomp.exits[idx]]
             if s in mdp.targets and not acts:
                 acts = [f"__stay[{s!r}]"]
                 delta[acts[0]] = {s: ONE}
@@ -241,13 +268,12 @@ def mec_quotient(mdp: Mdp) -> QuotientMap:
                         lt = lift[t]
                         row[lt] = row[lt] + p if lt in row else p
                 delta[a] = row
-    rewards = {s: mdp.rewards[s] for s in kept_states}
     quotient = Mdp(
         states=kept_states,
         available=available,
         delta=delta,
         initial=lift[mdp.initial],
-        rewards=rewards,
+        rewards={s: mdp.rewards[s] for s in kept_states},
         targets=frozenset(lift[t] for t in mdp.targets),
     )
     return QuotientMap(quotient=quotient, representatives=reps, decomposition=decomp)

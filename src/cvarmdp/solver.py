@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .graphs import (
+    MecDecomposition,
     check_attraction,
     cleanup,
     mec_decomposition,
@@ -233,7 +234,7 @@ def _realized(mdp: Mdp, qm, m: Mdp, query: Query, freqs: Sequence[Mapping[str, F
         x = {reps[s.i] if isinstance(s, _Gain) else s: v for s, v in ends.items()}
         switch = {reps[s.i]: v for s, v in ends.items() if isinstance(s, _Gain)}
         used = [f if switch.get(rep) else {} for f, rep in zip(freqs, reps)]
-        yield tc, y, x, realize_quotient_flow(mdp, qm, y, switch, _inner_moves(mdp, qm.decomposition.mecs, used))
+        yield tc, y, x, realize_quotient_flow(mdp, qm, y, switch, _inner_moves(qm.decomposition, used))
 
 
 def _decide_reach(mdp: Mdp, query: Query) -> Verdict:
@@ -294,13 +295,13 @@ def _mec_gain_flow(mdp: Mdp, mec, j: int, minimize: bool = False):
     return sign * res.value, {a: res.assignment[f"f::{a}"] for a in acts}
 
 
-def _inner_moves(mdp: Mdp, mecs, freqs: Sequence[Mapping[str, Fraction]]) -> Dict[State, Dict]:
+def _inner_moves(dec: MecDecomposition, freqs: Sequence[Mapping[str, Fraction]]) -> Dict[State, Dict]:
     """Moves of the memoryless strategies that realise the action frequencies
-    ``freqs[i]`` inside ``mecs[i]``, for every MEC that carries frequency mass."""
+    ``freqs[i]`` inside MEC ``i`` of ``dec``, for every MEC with frequency mass."""
     inner: Dict[State, Dict] = {}
-    for mec, freq in zip(mecs, freqs):
+    for i, freq in enumerate(freqs):
         if sum(freq.values(), ZERO) != 0:
-            inner.update(mec_constant_strategy(mdp, mec, freq))
+            inner.update(mec_constant_strategy(dec, i, freq))
     return inner
 
 
@@ -531,7 +532,7 @@ def decide_mean_multi(mdp: Mdp, query: Query, grid: int = 16) -> Verdict:
             y = {a: point[_y(a)] for a in base.actions}
             freqs = [{a: point[f"xa::{a}"] for a in aa} for _, aa in mecs]
             switch = {members[0]: sum(f.values(), ZERO) for (members, _), f in zip(mecs, freqs)}
-            strat = two_memory_strategy(mdp, y, switch, _inner_moves(base, mecs, freqs))
+            strat = two_memory_strategy(mdp, y, switch, _inner_moves(dec, freqs))
             if strat not in failed:
                 failed.append(strat)
                 yield strat, cert

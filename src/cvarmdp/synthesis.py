@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import lp as lpmod
 from .chain import PayoffLaw, check_constraints, payoff_law_mean, payoff_law_reach
-from .graphs import QuotientMap
+from .graphs import MecDecomposition, QuotientMap
 from .model import (
     Mdp,
     ModelError,
@@ -49,56 +49,55 @@ def _flow_move(mdp: Mdp, y: Mapping[str, Fraction], s: State) -> Dict[str, Fract
     return dist if dist is not None else {_least_action(mdp, s): ONE}
 
 
-def _routing(mdp: Mdp, members: Sequence[State], actions: frozenset, goal: Set[State]) -> Dict[State, str]:
-    """For each member outside ``goal`` (a set of members), an action moving
-    strictly closer to the goal set (distances via backward BFS over the
-    component's actions).  Ties go to the first route in member order, the
-    ``repr`` order of ``MecDecomposition``, so the result does not depend on
-    set iteration order."""
-    preds: Dict[State, List[Tuple[State, str]]] = {s: [] for s in members}
-    for s in members:
-        for a in mdp.available[s]:
-            if a in actions:
-                for t, p in mdp.delta[a].items():
-                    if p != 0:
-                        preds[t].append((s, a))
-    frontier = [s for s in members if s in goal]
-    dist = dict.fromkeys(frontier, 0)
+def _routing(dec: MecDecomposition, i: int, goal: Sequence[int]) -> Dict[State, str]:
+    """For each member of MEC ``i`` of ``dec`` outside ``goal`` (ascending
+    member positions), an action moving strictly closer to the goal, by a
+    backward search on the MEC's integer ``moves``; pending exits and
+    ``mec_constant_strategy`` route with it.  Ties go to the first route in
+    member order, so the result does not depend on set iteration order."""
+    members = dec.mecs[i][0]
+    position = dict(zip(dec.indices[i], range(len(members))))
+    preds: List[List[Tuple[int, str]]] = [[] for _ in members]
+    for p, acts in enumerate(dec.moves[i]):
+        for a, succ in acts:
+            for t in succ:
+                preds[position[t]].append((p, a))
+    seen = set(goal)
+    frontier = list(goal)
     route: Dict[State, str] = {}
     while frontier:
-        nxt: List[State] = []
-        for t in frontier:
-            for s, a in preds[t]:
-                if s not in dist:
-                    dist[s] = dist[t] + 1
-                    route[s] = a
-                    nxt.append(s)
+        nxt: List[int] = []
+        for q in frontier:
+            for p, a in preds[q]:
+                if p not in seen:
+                    seen.add(p)
+                    route[members[p]] = a
+                    nxt.append(p)
         frontier = nxt
-    missing = [repr(s) for s in members if s not in dist]
-    if missing:
+    if len(seen) < len(members):
+        missing = [repr(s) for p, s in enumerate(members) if p not in seen]
         raise ModelError(f"states {missing} cannot reach the routing goal")
     return route
 
 
-def mec_constant_strategy(mdp: Mdp, mec, frequencies: Mapping[str, Fraction]) -> Dict[State, Dict]:
-    """The moves, per state, of a memoryless strategy inside a MEC realizing
-    the given recurrent action frequencies: positive-frequency states
-    randomize proportionally, the rest route deterministically toward the
-    support."""
-    members, actions = mec
+def mec_constant_strategy(dec: MecDecomposition, i: int, frequencies: Mapping[str, Fraction]) -> Dict[State, Dict]:
+    """The moves, per state, of a memoryless strategy inside MEC ``i`` of
+    ``dec`` realizing the given recurrent action frequencies:
+    positive-frequency states randomize proportionally, the rest route
+    deterministically toward the support."""
+    members = dec.mecs[i][0]
     choices: Dict[State, Dict[str, Fraction]] = {}
-    support: Set[State] = set()
-    for s in members:
-        masses = {a: frequencies.get(a, ZERO) for a in mdp.available[s] if a in actions}
-        dist = _proportional(masses)
+    support: List[int] = []
+    for p, acts in enumerate(dec.moves[i]):
+        dist = _proportional({a: frequencies.get(a, ZERO) for a, _ in acts})
         if dist is not None:
-            choices[s] = dist
-            support.add(s)
+            choices[members[p]] = dist
+            support.append(p)
     if not support:
         raise ModelError("MEC frequencies are identically zero")
-    route = _routing(mdp, members, actions, support)
+    route = _routing(dec, i, support)
     for s in members:
-        if s not in support:
+        if s not in choices:
             choices[s] = {route[s]: ONE}
     return choices
 
@@ -149,14 +148,13 @@ def flow_rows(
 
 def _inflow(mdp: Mdp, y: Mapping[str, Fraction]) -> Dict[State, Fraction]:
     """Initial mass plus the mass the transient flow ``y`` moves into each
-    state; an entry that is still 0 takes its first term as it is."""
-    inflow: Dict[State, Fraction] = dict.fromkeys(mdp.states, ZERO)
-    inflow[mdp.initial] = ONE
+    state that receives any; an entry that is still 0 takes its first term."""
+    inflow: Dict[State, Fraction] = {mdp.initial: ONE}
     for a, mass in y.items():
         if mass != 0:
             for t, p in mdp.delta[a].items():
                 v = mass * p
-                inflow[t] = inflow[t] + v if inflow[t] else v
+                inflow[t] = inflow[t] + v if inflow.get(t) else v
     return inflow
 
 
@@ -232,18 +230,16 @@ def _search_remain(
     )
 
 
-def _switch_arrival(
-    mdp: Mdp, y: Mapping[str, Fraction], x: Mapping[State, Fraction]
-) -> Dict[State, Dict[str, Fraction]]:
+def _switch_arrival(inflow: Mapping[State, Fraction], x: Mapping[State, Fraction]) -> Dict[State, Dict[str, Fraction]]:
     """On arrival at s, switch to ``remain`` with probability x_s / inflow(s)."""
-    inflow = _inflow(mdp, y)
     arrival: Dict[State, Dict[str, Fraction]] = {}
     for s, mass in x.items():
         if mass == 0:
             continue
-        if inflow[s] < mass:
-            raise ModelError(f"switch mass {mass} exceeds inflow {inflow[s]} at {s!r}")
-        beta = mass / inflow[s]
+        total = inflow.get(s, ZERO)
+        if total < mass:
+            raise ModelError(f"switch mass {mass} exceeds inflow {total} at {s!r}")
+        beta = mass / total
         arrival[s] = normalized({REMAIN: beta, SEARCH: ONE - beta})
     return arrival
 
@@ -254,7 +250,7 @@ def two_memory_strategy(mdp: Mdp, y: Mapping, switch: Mapping, inner: Mapping) -
     ``switch[s] / inflow(s)``; in ``remain`` play the per-state ``inner``
     moves; ``decide_mean_multi`` switches only at MEC representatives.  Only
     the ``(state, memory)`` pairs the strategy reaches get a move."""
-    return _search_remain(mdp, y, _switch_arrival(mdp, y, switch).get, inner, {})
+    return _search_remain(mdp, y, _switch_arrival(_inflow(mdp, y), switch).get, inner, {})
 
 
 def realize_quotient_flow(
@@ -280,7 +276,9 @@ def realize_quotient_flow(
     toward that state, shared by the exits of one owner; the entry
     distribution is kept once per MEC, and the pending exits are listed in
     the member order of their owners.  The strategy lists only the
-    ``(state, memory)`` pairs it reaches.
+    ``(state, memory)`` pairs it reaches.  The entry inflow covers only the
+    states that ``y`` reaches; each MEC's exits, their owners and the
+    routing come from ``qm.decomposition``.
     """
     dec = qm.decomposition
     used = {a: m for a, m in y.items() if m != 0 and a in mdp.delta}
@@ -290,44 +288,39 @@ def realize_quotient_flow(
     mec_arrival: Dict[int, Dict] = {}
     tokens: Dict[object, Tuple[State, Dict[State, str]]] = {}
     full_y: Dict[str, Fraction] = dict(used)  # completed with internal flows
-    stay: Dict[State, Fraction] = {}  # switch mass at each small MEC's representative
+    switch_arrival: Dict[State, Dict[str, Fraction]] = {}  # at small MECs' representatives
 
     for i, (members, actions) in enumerate(dec.mecs):
         rep = qm.representatives[i]
         if rep in qm.quotient.targets:
             continue
-        owner = {
-            a: s
-            for s in members
-            for a in mdp.available[s]
-            if a not in actions and a in used
-        }
-        commit = switch.get(rep, ZERO)
-        total_in = sum(filter(None, (entry[s] for s in members)), ZERO)
+        total_in = sum(filter(None, map(entry.get, members)), ZERO)
         if total_in == 0:
             continue  # never entered; default moves suffice
+        owner = {a: p for p, a in dec.exits[i] if a in used}
+        commit = switch.get(rep, ZERO)
         if len(members) <= MEC_LP_LIMIT:
             g = _transship(mdp, members, actions, entry, {a: used[a] for a in owner}, commit)
             for a, m in g.items():
                 if m != 0:
                     full_y[a] = full_y.get(a, ZERO) + m
-            stay[rep] = commit
+            if commit != 0:
+                # internal actions never leave their MEC: the completed flow's
+                # inflow at the representative is its entry plus g's inflow
+                inflow = sum((m * mdp.delta[a].get(rep, ZERO) for a, m in g.items() if m), entry.get(rep, ZERO))
+                switch_arrival.update(_switch_arrival({rep: inflow}, {rep: commit}))
         else:
             token_dist = {("exit", a): used[a] / total_in for a in owner}
             if commit != 0:
                 token_dist[REMAIN] = commit / total_in
             if not token_dist:
                 raise ModelError("MEC absorbs flow without exits or switch mass")
-            routes: Dict[State, Dict[State, str]] = {}
-            for a, s in owner.items():
-                if s not in routes:
-                    routes[s] = _routing(mdp, members, actions, {s})
-                tokens[("exit", a)] = (s, routes[s])
+            routes: Dict[int, Dict[State, str]] = {}
+            for a, p in owner.items():
+                if p not in routes:
+                    routes[p] = _routing(dec, i, [p])
+                tokens[("exit", a)] = (members[p], routes[p])
             mec_arrival[i] = token_dist
-
-    # internal actions never leave their MEC, so the completed flow's inflow
-    # at a small MEC's member is its entry plus that MEC's own internal flow
-    switch_arrival = _switch_arrival(mdp, full_y, stay)
 
     def arrival(t: State) -> Optional[Dict]:
         dist = switch_arrival.get(t)
@@ -357,7 +350,7 @@ def _transship(
     gvars = sorted(actions)
     prog = lpmod.LinearProgram(variables=[f"g::{a}" for a in gvars])
     for s, coeffs in zip(members, flow_rows(mdp, members, gvars, lambda a: f"g::{a}")):
-        rhs = entry[s] - sum((exits[a] for a in mdp.available[s] if a in exits), ZERO)
+        rhs = entry.get(s, ZERO) - sum((exits[a] for a in mdp.available[s] if a in exits), ZERO)
         prog.add(coeffs, "==", rhs - commit if s == members[0] else rhs)
     res = lpmod.solve_feasibility(prog)
     if not res.ok:

@@ -514,7 +514,7 @@ def _labelling_sweep(mdp: Mdp, query: Query, grid: int):
                 y = {a: point[f"y::{a}"] for a in base.actions}
                 freqs = [{a: point[f"xa::{a}"] for a in aa} for _, aa in mecs]
                 switch = {members[0]: sum(f.values(), F(0)) for (members, _), f in zip(mecs, freqs)}
-                strategy = two_memory_strategy(mdp, y, switch, solver._inner_moves(base, mecs, freqs))
+                strategy = two_memory_strategy(mdp, y, switch, solver._inner_moves(dec, freqs))
                 certified = check_strategy(mdp, strategy, query)[0]
     if certified:
         return "SAT", refuted

@@ -1,5 +1,6 @@
 """Witness construction tests: flows to strategies, evaluation, determinization."""
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -37,7 +38,7 @@ from cvarmdp.synthesis import (
 )
 from lemmas import determinize_single_constraint, is_deterministic, mix_strategies
 from test_acceptance import _big_ring
-from test_oracles import trap_mdp, trap_query
+from test_oracles import trap_mdp, trap_query, two_owner_ring
 from test_solver import _exit_ring, _pair, reach_query
 
 
@@ -84,8 +85,9 @@ class TestMecConstant:
         )
         # rewards live on the state, so any split keeps the same mean payoff;
         # check the strategy plays the requested proportions
-        (mec,) = mec_decomposition(mdp).mecs
-        sigma = memoryless(mec_constant_strategy(mdp, mec, {"hi": F(1, 3), "lo": F(2, 3)}))
+        dec = mec_decomposition(mdp)
+        assert len(dec.mecs) == 1
+        sigma = memoryless(mec_constant_strategy(dec, 0, {"hi": F(1, 3), "lo": F(2, 3)}))
         move = sigma.next_move[("s", sigma.memory[0])]
         assert move == {"hi": F(1, 3), "lo": F(2, 3)}
 
@@ -98,8 +100,9 @@ class TestMecConstant:
             initial="a",
             rewards={"a": (F(2),), "b": (F(0),)},
         )
-        (mec,) = mec_decomposition(mdp).mecs
-        sigma = memoryless(mec_constant_strategy(mdp, mec, {"aa": F(1)}))
+        dec = mec_decomposition(mdp)
+        assert len(dec.mecs) == 1
+        sigma = memoryless(mec_constant_strategy(dec, 0, {"aa": F(1)}))
         law = evaluate(mdp, sigma, "mean")[0]
         assert law.atoms == {F(2): F(1)}
 
@@ -269,7 +272,37 @@ def _full_table(mdp, y, arrival, inner, tokens):
 
 
 def _full_two_memory(mdp, y, switch, inner):
-    return _full_table(mdp, y, _switch_arrival(mdp, y, switch), inner, {})
+    return _full_table(mdp, y, _switch_arrival(_inflow(mdp, y), switch), inner, {})
+
+
+def _state_routing(mdp, members, actions, goal):
+    """Reference: the routing search on the model's own action lists and
+    transition rows, for each member outside the set ``goal`` an action
+    moving strictly closer to it; ties go to the first route in member
+    order."""
+    preds = {s: [] for s in members}
+    for s in members:
+        for a in mdp.available[s]:
+            if a in actions:
+                for t, p in mdp.delta[a].items():
+                    if p != 0:
+                        preds[t].append((s, a))
+    frontier = [s for s in members if s in goal]
+    dist = dict.fromkeys(frontier, 0)
+    route = {}
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for s, a in preds[t]:
+                if s not in dist:
+                    dist[s] = dist[t] + 1
+                    route[s] = a
+                    nxt.append(s)
+        frontier = nxt
+    missing = [repr(s) for s in members if s not in dist]
+    if missing:
+        raise ModelError(f"states {missing} cannot reach the routing goal")
+    return route
 
 
 def _full_realize(mdp, qm, y, switch, inner):
@@ -284,7 +317,7 @@ def _full_realize(mdp, qm, y, switch, inner):
             continue
         exits = {a: used[a] for s in members for a in mdp.available[s] if a not in actions and a in used}
         commit = switch.get(rep, ZERO)
-        total_in = sum(filter(None, (entry[s] for s in members)), ZERO)
+        total_in = sum((entry.get(s, ZERO) for s in members), ZERO)
         if total_in == 0:
             continue
         if len(members) <= MEC_LP_LIMIT:
@@ -304,11 +337,11 @@ def _full_realize(mdp, qm, y, switch, inner):
                 if tok == REMAIN:
                     continue
                 _, a = tok
-                route = _routing(mdp, members, actions, {owner[a]})
+                route = _state_routing(mdp, members, actions, {owner[a]})
                 tokens[tok] = {s: {a if s == owner[a] else route[s]: ONE} for s in members}
             for s in members:
                 arrival[s] = dict(token_dist)
-    arrival.update(_switch_arrival(mdp, full_y, stay))
+    arrival.update(_switch_arrival(_inflow(mdp, full_y), stay))
     return _full_table(mdp, full_y, arrival, inner, tokens)
 
 
@@ -384,3 +417,117 @@ class TestReachedPairsOnly:
             listed += len(witness.next_move)
             full += len(ref.next_move)
         assert listed * 5 < full
+
+
+# ------------------------------------------------------ one read of the model
+# Routing and the quotient read the lists that the MEC decomposition keeps;
+# the references below read the model's action lists and rows state by state.
+
+
+def _state_quotient(mdp, dec):
+    """Reference: the available actions and lifted rows of ``mec_quotient``,
+    with each MEC's exits found by scanning its members' actions."""
+    reps = [members[0] for members, _ in dec.mecs]
+    lift = {s: reps[i] for s, i in dec.state_to_mec.items()}
+    for s in mdp.states:
+        lift.setdefault(s, s)
+    available, delta = {}, {}
+    for s in mdp.states:
+        if lift[s] != s:
+            continue
+        idx = dec.state_to_mec.get(s)
+        if idx is None:
+            acts = list(mdp.available.get(s, ()))
+        else:
+            members, mec_actions = dec.mecs[idx]
+            acts = [a for t in members for a in mdp.available.get(t, ()) if a not in mec_actions]
+            if s in mdp.targets and not acts:
+                acts = [f"__stay[{s!r}]"]
+                delta[acts[0]] = {s: ONE}
+        available[s] = tuple(acts)
+        for a in acts:
+            if a in mdp.delta:
+                row = {}
+                for t, p in mdp.delta[a].items():
+                    if p != 0:
+                        lt = lift[t]
+                        row[lt] = row[lt] + p if lt in row else p
+                delta[a] = row
+    return available, delta
+
+
+def _differential_models():
+    for name in ("choice", "loop", "negative", "slow(1/8)"):
+        yield example(name)[0]
+    for seed in range(200):
+        yield trap_mdp(seed)
+    rng = random.Random(17)
+    for seed in range(120):
+        n = rng.randint(3, 9)
+        mdp = random_mdp(n, rng.randint(1, 3), F(1, rng.randint(1, n)), (0, 4), 1, seed=seed, targets=rng.randint(0, 2))
+        if len(mec_decomposition(mdp).mecs) >= 2:
+            yield mdp
+    yield _exit_ring(300)
+    yield two_owner_ring()[0]
+
+
+class TestOneModelRead:
+    def test_routes_and_quotient_match_the_state_scans(self):
+        rng = random.Random(3)
+        several = routed = 0
+        for mdp in _differential_models():
+            qm = mec_quotient(mdp)
+            dec = qm.decomposition
+            several += len(dec.mecs) >= 2
+            available, delta = _state_quotient(mdp, dec)
+            assert qm.quotient.available == available
+            assert list(qm.quotient.delta.items()) == list(delta.items())
+            assert all(list(qm.quotient.delta[a].items()) == list(row.items()) for a, row in delta.items())
+            for i, (members, actions) in enumerate(dec.mecs):
+                goals = [[p] for p in range(len(members))]
+                goals += [sorted(rng.sample(range(len(members)), rng.randint(1, len(members)))) for _ in range(3)]
+                for goal in goals:
+                    route = _routing(dec, i, goal)
+                    ref = _state_routing(mdp, members, actions, {members[p] for p in goal})
+                    assert list(route.items()) == list(ref.items())
+                    routed += 1
+        assert several > 60 and routed > 1000
+
+    def test_mec_constant_strategy_routes_like_the_state_scan(self):
+        # frequencies on one action per MEC: every other member routes
+        for mdp in _differential_models():
+            dec = mec_decomposition(mdp)
+            for i, (members, actions) in enumerate(dec.mecs):
+                a = min(actions)
+                owner = next(s for s in members if a in mdp.available[s])
+                ref = _state_routing(mdp, members, actions, {owner})
+                expected = {owner: {a: ONE}}
+                expected.update((s, {ref[s]: ONE}) for s in members if s != owner)
+                assert mec_constant_strategy(dec, i, {a: F(1)}) == expected
+
+
+class _CountingDelta(dict):
+    """Transition rows that count every lookup of a row."""
+
+    reads = 0
+
+    def __getitem__(self, a):
+        self.reads += 1
+        return dict.__getitem__(self, a)
+
+    def get(self, a, default=None):
+        self.reads += 1
+        return dict.get(self, a, default)
+
+
+def test_ring_action_costs_five_thirds_row_reads():
+    # per ring action: one read by the decomposition, and one by each of
+    # the witness's forward search and its induced chain along the third of
+    # the ring that the witness walks; routing reads no row
+    reads = {}
+    for n in (300, 600):
+        ring = _exit_ring(n)
+        mdp = replace(ring, delta=_CountingDelta(ring.delta))
+        assert decide(mdp, reach_query(e=5)).sat
+        reads[n] = mdp.delta.reads
+    assert F(reads[600] - reads[300], 300) <= F(5, 3) + F(1, 30)
